@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from .frobenius import (
     Ideal,
     NotStabilizedError,
-    bracket_power,
     frobenius_closure,
+    frobenius_target,
 )
 from .poly import Polynomial, frobenius_power
 from .quotient import QuotientRing
@@ -215,6 +215,5 @@ def parameter_ideal_check(R: QuotientRing, partial, extension, e: int,
         raise NotStabilizedError(
             "closure of the parameter ideal did not stabilize within bounds", report
         )
-    left = bracket_power(report.closure, e) + R.defining
-    right = bracket_power(R.lift(partial), e) + R.defining
-    return left.equals(right)
+    left = frobenius_target(R, report.closure, e)
+    return left.equals(frobenius_target(R, R.lift(partial), e))

@@ -42,6 +42,21 @@ def bracket_power(I: Ideal, e: int) -> Ideal:
     return Ideal(I.ring, [frobenius_power(g, e) for g in I.gens])
 
 
+def frobenius_target(R: QuotientRing, I: Ideal, e: int) -> Ideal:
+    """I^[p^e] + J for a lifted ideal I of R = S/J.
+
+    Cached on R, keyed by I's generators and e, for the ring's lifetime
+    (the reduced basis is unique, so sharing the ideal shares its basis):
+    the closure step, the certificate, the Q-search and the census recheck
+    all compare the same targets."""
+    key = ("frob_target", I.gens, e)
+    target = R._cache.get(key)
+    if target is None:
+        target = bracket_power(I, e) + R.defining
+        R._cache[key] = target
+    return target
+
+
 def frobenius_preimage(K: Ideal, e: int) -> Ideal:
     """U_e(K) = {r : r**(p**e) in K}, the largest ideal whose e-th bracket
     power is contained in K.
@@ -107,8 +122,7 @@ def _contract_one_variable(K: Ideal, i: int) -> Ideal:
 
 def closure_step(R: QuotientRing, I: Ideal, e: int) -> Ideal:
     """The lift of C_e(I) = {r in R : r**(p**e) in I^[p^e]}."""
-    K = bracket_power(I, e) + R.defining
-    return R.lift(frobenius_preimage(K, e))
+    return R.lift(frobenius_preimage(frobenius_target(R, I, e), e))
 
 
 @dataclass
@@ -198,13 +212,13 @@ def frobenius_closure(R: QuotientRing, I, e_max: int = 8, window: int = 2) -> Cl
         window=window,
     )
     if stab is not None:
-        report.q_exponent = _q_exponent(R, lift, chain_ideals[stab], stab)
+        report.q_exponent = _q_exponent(R, lift, report.closure, stab)
     return report
 
 
 def _verify_certificate(R, lift, C, e) -> bool:
     """g**(p**e) in I^[p^e] + J for every basis element g of C."""
-    target = bracket_power(lift, e) + R.defining
+    target = frobenius_target(R, lift, e)
     return all(target.contains(frobenius_power(g, e)) for g in C.groebner_basis())
 
 
@@ -212,9 +226,7 @@ def _q_exponent(R, lift, closure, stab) -> int:
     """Smallest e' with (closure)^[p^e'] + J = I^[p^e'] + J; at most the
     stabilization index, because closure = C_E satisfies the equality at E."""
     for e in range(stab + 1):
-        left = bracket_power(closure, e) + R.defining
-        right = bracket_power(lift, e) + R.defining
-        if left.equals(right):
+        if frobenius_target(R, closure, e).equals(frobenius_target(R, lift, e)):
             return e
     raise RuntimeError("Q-exponent search failed below the stabilization index")
 
@@ -224,13 +236,6 @@ def q_number(report: ClosureChainReport) -> tuple[int, int]:
     if not report.stabilized:
         raise NotStabilizedError(
             "Q-number requires a window-stabilized closure chain", report
-        )
-    if report.q_exponent is None:
-        report.q_exponent = _q_exponent(
-            report.ring,
-            report.input_ideal,
-            report.ring.lift(report.chain[report.stabilization_index][1]),
-            report.stabilization_index,
         )
     return report.q_exponent, report.ring.p ** report.q_exponent
 
@@ -340,9 +345,8 @@ def run_census(R: QuotientRing, labeled_rows, e_max: int = 8, window: int = 2,
         for row, closure_gb, gens in outcomes:
             if not row.stabilized:
                 continue
-            left = bracket_power(R.lift(closure_gb), uniform_e) + R.defining
-            right = bracket_power(R.lift(gens), uniform_e) + R.defining
-            if not left.equals(right):
+            left = frobenius_target(R, R.lift(closure_gb), uniform_e)
+            if not left.equals(frobenius_target(R, R.lift(gens), uniform_e)):
                 recheck_ok = False
     return CensusReport(
         rows=rows,

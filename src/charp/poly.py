@@ -72,10 +72,6 @@ def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def mono_degree(a: Monomial) -> int:
-    return sum(a)
-
-
 def _grevlex_key(m: Monomial):
     return (sum(m), tuple(-e for e in reversed(m)))
 
@@ -425,16 +421,9 @@ def frobenius_power(f: Polynomial, e: int) -> Polynomial:
 
 
 def frobenius_substitute(f: Polynomial, e: int) -> Polynomial:
-    """Substitute x_i -> x_i**(p**e) for every variable of f's ring."""
-    if e < 0:
-        raise ValueError(f"Frobenius exponent must be non-negative, got {e}")
-    if e == 0:
-        return f
-    q = f.ring.p ** e
-    out = {}
-    for m, c in f.terms.items():
-        out[tuple(x * q for x in m)] = c
-    return Polynomial(f.ring, out, _canonical=True)
+    """Substitute x_i -> x_i**(p**e) for every variable of f's ring; over
+    F_p this is f**(p**e), so it is :func:`frobenius_power`."""
+    return frobenius_power(f, e)
 
 
 def divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:

@@ -118,7 +118,7 @@ class QuotientRing:
         for i, a in enumerate(elems):
             prefix = self.lift(elems[:i])
             quotient = prefix.colon_ideal(Ideal(self.ambient, [a]))
-            if not quotient.equals(prefix):
+            if not quotient.is_subset_of(prefix):  # prefix <= quotient always
                 return RegularSequenceCheck(False, i)
         return RegularSequenceCheck(True)
 

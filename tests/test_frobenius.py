@@ -22,6 +22,7 @@ from charp import (
     run_census,
     uniform_census,
 )
+from charp.frobenius import frobenius_target
 from support import (
     all_f2_combinations,
     fermat_ring,
@@ -122,6 +123,22 @@ def test_closure_step_examples():
 
     unit = Rfree.lift([S.one()])
     assert closure_step(Rfree, unit, 1).equals(unit)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_frobenius_target_cached_per_ring(p):
+    S = PolyRing(p, ["x", "y"])
+    x, y = S.gens()
+    R = QuotientRing(S, [x**2 * y + y**3])
+    rng = random.Random(70 + p)
+    for _ in range(4):
+        I = R.lift(random_ideal(rng, S, max_gens=2, max_degree=2))
+        for e in (0, 1, 2):
+            target = frobenius_target(R, I, e)
+            # keyed by generators, so an equal lift built elsewhere hits too
+            assert frobenius_target(R, Ideal(S, I.gens), e) is target
+            expected = bracket_power(I, e) + R.defining
+            assert target.groebner_basis() == expected.groebner_basis()
 
 
 # -- closure chains -------------------------------------------------------------------
@@ -306,3 +323,27 @@ def test_census_rows_parallel_matches_serial():
     serial = run_census(R, rows, jobs=1)
     parallel = run_census(R, rows, jobs=2)
     assert serial == parallel
+
+
+def test_census_recheck_reuses_row_bases(monkeypatch):
+    import charp.frobenius
+    import charp.groebner
+
+    runs = [0]
+    original = charp.groebner.buchberger
+
+    def counting(*args, **kwargs):
+        runs[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(charp.groebner, "buchberger", counting)
+    monkeypatch.setattr(charp.frobenius, "buchberger", counting)
+    ranges = {"a": [1, 2], "b": [1, 2]}
+    report = uniform_census(fermat_ring(2), "x^{a}, y^{b}", ranges)
+    census_runs, runs[0] = runs[0], 0
+    R = fermat_ring(2)
+    for _, gens in instantiate_template(R.ambient, "x^{a}, y^{b}", ranges):
+        R.is_poor_regular_sequence(gens)
+        frobenius_closure(R, gens)
+    assert report.recheck_ok
+    assert census_runs <= runs[0]
