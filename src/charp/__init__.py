@@ -22,6 +22,7 @@ from .poly import (
     compare_monomials,
     divide_exact,
     frobenius_power,
+    frobenius_root,
     frobenius_substitute,
     set_degree_cap,
 )
@@ -72,7 +73,8 @@ __all__ = [
     "FieldElement", "field_inv", "is_prime",
     "GREVLEX", "LEX", "MonomialOrder", "block_order", "compare_monomials",
     "PolyRing", "Polynomial", "RingMismatchError", "DegreeCapExceeded",
-    "divide_exact", "frobenius_power", "frobenius_substitute", "set_degree_cap",
+    "divide_exact", "frobenius_power", "frobenius_root", "frobenius_substitute",
+    "set_degree_cap",
     "PolyParseError", "parse_polynomial",
     "Ideal", "buchberger", "normal_form", "reduce_with_quotients", "s_polynomial",
     "DenseMembershipOracle", "membership_oracle",

@@ -2,8 +2,12 @@
 uniform-bound census.
 
 The closure of an ideal I of R = S/J is approximated by the ascending
-chain C_e = {r : r**(p**e) in I^[p^e]}, computed exactly through an
-elimination-based preimage operator.  Window stabilization of the chain is
+chain C_e = {r : r**(p**e) in I^[p^e]}, computed exactly.  Over a
+hypersurface R = S/(f), when a height test shows f to be a nonzerodivisor
+modulo I's other generators, each step is a colon by the Frobenius root
+I_e(f**(p**e - 1)) (Fedder's lemma); otherwise it is the elimination-based
+preimage of I^[p^e] + J, which is also the oracle the colon is tested
+against.  Window stabilization of the chain is
 a heuristic stopping rule: every element of the returned ideal is
 certified to lie in the closure (the certificate is re-verified on every
 run), but equality with the full closure is not proved and reports say so
@@ -17,7 +21,7 @@ import re
 from dataclasses import dataclass
 
 from .groebner import Ideal, buchberger
-from .poly import Polynomial, PolyRing, block_order, frobenius_power
+from .poly import Polynomial, PolyRing, block_order, frobenius_power, frobenius_root
 from .quotient import QuotientRing
 
 STATUS_STABLE = "certified_subset_window_stable"
@@ -69,6 +73,10 @@ def frobenius_preimage(K: Ideal, e: int) -> Ideal:
     variables commute, so the full contraction composes one variable at a
     time, and higher exponents compose one Frobenius step at a time
     (U_{a+b} = U_a o U_b); both factorizations keep every elimination small.
+
+    This is the general closure step, taken wherever the Frobenius-root
+    colon of :func:`closure_step` does not apply, and the oracle that colon
+    is tested against.
     """
     if e < 1:
         raise ValueError("preimage exponent must be positive (e = 0 is the identity)")
@@ -120,9 +128,67 @@ def _contract_one_variable(K: Ideal, i: int) -> Ideal:
     return Ideal(ring, [back(h) for h in kept])
 
 
+def frobenius_root_ideal(R: QuotientRing, e: int) -> Ideal:
+    """A_e = I_e(f**(p**e - 1)) for a hypersurface R = S/(f), generated by
+    its reduced Groebner basis.
+
+    Built by Katzman's recursion A_0 = (1), A_e = I_1(f**(p-1) * A_{e-1}),
+    so f**(p**e - 1) itself is never formed; cached on R per e."""
+    key = ("frob_root", e)
+    A = R._cache.get(key)
+    if A is None:
+        S = R.ambient
+        if e == 0:
+            A = Ideal(S, [S.one()])
+        else:
+            (f,) = R.defining.gens
+            fp = f ** (R.p - 1)
+            roots = [
+                h
+                for a in frobenius_root_ideal(R, e - 1).gens
+                for h in frobenius_root(fp * a, 1).values()
+            ]
+            A = Ideal(S, Ideal(S, roots).groebner_basis())
+        R._cache[key] = A
+    return A
+
+
+def _root_colon_base(R: QuotientRing, I: Ideal) -> Ideal | None:
+    """(g, f) for the generators g of I other than f, when J = (f) and f
+    is a nonzerodivisor on S/(g); None when that cannot be shown.
+
+    The test is ht(g, f) = k + 1 for the k generators g.  Then no
+    associated prime P of (g) contains f: such a P would contain a minimal
+    prime of (g, f), so ht P > k, while in the Cohen-Macaulay ring S_P the
+    k generators of (g) have height k (a lower one would bring ht(g, f)
+    down to k) and so generate an unmixed ideal of height k."""
+    if len(R.defining.gens) != 1:
+        return None
+    (f,) = R.defining.gens
+    g = tuple(h for h in I.gens if h != f)
+    base = I if I.gens == g + (f,) else R.lift(g)
+    if base.krull_dimension() != R.ambient.nvars - len(g) - 1:
+        return None
+    return base
+
+
 def closure_step(R: QuotientRing, I: Ideal, e: int) -> Ideal:
-    """The lift of C_e(I) = {r in R : r**(p**e) in I^[p^e]}."""
-    return R.lift(frobenius_preimage(frobenius_target(R, I, e), e))
+    """The lift of C_e(I) = {r in R : r**(p**e) in I^[p^e]}, for e >= 1.
+
+    Over a hypersurface R = S/(f) with I = (g) + (f) and f a nonzerodivisor
+    on S/(g) (checked by :func:`_root_colon_base`), Fedder's lemma gives
+    the colon C_e = ((g, f) : I_e(f**(p**e - 1))): r**q lies in
+    (g**q) + (f) = (g, f)^[q] : f**(q-1) (f stays a nonzerodivisor modulo
+    (g**q), Frobenius being flat on S) exactly when I_e(r**q * f**(q-1))
+    = r * I_e(f**(q-1)) lies in (g, f).  Otherwise the elimination
+    preimage of I^[p^e] + J is taken; it is also the oracle the colon is
+    tested against."""
+    if e < 1:
+        raise ValueError(f"closure-step exponent must be positive, got {e}")
+    base = _root_colon_base(R, I)
+    if base is None:
+        return R.lift(frobenius_preimage(frobenius_target(R, I, e), e))
+    return base.colon_ideal(frobenius_root_ideal(R, e))
 
 
 @dataclass
@@ -187,7 +253,7 @@ def frobenius_closure(R: QuotientRing, I, e_max: int = 8, window: int = 2) -> Cl
         C = closure_step(R, lift, e)
         prev = chain_ideals[-1]
         if not prev.is_subset_of(C):
-            raise RuntimeError("closure chain failed to ascend; preimage bug")
+            raise RuntimeError("closure chain failed to ascend; closure-step bug")
         equal = C.groebner_basis() == prev.groebner_basis()
         chain_ideals.append(C)
         run = run + 1 if equal else 0
@@ -199,7 +265,7 @@ def frobenius_closure(R: QuotientRing, I, e_max: int = 8, window: int = 2) -> Cl
     cert_e = stab if stab is not None else last_e
     certificate_ok = _verify_certificate(R, lift, chain_ideals[cert_e], cert_e)
     if not certificate_ok:
-        raise RuntimeError("closure soundness certificate failed; preimage bug")
+        raise RuntimeError("closure soundness certificate failed; closure-step bug")
     report = ClosureChainReport(
         ring=R,
         input_ideal=lift,

@@ -420,6 +420,27 @@ def frobenius_power(f: Polynomial, e: int) -> Polynomial:
     )
 
 
+def frobenius_root(f: Polynomial, e: int) -> dict:
+    """The decomposition f = sum(h_alpha**(p**e) * x**alpha) over exponents
+    0 <= alpha_i < p**e, as {alpha: h_alpha} in ascending alpha.
+
+    The h_alpha generate I_e(f), the smallest ideal whose e-th bracket
+    power contains f.  One pass over the terms: c*x**m lands in
+    h_(m mod p**e) as c*x**(m // p**e), and coefficients stay fixed because
+    c**p = c in F_p.
+    """
+    if e < 0:
+        raise ValueError(f"Frobenius-root exponent must be non-negative, got {e}")
+    q = f.ring.p ** e
+    tables: dict = {}
+    for m, c in f.terms.items():
+        alpha = tuple(x % q for x in m)
+        tables.setdefault(alpha, {})[tuple(x // q for x in m)] = c
+    return {
+        alpha: Polynomial(f.ring, tables[alpha], _canonical=True) for alpha in sorted(tables)
+    }
+
+
 def frobenius_substitute(f: Polynomial, e: int) -> Polynomial:
     """Substitute x_i -> x_i**(p**e) for every variable of f's ring; over
     F_p this is f**(p**e), so it is :func:`frobenius_power`."""

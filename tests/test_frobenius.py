@@ -1,4 +1,3 @@
-import os
 import random
 
 import pytest
@@ -16,13 +15,14 @@ from charp import (
     frobenius_power,
     frobenius_power_family,
     frobenius_preimage,
+    frobenius_root,
     instantiate_template,
     normal_form,
     q_number,
     run_census,
     uniform_census,
 )
-from charp.frobenius import frobenius_target
+from charp.frobenius import frobenius_root_ideal, frobenius_target
 from support import (
     all_f2_combinations,
     fermat_ring,
@@ -114,6 +114,8 @@ def test_closure_step_examples():
     x, y, z = R.ambient.gens()
     C1 = closure_step(R, R.lift([x, y]), 1)
     assert C1.groebner_basis() == (z**2, x, y)
+    with pytest.raises(ValueError):
+        closure_step(R, R.lift([x, y]), 0)
 
     S = PolyRing(2, ["x", "y"])
     u, v = S.gens()
@@ -123,6 +125,81 @@ def test_closure_step_examples():
 
     unit = Rfree.lift([S.one()])
     assert closure_step(Rfree, unit, 1).equals(unit)
+
+
+def _count_preimages(monkeypatch):
+    """Route closure_step's preimage through a counter; returns the
+    original function (the oracle) and the list of recorded calls."""
+    import charp.frobenius
+
+    oracle = charp.frobenius.frobenius_preimage
+    calls = []
+
+    def counting(K, e):
+        calls.append(e)
+        return oracle(K, e)
+
+    monkeypatch.setattr(charp.frobenius, "frobenius_preimage", counting)
+    return oracle, calls
+
+
+@pytest.mark.parametrize("p,max_degree", [(2, 3), (3, 3), (5, 2)])
+def test_closure_step_matches_preimage_oracle(p, max_degree, monkeypatch):
+    # seeded random hypersurfaces, homogeneous or not: the root colon (and
+    # the fallback where its height test fails) against the preimage
+    oracle, calls = _count_preimages(monkeypatch)
+    rng = random.Random(92 + p)
+    colon_runs = []  # (f homogeneous, C_e larger than I) for each colon step
+    for variables in (["x", "y"], ["x", "y", "z"]):
+        S = PolyRing(p, variables)
+        for _ in range(6):
+            f = random_poly(rng, S, max_degree=max_degree)
+            if f.total_degree() < 1:
+                continue
+            R = QuotientRing(S, [f])
+            I = R.lift(random_ideal(rng, S, max_gens=S.nvars - 1, max_degree=2))
+            for e in (1, 2):
+                expected = R.lift(oracle(frobenius_target(R, I, e), e))
+                before = len(calls)
+                C = closure_step(R, I, e)
+                assert C.equals(expected)
+                if len(calls) == before:
+                    colon_runs.append((f.is_homogeneous(), not C.equals(I)))
+    assert {homogeneous for homogeneous, _ in colon_runs} == {True, False}
+    assert any(grew for _, grew in colon_runs)
+
+
+def test_closure_step_falls_back_where_the_colon_is_wrong(monkeypatch):
+    # f is a zerodivisor modulo I's other generator, so the height test
+    # fails; the colon alone would give a strictly larger ideal
+    oracle, calls = _count_preimages(monkeypatch)
+    S = PolyRing(2, ["x", "y", "z"])
+    x, y, z = S.gens()
+    cases = [
+        (x**2 * y, [x * z], [x * y, z], [x * y, x * z]),
+        (x**2, [x * y], [x, y], [x]),
+    ]
+    for f, gens, colon, truth in cases:
+        R = QuotientRing(S, [f])
+        I = R.lift(gens)
+        assert I.colon_ideal(frobenius_root_ideal(R, 1)).equals(R.lift(colon))
+        calls.clear()
+        C = closure_step(R, I, 1)
+        assert calls == [1]
+        assert C.equals(R.lift(truth))
+        assert C.equals(R.lift(oracle(frobenius_target(R, I, 1), 1)))
+
+
+@pytest.mark.parametrize("p", [2, 5, 7])
+def test_root_ideal_recursion_matches_direct_root(p):
+    # A_e by Katzman's recursion against I_e(f**(p**e - 1)) formed directly
+    R = fermat_ring(p)
+    (f,) = R.defining.gens
+    for e in (1, 2, 3):
+        A = frobenius_root_ideal(R, e)
+        assert frobenius_root_ideal(R, e) is A
+        direct = Ideal(R.ambient, list(frobenius_root(f ** (p**e - 1), e).values()))
+        assert A.gens == direct.groebner_basis()
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -241,9 +318,7 @@ def test_q_number_examples():
         assert closure_step(R7, rep7.input_ideal, e).equals(rep7.input_ideal)
 
 
-@pytest.mark.skipif(not os.environ.get("CHARP_SLOW"), reason="set CHARP_SLOW=1 to run")
 def test_q_number_p7_chain_constant_through_e3():
-    # the e = 3 step works with degree-343 inputs and takes minutes
     R7 = fermat_ring(7)
     x7, y7, _ = R7.ambient.gens()
     lift = R7.lift([x7, y7])

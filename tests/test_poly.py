@@ -11,6 +11,7 @@ from charp import (
     compare_monomials,
     divide_exact,
     frobenius_power,
+    frobenius_root,
     frobenius_substitute,
     set_degree_cap,
 )
@@ -78,6 +79,37 @@ def test_frobenius_power_is_a_true_power(p):
         f = random_poly(rng, ring, max_degree=2, max_terms=3)
         for e in (1, 2):
             assert frobenius_power(f, e) == f ** (p**e)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_frobenius_root_random(p):
+    ring = PolyRing(p, ["x", "y", "z"])
+    rng = random.Random(131 + p)
+    for _ in range(15):
+        f = random_poly(rng, ring, max_degree=12, max_terms=6)
+        s = random_poly(rng, ring, max_degree=2)
+        for e in range(3):
+            q = p**e
+            roots = frobenius_root(f, e)
+            assert all(0 <= a < q for alpha in roots for a in alpha)
+            # f = sum h_alpha**q * x**alpha
+            rebuilt = ring.zero()
+            for alpha, h in roots.items():
+                rebuilt = rebuilt + frobenius_power(h, e) * ring.monomial(alpha)
+            assert rebuilt == f
+            # I_e(s**q * f) = s * I_e(f), term by term
+            scaled = frobenius_root(frobenius_power(s, e) * f, e)
+            assert scaled == {alpha: s * h for alpha, h in roots.items()}
+
+
+def test_frobenius_root_examples(f2xyz):
+    x, y, z = f2xyz.gens()
+    f = x**3 * y + x * z**2 + 1
+    assert frobenius_root(f, 0) == {(0, 0, 0): f}
+    assert frobenius_root(f, 1) == {(0, 0, 0): f2xyz.one(), (1, 0, 0): z, (1, 1, 0): x}
+    assert frobenius_root(f2xyz.zero(), 1) == {}
+    with pytest.raises(ValueError):
+        frobenius_root(f, -1)
 
 
 def test_compare_monomials_examples():
