@@ -182,13 +182,22 @@ def closure_step(R: QuotientRing, I: Ideal, e: int) -> Ideal:
     (g**q), Frobenius being flat on S) exactly when I_e(r**q * f**(q-1))
     = r * I_e(f**(q-1)) lies in (g, f).  Otherwise the elimination
     preimage of I^[p^e] + J is taken; it is also the oracle the colon is
-    tested against."""
+    tested against.
+
+    The colon is cached on R, keyed by (g, f) and the basis of the root
+    ideal, so a step whose root ideal equals an earlier step's (Katzman's
+    recursion is often stationary) returns that step's ideal."""
     if e < 1:
         raise ValueError(f"closure-step exponent must be positive, got {e}")
     base = _root_colon_base(R, I)
     if base is None:
         return R.lift(frobenius_preimage(frobenius_target(R, I, e), e))
-    return base.colon_ideal(frobenius_root_ideal(R, e))
+    root = frobenius_root_ideal(R, e)
+    key = ("root_colon", base.gens, root.gens)
+    C = R._cache.get(key)
+    if C is None:
+        C = R._cache[key] = base.colon_ideal(root)
+    return C
 
 
 @dataclass

@@ -6,6 +6,10 @@ reduced basis for a fixed order is unique, so results do not depend on
 generator order; bases are cached per order on each Ideal (cache writes
 are idempotent and therefore safe under concurrent population).
 
+A colon (I : A) with S/I finite dimensional is the kernel of r -> r*A
+on the standard monomials of S/I (the linear algebra of FGLM); otherwise,
+and as the kernel route's oracle, it is taken by intersections.
+
 No modular or tracing shortcuts and no F4/F5: determinism and correctness
 over speed, which is adequate at desk scale.
 """
@@ -264,6 +268,31 @@ def buchberger(generators, order: MonomialOrder | None = None) -> tuple[Polynomi
     return tuple(reduced)
 
 
+def _standard_monomials(lms, nvars: int) -> list:
+    """The monomials in ``nvars`` variables divisible by none of ``lms``
+    (which must generate a monomial ideal of dimension <= 0), in ascending
+    lex order.  A prefix padded with zeros that some lm divides ends its
+    branch: every extension is a multiple of it."""
+    out: list = []
+
+    def walk(prefix: tuple, i: int) -> None:
+        pad = (0,) * (nvars - i - 1)
+        e = 0
+        while True:
+            head = prefix + (e,)
+            m = head + pad
+            if any(mono_divides(lm, m) for lm in lms):
+                return
+            if i + 1 == nvars:
+                out.append(m)
+            else:
+                walk(head, i + 1)
+            e += 1
+
+    walk((), 0)
+    return out
+
+
 class Ideal:
     """An ideal of a PolyRing, given by generators (zero generators dropped)."""
 
@@ -334,15 +363,99 @@ class Ideal:
         return Ideal(self.ring, [divide_exact(g, f) for g in meet.gens])
 
     def colon_ideal(self, other: "Ideal") -> "Ideal":
-        """(self : other), the intersection of (self : g) over generators g."""
+        """(self : other) = {r : r*a in self for every a in other}.
+
+        When ``krull_dimension() == 0``, self plus the kernel of
+        r -> (r*a_1, ..., r*a_m) on S/self: one sparse elimination over F_p
+        and one Buchberger run.  Otherwise the intersection of (self : g)
+        over the generators g of ``other``, which is also the kernel
+        route's oracle in the tests."""
         if other.ring != self.ring:
             raise RingMismatchError("colon across different rings")
+        if not other.gens:  # colon by the zero ideal is the unit ideal
+            return Ideal(self.ring, [self.ring.one()])
+        if self.krull_dimension() == 0:
+            return self._colon_by_kernel(other)
         result = None
         for g in other.gens:
             piece = self.colon(g)
             result = piece if result is None else result.intersect(piece)
-        if result is None:  # colon by the zero ideal is the unit ideal
-            return Ideal(self.ring, [self.ring.one()])
+        return result
+
+    def _colon_by_kernel(self, other: "Ideal") -> "Ideal":
+        """(self : other) for zero-dimensional self, by linear algebra in S/self.
+
+        The rows are the normal forms of s*a_1, ..., s*a_m side by side, one
+        row per standard monomial s.  The staircase is closed under
+        division, so s's row is its parent s/x_j's row times x_j, where a
+        product outside the staircase is a border monomial reduced once
+        per call.  Each left-kernel vector c gives sum(c_s * s) in
+        (self : other), and these generate it modulo self."""
+        ring = self.ring
+        order = ring.order
+        p = ring.p
+        gb = self.groebner_basis()
+        staircase = _standard_monomials([g.leading_monomial() for g in gb], ring.nvars)
+        index = {s: k for k, s in enumerate(staircase)}
+        reds = [_Reducer(g, order, p) for g in gb]
+        keycache: dict = {}
+        nfs = {s: ((s, 1),) for s in staircase}  # monomial -> its normal form
+
+        def reduce(terms: dict) -> dict:
+            return _reduce_terms(terms, reds, p, order.key, keycache)
+
+        def times_var(vec: dict, j: int) -> dict:
+            out: dict = {}
+            for b, c in vec.items():
+                m = b[:j] + (b[j] + 1,) + b[j + 1:]
+                nf = nfs.get(m)
+                if nf is None:
+                    nf = nfs[m] = tuple(reduce({m: 1}).items())
+                for mm, cc in nf:
+                    t = (out.get(mm, 0) + c * cc) % p
+                    if t:
+                        out[mm] = t
+                    else:
+                        del out[mm]
+            return out
+
+        rows = [[reduce(dict(a.terms)) for a in other.gens]]  # staircase[0] is 1
+        for s in staircase[1:]:
+            j = max(i for i, x in enumerate(s) if x)
+            parent = index[s[:j] + (s[j] - 1,) + s[j + 1:]]
+            rows.append([times_var(vec, j) for vec in rows[parent]])
+
+        # Top-reduce each row, augmented by its unit vector in the negative
+        # columns -1-k, against the earlier pivots; a row left with only
+        # negative columns is a kernel vector.
+        width = len(staircase)
+        pivots: dict = {}  # leading column -> row scaled to lead with 1
+        kernel = []
+        for k, row in enumerate(rows):
+            vec = {i * width + index[b]: c for i, part in enumerate(row) for b, c in part.items()}
+            vec[-1 - k] = 1
+            while True:
+                col = max(vec)
+                if col < 0:
+                    kernel.append(Polynomial(
+                        ring, {staircase[-1 - c]: v for c, v in vec.items()}, _canonical=True
+                    ))
+                    break
+                pivot = pivots.get(col)
+                if pivot is None:
+                    inv = pow(vec[col], -1, p)
+                    pivots[col] = {c: v * inv % p for c, v in vec.items()}
+                    break
+                factor = vec[col]
+                for c, v in pivot.items():
+                    t = (vec.get(c, 0) - factor * v) % p
+                    if t:
+                        vec[c] = t
+                    else:
+                        vec.pop(c, None)
+        basis = buchberger(list(gb) + kernel, order)
+        result = Ideal(ring, basis)
+        result._gb[order] = basis
         return result
 
     def intersect(self, other: "Ideal") -> "Ideal":
@@ -428,18 +541,7 @@ class Ideal:
     def vector_space_dimension(self) -> int | None:
         """Number of standard monomials when the quotient is finite
         dimensional over F_p; None means infinite."""
-        dim = self.krull_dimension()
-        if dim > 0:
+        if self.krull_dimension() > 0:
             return None
-        gb = self.groebner_basis()
-        lms = [g.leading_monomial() for g in gb]
-        n = self.ring.nvars
-        box = []
-        for i in range(n):
-            pure = [m[i] for m in lms if sum(m) == m[i]]
-            box.append(min(pure))  # dim <= 0 guarantees a pure power per variable
-        count = 0
-        for m in itertools.product(*(range(b) for b in box)):
-            if not any(mono_divides(lm, m) for lm in lms):
-                count += 1
-        return count
+        lms = [g.leading_monomial() for g in self.groebner_basis()]
+        return len(_standard_monomials(lms, self.ring.nvars))

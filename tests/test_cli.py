@@ -159,6 +159,91 @@ def test_reports_are_byte_deterministic(ring_file, tmp_path):
     assert j1.read_bytes() == j3.read_bytes()
 
 
+# Reports pinned byte for byte, so a new algorithm path that changes the
+# output fails here even though two runs of one build still agree.
+GOLDEN_CLOSURE_JSON = (
+    '{\n'
+    '  "certificate_ok": true,\n'
+    '  "chain": [\n'
+    '    {\n'
+    '      "basis": [\n'
+    '        "z^3",\n'
+    '        "x",\n'
+    '        "y"\n'
+    '      ],\n'
+    '      "e": 0\n'
+    '    },\n'
+    '    {\n'
+    '      "basis": [\n'
+    '        "z^2",\n'
+    '        "x",\n'
+    '        "y"\n'
+    '      ],\n'
+    '      "e": 1\n'
+    '    },\n'
+    '    {\n'
+    '      "basis": [\n'
+    '        "z^2",\n'
+    '        "x",\n'
+    '        "y"\n'
+    '      ],\n'
+    '      "e": 2\n'
+    '    }\n'
+    '  ],\n'
+    '  "closure": [\n'
+    '    "z^2",\n'
+    '    "x",\n'
+    '    "y"\n'
+    '  ],\n'
+    '  "command": "closure",\n'
+    '  "completeness": "heuristic: window stabilization certifies containment in the closure, not equality with it",\n'
+    '  "e_max": 8,\n'
+    '  "ideal": "I",\n'
+    '  "q": 2,\n'
+    '  "q_exponent": 1,\n'
+    '  "ring": {\n'
+    '    "characteristic": 2,\n'
+    '    "order": "grevlex",\n'
+    '    "quotient": [\n'
+    '      "x^3 + y^3 + z^3"\n'
+    '    ],\n'
+    '    "variables": [\n'
+    '      "x",\n'
+    '      "y",\n'
+    '      "z"\n'
+    '    ]\n'
+    '  },\n'
+    '  "schema": 1,\n'
+    '  "stabilization_index": 1,\n'
+    '  "status": "certified_subset_window_stable",\n'
+    '  "window": 2\n'
+    '}\n'
+)
+
+GOLDEN_CENSUS_CSV = (
+    'params,regseq_ok,stabilized,q_exponent,closure_gens\n'
+    'a=1;b=1,true,true,1,z^2; x; y\n'
+    'a=1;b=2,true,true,1,y*z^2; z^3; y^2; x\n'
+    'a=1;b=3,true,true,1,y^2*z^2; y^3; z^3; x\n'
+    'a=2;b=1,true,true,1,x*z^2; z^3; x^2; y\n'
+    'a=2;b=2,true,true,1,x*y*z^2; z^3; x^2; y^2\n'
+    'a=2;b=3,true,true,1,x*y^2*z^2; y^3; z^3; x^2\n'
+    'a=3;b=1,true,true,1,x^2*z^2; x^3; z^3; y\n'
+    'a=3;b=2,true,true,1,x^2*y*z^2; x^3; z^3; y^2\n'
+    'a=3;b=3,true,true,1,x^2*y^2*z^2; x^3; y^3; z^3\n'
+)
+
+
+def test_reports_match_golden_bytes(ring_file, tmp_path):
+    out_json = tmp_path / "closure.json"
+    assert main(["closure", "--ring", ring_file, "--ideal", "I", "--json", str(out_json)]) == 0
+    assert out_json.read_bytes() == GOLDEN_CLOSURE_JSON.encode()
+    out_csv = tmp_path / "census.csv"
+    assert main(["census", "--ring", ring_file, "--template", "x^{a}, y^{b}",
+                 "--range", "a=1..3", "--range", "b=1..3", "--csv", str(out_csv)]) == 0
+    assert out_csv.read_bytes() == GOLDEN_CENSUS_CSV.encode()
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

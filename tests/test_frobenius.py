@@ -202,6 +202,51 @@ def test_root_ideal_recursion_matches_direct_root(p):
         assert A.gens == direct.groebner_basis()
 
 
+def _count_colons(monkeypatch):
+    """Route Ideal.colon_ideal through a counter; returns the call list."""
+    original = Ideal.colon_ideal
+    calls = []
+
+    def counting(self, other):
+        calls.append(other.gens)
+        return original(self, other)
+
+    monkeypatch.setattr(Ideal, "colon_ideal", counting)
+    return calls
+
+
+def test_closure_step_caches_its_colon_per_root_ideal(monkeypatch):
+    calls = _count_colons(monkeypatch)
+    # Fermat cubic at p=2: A_1 = A_2 = (x, y, z), so the chain C_0, C_1, C_2
+    # takes one colon and C_2 is C_1
+    R = fermat_ring(2)
+    x, y, _ = R.ambient.gens()
+    report = frobenius_closure(R, [x, y])
+    assert [e for e, _ in report.chain] == [0, 1, 2]
+    assert frobenius_root_ideal(R, 1).gens == frobenius_root_ideal(R, 2).gens
+    assert len(calls) == 1
+    lift = R.lift([x, y])
+    assert closure_step(R, lift, 2) is closure_step(R, lift, 1)
+    assert len(calls) == 1
+
+    # x^4 + y^4 + z^4 at p=2: A_1 != A_2 = A_3, so steps 1 and 2 take one
+    # colon each and step 3 reuses step 2's
+    S = PolyRing(2, ["x", "y", "z"])
+    x, y, z = S.gens()
+    R = QuotientRing(S, [x**4 + y**4 + z**4])
+    assert frobenius_root_ideal(R, 1).gens != frobenius_root_ideal(R, 2).gens
+    assert frobenius_root_ideal(R, 2).gens == frobenius_root_ideal(R, 3).gens
+    calls.clear()
+    lift = R.lift([x, y])
+    steps = []
+    for e in (1, 2, 3):
+        steps.append(closure_step(R, lift, e))
+        assert calls[-1] == frobenius_root_ideal(R, min(e, 2)).gens
+        assert len(calls) == min(e, 2)
+    assert steps[2] is steps[1]
+    assert not steps[1].equals(steps[0])
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_frobenius_target_cached_per_ring(p):
     S = PolyRing(p, ["x", "y"])

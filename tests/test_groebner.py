@@ -7,12 +7,18 @@ from charp import (
     Ideal,
     LEX,
     PolyRing,
+    block_order,
     buchberger,
     membership_oracle,
     normal_form,
     reduce_with_quotients,
 )
-from support import assert_spolys_reduce_to_zero, random_ideal, random_poly
+from support import (
+    assert_spolys_reduce_to_zero,
+    random_ideal,
+    random_monomial,
+    random_poly,
+)
 
 
 @pytest.fixture
@@ -149,6 +155,85 @@ def test_colon_soundness_random():
         for m in [ring.monomial((a, b)) for a in range(3) for b in range(3)]:
             if (m * f) in I:
                 assert m in Q
+
+
+def _colon_by_intersection(I, A):
+    """The intersection route: (I : a) for each generator a, then their meet."""
+    result = None
+    for a in A.gens:
+        piece = I.colon(a)
+        result = piece if result is None else result.intersect(piece)
+    return Ideal(I.ring, result.gens).groebner_basis()
+
+
+def _colon_by_kernel(monkeypatch, I, A):
+    """colon_ideal with intersections forbidden, so only the kernel route
+    on S/I can answer."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the zero-dimensional colon took the intersection route")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Ideal, "intersect", refuse)
+        return I.colon_ideal(A).groebner_basis()
+
+
+def _random_form(rng, ring, degree, max_terms=3):
+    """A random homogeneous polynomial of the given degree."""
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        while True:
+            m = random_monomial(rng, ring.nvars, degree)
+            if sum(m) == degree:
+                break
+        terms[m] = rng.randint(1, ring.p - 1)
+    return ring.poly(terms)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_zero_dimensional_colon_matches_intersection_route(p, monkeypatch):
+    rng = random.Random(600 + p)
+    for order in (GREVLEX, LEX, block_order(1)):
+        for homogeneous in (True, False):
+            for variables in (["x", "y"], ["x", "y", "z"]):
+                ring = PolyRing(p, variables, order)
+                if homogeneous:
+                    draw = lambda: _random_form(rng, ring, rng.randint(1, 3))
+                else:
+                    draw = lambda: random_poly(rng, ring, max_degree=3)
+                # pure powers force dim S/I <= 0; redraw the unit ideal
+                I = Ideal(ring, [ring.one()])
+                while I.krull_dimension() != 0:
+                    powers = [v ** rng.randint(2, 4) for v in ring.gens()]
+                    I = Ideal(ring, [draw() for _ in range(rng.randint(0, 2))] + powers)
+                A = Ideal(ring, [draw() for _ in range(rng.randint(1, 3))])
+                fast = _colon_by_kernel(monkeypatch, I, A)
+                assert fast == _colon_by_intersection(I, A)
+                # permuted, unit-scaled generators of I and A give the same basis
+                scaled = []
+                for ideal in (I, A):
+                    gens = [g * rng.randint(1, p - 1) for g in ideal.gens]
+                    rng.shuffle(gens)
+                    scaled.append(Ideal(ring, gens))
+                assert _colon_by_kernel(monkeypatch, *scaled) == fast
+
+
+def test_zero_dimensional_colon_edge_cases(monkeypatch):
+    ring = PolyRing(3, ["x", "y", "z"])
+    x, y, z = ring.gens()
+    I = Ideal(ring, [x**2 + y * z, y**3, z**2 - x * y])
+    assert I.krull_dimension() == 0
+    gb = I.groebner_basis()
+    # A holding a unit of S/I (2 + y, with y nilpotent there) leaves I unchanged
+    assert _colon_by_kernel(monkeypatch, I, Ideal(ring, [x, 2 + y])) == gb
+    # A inside I gives the unit ideal
+    inside = Ideal(ring, [y**3, x * (z**2 - x * y)])
+    assert _colon_by_kernel(monkeypatch, I, inside) == (ring.one(),)
+    assert _colon_by_intersection(I, inside) == (ring.one(),)
+    # a hand example: (x^2, y^2, z) : (x, y) = (x^2, x*y, y^2, z)
+    J = Ideal(ring, [x**2, y**2, z])
+    expected = Ideal(ring, [x**2, x * y, y**2, z]).groebner_basis()
+    assert _colon_by_kernel(monkeypatch, J, Ideal(ring, [x, y])) == expected
 
 
 def test_intersect_examples(f2xyz):
