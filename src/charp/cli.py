@@ -93,8 +93,12 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _closure_payload(report):
-    return {
+def _write_closure_json(args, rf, report):
+    _write_json(args.json, {
+        "schema": SCHEMA,
+        "command": args.command,
+        "ring": _ring_info(rf),
+        "ideal": args.ideal,
         "status": report.status,
         "stabilization_index": report.stabilization_index,
         "chain": [{"e": e, "basis": [str(g) for g in gb]} for e, gb in report.chain],
@@ -105,7 +109,7 @@ def _closure_payload(report):
         "completeness": report.completeness,
         "e_max": report.e_max,
         "window": report.window,
-    }
+    })
 
 
 # -- subcommand handlers ------------------------------------------------------
@@ -187,45 +191,23 @@ def _print_closure(report):
     print(f"completeness: {report.completeness}")
 
 
-def _cmd_closure(args, command="closure"):
+def _cmd_closure(args):
     rf, report = _run_closure(args)
     _print_closure(report)
-    payload = {
-        "schema": SCHEMA,
-        "command": command,
-        "ring": _ring_info(rf),
-        "ideal": args.ideal,
-    }
-    payload.update(_closure_payload(report))
-    _write_json(args.json, payload)
+    _write_closure_json(args, rf, report)
     return EXIT_OK if report.stabilized else EXIT_UNSTABLE
 
 
 def _cmd_qnumber(args):
     rf, report = _run_closure(args)
-    if not report.stabilized:
+    if report.stabilized:
+        exponent, q = q_number(report)
+        print(f"q_exponent: {exponent}")
+        print(f"Q: {q} (= {rf.ring.p}^{exponent})")
+    else:
         _print_closure(report)
-        payload = {
-            "schema": SCHEMA,
-            "command": "qnumber",
-            "ring": _ring_info(rf),
-            "ideal": args.ideal,
-        }
-        payload.update(_closure_payload(report))
-        _write_json(args.json, payload)
-        return EXIT_UNSTABLE
-    exponent, q = q_number(report)
-    print(f"q_exponent: {exponent}")
-    print(f"Q: {q} (= {rf.ring.p}^{exponent})")
-    payload = {
-        "schema": SCHEMA,
-        "command": "qnumber",
-        "ring": _ring_info(rf),
-        "ideal": args.ideal,
-    }
-    payload.update(_closure_payload(report))
-    _write_json(args.json, payload)
-    return EXIT_OK
+    _write_closure_json(args, rf, report)
+    return EXIT_OK if report.stabilized else EXIT_UNSTABLE
 
 
 def _parse_range(spec):

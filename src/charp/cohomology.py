@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from .frobenius import (
     Ideal,
     NotStabilizedError,
+    _map_rows,
+    bracket_powers_agree,
     frobenius_closure,
-    frobenius_target,
 )
 from .poly import Polynomial, frobenius_power
 from .quotient import QuotientRing
@@ -153,8 +154,7 @@ class EtaReport:
         return f"η̂ (scan n ≤ {self.n_max}{mark}) = {value}"
 
 
-def _eta_row(args):
-    R, gens, e_max, window = args
+def _eta_row(R, gens, e_max, window):
     report = frobenius_closure(R, gens, e_max=e_max, window=window)
     return report.q_exponent, report.stabilized
 
@@ -172,13 +172,7 @@ def eta_estimate(R: QuotientRing, sop, n_max: int = 1, e_max: int = 8,
         (R, [frobenius_power(b, n) for b in sop], e_max, window)
         for n in range(n_max + 1)
     ]
-    if jobs > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_eta_row, tasks))
-    else:
-        outcomes = [_eta_row(t) for t in tasks]
+    outcomes = _map_rows(_eta_row, tasks, jobs)
     per_n = tuple((n, q) for n, (q, _) in enumerate(outcomes))
     complete = all(stabilized for _, stabilized in outcomes)
     eta_hat = max((q for _, q in per_n if q is not None), default=None)
@@ -215,5 +209,4 @@ def parameter_ideal_check(R: QuotientRing, partial, extension, e: int,
         raise NotStabilizedError(
             "closure of the parameter ideal did not stabilize within bounds", report
         )
-    left = frobenius_target(R, report.closure, e)
-    return left.equals(frobenius_target(R, R.lift(partial), e))
+    return bracket_powers_agree(R, R.lift(partial), report.chain[-1][1], e)

@@ -12,6 +12,12 @@ a heuristic stopping rule: every element of the returned ideal is
 certified to lie in the closure (the certificate is re-verified on every
 run), but equality with the full closure is not proved and reports say so
 explicitly.
+
+Every bracket-power equality (C)^[p^e] = I^[p^e] in R -- the certificate,
+the Q-exponent search, the census recheck and the parameter-ideal check --
+is decided by :func:`bracket_powers_agree`: I lies in C, so one membership
+test per generator of C against the input's cached target I^[p^e] + J
+suffices, and no target of a closure is ever built.
 """
 
 from __future__ import annotations
@@ -50,15 +56,28 @@ def frobenius_target(R: QuotientRing, I: Ideal, e: int) -> Ideal:
     """I^[p^e] + J for a lifted ideal I of R = S/J.
 
     Cached on R, keyed by I's generators and e, for the ring's lifetime
-    (the reduced basis is unique, so sharing the ideal shares its basis):
-    the closure step, the certificate, the Q-search and the census recheck
-    all compare the same targets."""
+    (the reduced basis is unique, so sharing the ideal shares its basis).
+    Only input-side targets are built: the preimage fallback of the closure
+    step reads one, and :func:`bracket_powers_agree` (the certificate, the
+    Q-search, the census recheck and the parameter-ideal check) tests
+    membership in one."""
     key = ("frob_target", I.gens, e)
     target = R._cache.get(key)
     if target is None:
         target = bracket_power(I, e) + R.defining
         R._cache[key] = target
     return target
+
+
+def bracket_powers_agree(R: QuotientRing, I: Ideal, gens, e: int) -> bool:
+    """Whether (gens)^[p^e] + J = I^[p^e] + J for a lifted ideal I of
+    R = S/J, when I lies in the ideal generated by ``gens`` and J.
+
+    That containment makes I^[p^e] + J the smaller side, so only the other
+    inclusion is tested, by membership of each g**(p**e) in the cached
+    target of I; no basis of the gens side is built."""
+    target = frobenius_target(R, I, e)
+    return all(target.contains(frobenius_power(g, e)) for g in gens)
 
 
 def frobenius_preimage(K: Ideal, e: int) -> Ideal:
@@ -270,40 +289,28 @@ def frobenius_closure(R: QuotientRing, I, e_max: int = 8, window: int = 2) -> Cl
             stab = e - needed
             break
     status = STATUS_STABLE if stab is not None else STATUS_NOT_STABILIZED
-    last_e = len(chain_ideals) - 1
-    cert_e = stab if stab is not None else last_e
-    certificate_ok = _verify_certificate(R, lift, chain_ideals[cert_e], cert_e)
-    if not certificate_ok:
+    cert_e = stab if stab is not None else len(chain_ideals) - 1
+    closure_gb = chain_ideals[cert_e].groebner_basis()
+    if not bracket_powers_agree(R, lift, closure_gb, cert_e):
         raise RuntimeError("closure soundness certificate failed; closure-step bug")
-    report = ClosureChainReport(
+    q_exponent = None
+    if stab is not None:
+        # the smallest e' with (C)^[p^e'] + J = I^[p^e'] + J; the certificate
+        # is that equality at e' = stab
+        q_exponent = next(
+            (e for e in range(stab) if bracket_powers_agree(R, lift, closure_gb, e)), stab
+        )
+    return ClosureChainReport(
         ring=R,
         input_ideal=lift,
         chain=tuple((e, C.groebner_basis()) for e, C in enumerate(chain_ideals)),
         status=status,
         stabilization_index=stab,
-        q_exponent=None,
-        certificate_ok=certificate_ok,
+        q_exponent=q_exponent,
+        certificate_ok=True,
         e_max=e_max,
         window=window,
     )
-    if stab is not None:
-        report.q_exponent = _q_exponent(R, lift, report.closure, stab)
-    return report
-
-
-def _verify_certificate(R, lift, C, e) -> bool:
-    """g**(p**e) in I^[p^e] + J for every basis element g of C."""
-    target = frobenius_target(R, lift, e)
-    return all(target.contains(frobenius_power(g, e)) for g in C.groebner_basis())
-
-
-def _q_exponent(R, lift, closure, stab) -> int:
-    """Smallest e' with (closure)^[p^e'] + J = I^[p^e'] + J; at most the
-    stabilization index, because closure = C_E satisfies the equality at E."""
-    for e in range(stab + 1):
-        if frobenius_target(R, closure, e).equals(frobenius_target(R, lift, e)):
-            return e
-    raise RuntimeError("Q-exponent search failed below the stabilization index")
 
 
 def q_number(report: ClosureChainReport) -> tuple[int, int]:
@@ -390,39 +397,39 @@ def _census_row(R, params, gens, e_max, window):
     return row, closure_gb, list(gens)
 
 
+def _map_rows(fn, rows, jobs: int) -> list:
+    """[fn(*row) for row in rows], on a pool of ``jobs`` worker processes
+    when jobs > 1 and there is more than one row; results keep row order."""
+    if jobs > 1 and len(rows) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, *zip(*rows)))
+    return [fn(*row) for row in rows]
+
+
 def run_census(R: QuotientRing, labeled_rows, e_max: int = 8, window: int = 2,
                jobs: int = 1) -> CensusReport:
     """Closure/Q-exponent census over explicit labeled rows
     [(params, generators), ...].  Rows are independent; with jobs > 1 they
     are dispatched to a process pool, and output order follows input order
     either way."""
-    if jobs > 1 and len(labeled_rows) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(
-                pool.map(
-                    _census_row_task,
-                    [(R, params, gens, e_max, window) for params, gens in labeled_rows],
-                )
-            )
-    else:
-        outcomes = [
-            _census_row(R, params, gens, e_max, window) for params, gens in labeled_rows
-        ]
+    outcomes = _map_rows(
+        _census_row,
+        [(R, params, gens, e_max, window) for params, gens in labeled_rows],
+        jobs,
+    )
     rows = tuple(row for row, _, _ in outcomes)
     stabilized_q = [row.q_exponent for row in rows if row.stabilized]
     all_stabilized = all(row.stabilized for row in rows) and bool(rows)
     uniform_e = max(stabilized_q, default=None)
     recheck_ok = None
     if uniform_e is not None:
-        recheck_ok = True
-        for row, closure_gb, gens in outcomes:
-            if not row.stabilized:
-                continue
-            left = frobenius_target(R, R.lift(closure_gb), uniform_e)
-            if not left.equals(frobenius_target(R, R.lift(gens), uniform_e)):
-                recheck_ok = False
+        recheck_ok = all(
+            bracket_powers_agree(R, R.lift(gens), closure_gb, uniform_e)
+            for row, closure_gb, gens in outcomes
+            if row.stabilized
+        )
     return CensusReport(
         rows=rows,
         uniform_e=uniform_e,
@@ -431,10 +438,6 @@ def run_census(R: QuotientRing, labeled_rows, e_max: int = 8, window: int = 2,
         e_max=e_max,
         window=window,
     )
-
-
-def _census_row_task(args):
-    return _census_row(*args)
 
 
 def uniform_census(R: QuotientRing, template: str, ranges, e_max: int = 8,

@@ -449,28 +449,12 @@ def frobenius_substitute(f: Polynomial, e: int) -> Polynomial:
 
 def divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
     """The quotient f/g when g divides f exactly; raises ValueError otherwise."""
+    from .groebner import reduce_with_quotients
+
     f._check_ring(g)
     if g.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
-    ring = f.ring
-    p = ring.p
-    key = ring.order.key
-    glm = g.leading_monomial()
-    ginv = pow(g.terms[glm], -1, p)
-    rem = dict(f.terms)
-    quot: dict = {}
-    while rem:
-        m = max(rem, key=key)
-        if not mono_divides(glm, m):
-            raise ValueError(f"{g} does not divide {f} exactly")
-        shift = mono_div(m, glm)
-        coef = rem[m] * ginv % p
-        quot[shift] = coef
-        for mg, cg in g.terms.items():
-            mm = mono_mul(mg, shift)
-            s = (rem.get(mm, 0) - coef * cg) % p
-            if s:
-                rem[mm] = s
-            else:
-                rem.pop(mm, None)
-    return Polynomial(ring, quot, _canonical=True)
+    (quot,), rem = reduce_with_quotients(f, [g])
+    if not rem.is_zero:
+        raise ValueError(f"{g} does not divide {f} exactly")
+    return quot

@@ -220,6 +220,10 @@ GOLDEN_CLOSURE_JSON = (
     '}\n'
 )
 
+# qnumber writes the closure report under its own command name
+GOLDEN_QNUMBER_JSON = GOLDEN_CLOSURE_JSON.replace('"command": "closure"', '"command": "qnumber"')
+GOLDEN_QNUMBER_STDOUT = 'q_exponent: 1\nQ: 2 (= 2^1)\n'
+
 GOLDEN_CENSUS_CSV = (
     'params,regseq_ok,stabilized,q_exponent,closure_gens\n'
     'a=1;b=1,true,true,1,z^2; x; y\n'
@@ -234,10 +238,16 @@ GOLDEN_CENSUS_CSV = (
 )
 
 
-def test_reports_match_golden_bytes(ring_file, tmp_path):
+def test_reports_match_golden_bytes(ring_file, tmp_path, capsys):
     out_json = tmp_path / "closure.json"
     assert main(["closure", "--ring", ring_file, "--ideal", "I", "--json", str(out_json)]) == 0
     assert out_json.read_bytes() == GOLDEN_CLOSURE_JSON.encode()
+    capsys.readouterr()
+    q_json = tmp_path / "qnumber.json"
+    assert main(["qnumber", "--ring", ring_file, "--ideal", "I", "--json", str(q_json)]) == 0
+    assert capsys.readouterr().out == GOLDEN_QNUMBER_STDOUT
+    assert q_json.read_bytes() == GOLDEN_QNUMBER_JSON.encode()
+    assert GOLDEN_QNUMBER_JSON != GOLDEN_CLOSURE_JSON
     out_csv = tmp_path / "census.csv"
     assert main(["census", "--ring", ring_file, "--template", "x^{a}, y^{b}",
                  "--range", "a=1..3", "--range", "b=1..3", "--csv", str(out_csv)]) == 0

@@ -22,7 +22,8 @@ from charp import (
     run_census,
     uniform_census,
 )
-from charp.frobenius import frobenius_root_ideal, frobenius_target
+from charp.cohomology import parameter_ideal_check
+from charp.frobenius import bracket_powers_agree, frobenius_root_ideal, frobenius_target
 from support import (
     all_f2_combinations,
     fermat_ring,
@@ -263,6 +264,50 @@ def test_frobenius_target_cached_per_ring(p):
             assert target.groebner_basis() == expected.groebner_basis()
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_bracket_powers_agree_matches_target_equality(p):
+    """The containment predicate against the old route, equality of both
+    sides' targets, for I generated by two random linear forms over the
+    Fermat cubic: K adds a multiple of a generator of I (always equal), a
+    random element (mostly not), or K is the closure of I (equal from its
+    Q-exponent on)."""
+    R = fermat_ring(p)
+    S = R.ambient
+    rng = random.Random(90 + p)
+
+    def linear_form():
+        return sum((rng.randrange(p) * v for v in S.gens()), S.zero())
+
+    seen = set()
+    for _ in range(4):
+        I = R.lift([linear_form(), linear_form()])
+        closure = R.lift(frobenius_closure(R, I, e_max=4).chain[-1][1])
+        extras = [random_poly(rng, S, 1) * rng.choice(I.gens), random_poly(rng, S, 2)]
+        for K in [R.lift(I.gens + (h,)) for h in extras] + [closure]:
+            for e in (0, 1, 2):
+                expected = frobenius_target(R, K, e).equals(frobenius_target(R, I, e))
+                assert bracket_powers_agree(R, I, K.groebner_basis(), e) == expected
+                seen.add((expected, K.equals(I)))
+    assert (True, False) in seen  # K larger than I, the targets still equal
+    assert (False, False) in seen
+
+
+def test_bracket_power_equalities_build_no_closure_basis(monkeypatch):
+    """The certificate, the Q-search, the census recheck and the
+    parameter-ideal check never compare two bases."""
+    def refuse(self, other):
+        raise AssertionError("Ideal.equals called")
+
+    monkeypatch.setattr(Ideal, "equals", refuse)
+    R = fermat_ring(2)
+    x, y, _ = R.ambient.gens()
+    assert frobenius_closure(R, [x, y]).q_exponent == 1
+    report = uniform_census(R, "x^{a}, y^{b}", {"a": [1, 2], "b": [1, 2]}, jobs=1)
+    assert report.uniform_e == 1 and report.recheck_ok
+    assert parameter_ideal_check(R, [x], [y], 1) is True
+    assert parameter_ideal_check(R, [x, y], [], 0) is False
+
+
 # -- closure chains -------------------------------------------------------------------
 
 def test_fermat_closure_chain_report():
@@ -467,3 +512,40 @@ def test_census_recheck_reuses_row_bases(monkeypatch):
         frobenius_closure(R, gens)
     assert report.recheck_ok
     assert census_runs <= runs[0]
+
+
+def test_parallel_census_recheck_builds_only_input_targets(monkeypatch):
+    """With jobs > 1 the rows run in workers, so the recheck in the calling
+    process builds the four rows' input targets and nothing else."""
+    import charp.frobenius
+    import charp.groebner
+
+    runs = [0]
+    original = charp.groebner.buchberger
+
+    def counting(*args, **kwargs):
+        runs[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(charp.groebner, "buchberger", counting)
+    monkeypatch.setattr(charp.frobenius, "buchberger", counting)
+    report = uniform_census(fermat_ring(2), "x^{a}, y^{b}", {"a": [1, 2], "b": [1, 2]}, jobs=2)
+    assert report.recheck_ok
+    assert runs[0] <= 4
+
+
+def test_census_recheck_flags_a_wrong_closure(monkeypatch):
+    """The recheck tests each row's reported closure against its input, so
+    a closure too large for the uniform exponent fails it."""
+    import charp.frobenius
+
+    original = charp.frobenius._census_row
+
+    def inflated(R, params, gens, e_max, window):
+        row, _, gens = original(R, params, gens, e_max, window)
+        return row, (R.ambient.one(),), gens
+
+    monkeypatch.setattr(charp.frobenius, "_census_row", inflated)
+    report = uniform_census(fermat_ring(2), "x^{a}, y^{b}", {"a": [1], "b": [1]})
+    assert report.uniform_e == 1
+    assert report.recheck_ok is False
