@@ -14,10 +14,11 @@ run), but equality with the full closure is not proved and reports say so
 explicitly.
 
 Every bracket-power equality (C)^[p^e] = I^[p^e] in R -- the certificate,
-the Q-exponent search, the census recheck and the parameter-ideal check --
-is decided by :func:`bracket_powers_agree`: I lies in C, so one membership
-test per generator of C against the input's cached target I^[p^e] + J
-suffices, and no target of a closure is ever built.
+the census recheck and the parameter-ideal check -- is decided by
+:func:`bracket_powers_agree`: I lies in C, so one membership test per
+generator of C against the input's cached target I^[p^e] + J suffices,
+and no target of a closure is ever built.  The Q-exponent needs no test
+of its own: it is the chain's stabilization index.
 """
 
 from __future__ import annotations
@@ -59,8 +60,8 @@ def frobenius_target(R: QuotientRing, I: Ideal, e: int) -> Ideal:
     (the reduced basis is unique, so sharing the ideal shares its basis).
     Only input-side targets are built: the preimage fallback of the closure
     step reads one, and :func:`bracket_powers_agree` (the certificate, the
-    Q-search, the census recheck and the parameter-ideal check) tests
-    membership in one."""
+    census recheck and the parameter-ideal check) tests membership in
+    one."""
     key = ("frob_target", I.gens, e)
     target = R._cache.get(key)
     if target is None:
@@ -185,7 +186,7 @@ def _root_colon_base(R: QuotientRing, I: Ideal) -> Ideal | None:
         return None
     (f,) = R.defining.gens
     g = tuple(h for h in I.gens if h != f)
-    base = I if I.gens == g + (f,) else R.lift(g)
+    base = R.lift(g)
     if base.krull_dimension() != R.ambient.nvars - len(g) - 1:
         return None
     return base
@@ -293,13 +294,12 @@ def frobenius_closure(R: QuotientRing, I, e_max: int = 8, window: int = 2) -> Cl
     closure_gb = chain_ideals[cert_e].groebner_basis()
     if not bracket_powers_agree(R, lift, closure_gb, cert_e):
         raise RuntimeError("closure soundness certificate failed; closure-step bug")
-    q_exponent = None
-    if stab is not None:
-        # the smallest e' with (C)^[p^e'] + J = I^[p^e'] + J; the certificate
-        # is that equality at e' = stab
-        q_exponent = next(
-            (e for e in range(stab) if bracket_powers_agree(R, lift, closure_gb, e)), stab
-        )
+    # The Q-exponent is the smallest e' with C^[p^e'] + J = I^[p^e'] + J,
+    # which the certificate shows at e' = stab.  No smaller e' can pass:
+    # that equality puts every r in C into C_e' (r^(p^e') lies in
+    # I^[p^e'] + J), and C_e' lies in C as the chain ascends, so C_e' = C
+    # and the chain would have reached its final member by e' < stab.
+    q_exponent = stab
     return ClosureChainReport(
         ring=R,
         input_ideal=lift,

@@ -59,3 +59,21 @@ def all_f2_combinations(polys):
 def assert_spolys_reduce_to_zero(basis, order=None):
     for f, g in itertools.combinations(basis, 2):
         assert normal_form(s_polynomial(f, g, order), basis, order).is_zero
+
+
+def count_buchberger_runs(monkeypatch) -> list:
+    """Wrap ``buchberger`` where charp.groebner and charp.frobenius call it;
+    the returned one-element list counts the runs from now on."""
+    import charp.frobenius
+    import charp.groebner
+
+    runs = [0]
+    original = charp.groebner.buchberger
+
+    def counting(*args, **kwargs):
+        runs[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(charp.groebner, "buchberger", counting)
+    monkeypatch.setattr(charp.frobenius, "buchberger", counting)
+    return runs

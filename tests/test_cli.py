@@ -238,6 +238,58 @@ GOLDEN_CENSUS_CSV = (
 )
 
 
+GOLDEN_REGSEQ_TRUE_JSON = (
+    '{\n'
+    '  "command": "regseq",\n'
+    '  "elems": [\n'
+    '    "x",\n'
+    '    "y"\n'
+    '  ],\n'
+    '  "failure_index": null,\n'
+    '  "ok": true,\n'
+    '  "ring": {\n'
+    '    "characteristic": 2,\n'
+    '    "order": "grevlex",\n'
+    '    "quotient": [\n'
+    '      "x^3 + y^3 + z^3"\n'
+    '    ],\n'
+    '    "variables": [\n'
+    '      "x",\n'
+    '      "y",\n'
+    '      "z"\n'
+    '    ]\n'
+    '  },\n'
+    '  "schema": 1\n'
+    '}\n'
+)
+GOLDEN_REGSEQ_FALSE_JSON = (
+    '{\n'
+    '  "command": "regseq",\n'
+    '  "elems": [\n'
+    '    "z",\n'
+    '    "x"\n'
+    '  ],\n'
+    '  "failure_index": 1,\n'
+    '  "ok": false,\n'
+    '  "ring": {\n'
+    '    "characteristic": 2,\n'
+    '    "order": "grevlex",\n'
+    '    "quotient": [\n'
+    '      "x^2*y"\n'
+    '    ],\n'
+    '    "variables": [\n'
+    '      "x",\n'
+    '      "y",\n'
+    '      "z"\n'
+    '    ]\n'
+    '  },\n'
+    '  "schema": 1\n'
+    '}\n'
+)
+GOLDEN_REGSEQ_TRUE_STDOUT = 'poor regular sequence: true\n'
+GOLDEN_REGSEQ_FALSE_STDOUT = 'poor regular sequence: false (fails at index 1)\n'
+
+
 def test_reports_match_golden_bytes(ring_file, tmp_path, capsys):
     out_json = tmp_path / "closure.json"
     assert main(["closure", "--ring", ring_file, "--ideal", "I", "--json", str(out_json)]) == 0
@@ -252,6 +304,16 @@ def test_reports_match_golden_bytes(ring_file, tmp_path, capsys):
     assert main(["census", "--ring", ring_file, "--template", "x^{a}, y^{b}",
                  "--range", "a=1..3", "--range", "b=1..3", "--csv", str(out_csv)]) == 0
     assert out_csv.read_bytes() == GOLDEN_CENSUS_CSV.encode()
+    capsys.readouterr()
+    r_json = tmp_path / "regseq.json"
+    assert main(["regseq", "--ring", ring_file, "--elems", "x,y", "--json", str(r_json)]) == 0
+    assert capsys.readouterr().out == GOLDEN_REGSEQ_TRUE_STDOUT
+    assert r_json.read_bytes() == GOLDEN_REGSEQ_TRUE_JSON.encode()
+    x2y = tmp_path / "x2y.ring"
+    x2y.write_text("char 2;\nvars x y z;\nquotient x^2*y;\n", encoding="utf-8")
+    assert main(["regseq", "--ring", str(x2y), "--elems", "z,x", "--json", str(r_json)]) == 0
+    assert capsys.readouterr().out == GOLDEN_REGSEQ_FALSE_STDOUT
+    assert r_json.read_bytes() == GOLDEN_REGSEQ_FALSE_JSON.encode()
 
 
 def test_version_flag(capsys):

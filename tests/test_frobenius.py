@@ -26,6 +26,7 @@ from charp.cohomology import parameter_ideal_check
 from charp.frobenius import bracket_powers_agree, frobenius_root_ideal, frobenius_target
 from support import (
     all_f2_combinations,
+    count_buchberger_runs,
     fermat_ring,
     monomials_of_degree_at_most,
     random_ideal,
@@ -293,8 +294,8 @@ def test_bracket_powers_agree_matches_target_equality(p):
 
 
 def test_bracket_power_equalities_build_no_closure_basis(monkeypatch):
-    """The certificate, the Q-search, the census recheck and the
-    parameter-ideal check never compare two bases."""
+    """The certificate, the census recheck and the parameter-ideal check
+    never compare two bases."""
     def refuse(self, other):
         raise AssertionError("Ideal.equals called")
 
@@ -415,6 +416,34 @@ def test_q_number_p7_chain_constant_through_e3():
     assert closure_step(R7, lift, 3).equals(lift)
 
 
+@pytest.mark.parametrize("p, degree, top", [
+    (2, 3, 6), (3, 3, 5), (5, 3, 4),
+    (2, 4, 5),  # x^4 + y^4 + z^4: these chains stabilize at e = 2
+])
+def test_q_exponent_equals_the_searched_minimum(p, degree, top):
+    """q_exponent is the smallest e' with C^[p^e'] + J = I^[p^e'] + J, as
+    a search over e' finds it, on every (x^a, y^b) chain over the Fermat
+    hypersurface of the given degree, for windows 2 and 3."""
+    stabs = set()
+    for window in (2, 3):
+        S = PolyRing(p, ["x", "y", "z"])
+        x, y, z = S.gens()
+        R = QuotientRing(S, [x**degree + y**degree + z**degree])
+        for a in range(1, top + 1):
+            for b in range(1, top + 1):
+                report = frobenius_closure(R, [x**a, y**b], window=window)
+                assert report.stabilized
+                lift = R.lift([x**a, y**b])
+                closure_gb = report.chain[-1][1]
+                searched = next(
+                    e for e in range(report.stabilization_index + 1)
+                    if bracket_powers_agree(R, lift, closure_gb, e)
+                )
+                assert report.q_exponent == searched
+                stabs.add(report.stabilization_index)
+    assert min(stabs) >= 1  # every search had an e' < stab to reject
+
+
 # -- census -----------------------------------------------------------------------
 
 def test_template_instantiation():
@@ -491,18 +520,7 @@ def test_census_rows_parallel_matches_serial():
 
 
 def test_census_recheck_reuses_row_bases(monkeypatch):
-    import charp.frobenius
-    import charp.groebner
-
-    runs = [0]
-    original = charp.groebner.buchberger
-
-    def counting(*args, **kwargs):
-        runs[0] += 1
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(charp.groebner, "buchberger", counting)
-    monkeypatch.setattr(charp.frobenius, "buchberger", counting)
+    runs = count_buchberger_runs(monkeypatch)
     ranges = {"a": [1, 2], "b": [1, 2]}
     report = uniform_census(fermat_ring(2), "x^{a}, y^{b}", ranges)
     census_runs, runs[0] = runs[0], 0
@@ -514,21 +532,23 @@ def test_census_recheck_reuses_row_bases(monkeypatch):
     assert census_runs <= runs[0]
 
 
+def test_census_sweep_shares_lifted_bases(monkeypatch):
+    """The 64-row Fermat census at p = 2 builds each lifted ideal's basis
+    once: the regular-sequence height test, the closure and the recheck
+    read the same lifts (514 Buchberger runs before lifts were shared and
+    the height test replaced the colon route)."""
+    runs = count_buchberger_runs(monkeypatch)
+    span = list(range(1, 9))
+    report = uniform_census(fermat_ring(2), "x^{a}, y^{b}", {"a": span, "b": span})
+    assert len(report.rows) == 64 and report.recheck_ok
+    assert all(row.regular_sequence_ok for row in report.rows)
+    assert runs[0] <= 220
+
+
 def test_parallel_census_recheck_builds_only_input_targets(monkeypatch):
     """With jobs > 1 the rows run in workers, so the recheck in the calling
     process builds the four rows' input targets and nothing else."""
-    import charp.frobenius
-    import charp.groebner
-
-    runs = [0]
-    original = charp.groebner.buchberger
-
-    def counting(*args, **kwargs):
-        runs[0] += 1
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(charp.groebner, "buchberger", counting)
-    monkeypatch.setattr(charp.frobenius, "buchberger", counting)
+    runs = count_buchberger_runs(monkeypatch)
     report = uniform_census(fermat_ring(2), "x^{a}, y^{b}", {"a": [1, 2], "b": [1, 2]}, jobs=2)
     assert report.recheck_ok
     assert runs[0] <= 4

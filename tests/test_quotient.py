@@ -4,7 +4,7 @@ import random
 import pytest
 
 from charp import Ideal, PolyRing, QuotientRing, membership_oracle
-from support import fermat_ring, random_poly
+from support import count_buchberger_runs, fermat_ring, random_poly
 
 
 def test_lift_includes_defining_ideal():
@@ -114,6 +114,113 @@ def test_cm_hint_rules():
     assert QuotientRing(S, [x, y]).cm_hint  # complete intersection
     assert not QuotientRing(S, [x * y, x * z]).cm_hint  # not a regular sequence
     assert QuotientRing(S, [x * y, x * z], cm_hint=True).cm_hint  # user override
+
+
+def test_cm_hint_override_does_not_enable_the_height_test():
+    """x*y = 0 in S/(xy, xz), so y is a zerodivisor although dim S/J = 2
+    drops to dim S/(J + y) = 1: a height test would pass it.  J is not a
+    complete intersection, so the override must leave the colon route on."""
+    S = PolyRing(2, ["x", "y", "z"])
+    x, y, z = S.gens()
+    R = QuotientRing(S, [x * y, x * z], cm_hint=True)
+    assert R.cm_hint
+    assert R.dimension == 2 and R.lift([y]).krull_dimension() == 1
+    check = R.is_poor_regular_sequence([y])
+    assert not check.ok and check.failure_index == 0
+
+
+def _random_form(rng, ring, degree, max_terms=3):
+    """A nonzero homogeneous polynomial of the given degree."""
+    monos = [m for m in itertools.product(range(degree + 1), repeat=ring.nvars)
+             if sum(m) == degree]
+    terms = {m: rng.randint(1, ring.p - 1) for m in rng.sample(monos, rng.randint(1, max_terms))}
+    return ring.poly(terms)
+
+
+def _random_element(rng, ring, homogeneous):
+    if homogeneous:
+        return _random_form(rng, ring, rng.randint(1, 2))
+    return random_poly(rng, ring, max_degree=2, max_terms=3)
+
+
+def _random_defining_ideal(rng, S, kind, homogeneous):
+    """([], None), ([f], None) or a 2-generator complete intersection;
+    principal f is sometimes a product g*h, returned as g to be tested."""
+    if kind == 0:
+        return [], None
+    if kind == 1:
+        g = _random_element(rng, S, homogeneous)
+        if rng.random() < 0.4:
+            h = _random_element(rng, S, homogeneous)
+            return [g * h], g
+        return [g], None
+    free = QuotientRing(S, [])
+    while True:
+        gens = [_random_element(rng, S, homogeneous) for _ in range(2)]
+        if free._regular_sequence_by_colons(gens).ok:
+            return gens, None
+
+
+def _random_sequence(rng, S, homogeneous, factor):
+    seq = []
+    for k in range(rng.randint(1, 3)):
+        roll = rng.random()
+        if k == 0 and factor is not None and roll < 0.5:
+            seq.append(factor)  # a zerodivisor of S/(factor * h)
+        elif roll < 0.08:
+            seq.append(S.zero())
+        elif roll < 0.16:
+            seq.append(S.one() * rng.randint(1, S.p - 1))
+        elif k > 0 and roll < 0.4:
+            seq.append(seq[0] * _random_element(rng, S, homogeneous))  # in the prefix
+        else:
+            seq.append(_random_element(rng, S, homogeneous))
+    return seq
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_height_test_matches_colon_route(p, monkeypatch):
+    """On zero, principal and complete-intersection J, the height test
+    gives the colon route's verdict and failure index on seeded random
+    sequences, and takes no colon or intersection; both verdicts occur
+    for each kind of J."""
+    rng = random.Random(1000 + p)
+    S = PolyRing(p, ["x", "y", "z"])
+
+    def no_colons(*args, **kwargs):
+        raise AssertionError("the height test took a colon")
+
+    verdicts = set()
+    for trial in range(96):
+        homogeneous = trial % 2 == 0
+        kind = trial % 3
+        J, factor = _random_defining_ideal(rng, S, kind, homogeneous)
+        seq = _random_sequence(rng, S, homogeneous, factor)
+        R = QuotientRing(S, J)
+        with monkeypatch.context() as m:
+            m.setattr(Ideal, "intersect", no_colons)
+            m.setattr(Ideal, "colon_ideal", no_colons)
+            fast = R.is_poor_regular_sequence(seq)
+        oracle = QuotientRing(S, J)._regular_sequence_by_colons(seq)
+        assert (fast.ok, fast.failure_index) == (oracle.ok, oracle.failure_index), (J, seq)
+        verdicts.add((kind, fast.ok))
+    assert verdicts == {(kind, ok) for kind in range(3) for ok in (True, False)}
+
+
+def test_lift_is_shared_per_ring(monkeypatch):
+    R = fermat_ring(2)
+    x, y, _ = R.ambient.gens()
+    L = R.lift([x, y])
+    assert R.lift([x, y]) is L
+    assert R.lift(Ideal(R.ambient, [x, y])) is L
+    assert R.lift([y, x]) is not L and R.lift([y, x]).equals(L)
+    assert fermat_ring(2).lift([x, y]) is not L  # one cache per ring
+    basis = L.groebner_basis()
+    assert R.dimension == 2
+    runs = count_buchberger_runs(monkeypatch)
+    assert R.lift([x, y]).groebner_basis() is basis
+    assert R.is_poor_regular_sequence([x, y]).ok
+    assert runs[0] == 1  # only the prefix (x) + J; (x, y) + J is L
 
 
 def test_dimension_cache_consistency():
