@@ -17,12 +17,7 @@ import os
 import sys
 
 from . import __version__
-from .cohomology import (
-    InvalidSequenceError,
-    eta_estimate,
-    f_injective_flag,
-    parameter_ideal_check,
-)
+from .cohomology import eta_estimate, f_injective_flag, parameter_ideal_check
 from .frobenius import (
     NotStabilizedError,
     frobenius_closure,
@@ -31,7 +26,6 @@ from .frobenius import (
     run_census,
     uniform_census,
 )
-from .groebner import Ideal, normal_form
 from .parse import PolyParseError, parse_polynomial
 from .poly import DegreeCapExceeded, degree_cap, set_degree_cap
 from .ringfile import RingFileError, parse_ring_file
@@ -85,98 +79,54 @@ def _ring_info(rf):
     }
 
 
-def _write_json(path, payload):
-    if not path:
+def _write_report(args, rf, fields):
+    """The --json report: the subcommand's fields in the common envelope."""
+    if not args.json:
         return
-    with open(path, "w", encoding="utf-8") as fh:
+    payload = {"schema": SCHEMA, "command": args.command, "ring": _ring_info(rf), **fields}
+    with open(args.json, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(payload, indent=2, sort_keys=True))
         fh.write("\n")
 
 
-def _write_closure_json(args, rf, report):
-    _write_json(args.json, {
-        "schema": SCHEMA,
-        "command": args.command,
-        "ring": _ring_info(rf),
-        "ideal": args.ideal,
-        "status": report.status,
-        "stabilization_index": report.stabilization_index,
-        "chain": [{"e": e, "basis": [str(g) for g in gb]} for e, gb in report.chain],
-        "closure": [str(g) for g in report.chain[-1][1]],
-        "q_exponent": report.q_exponent,
-        "q": report.q_value,
-        "certificate_ok": report.certificate_ok,
-        "completeness": report.completeness,
-        "e_max": report.e_max,
-        "window": report.window,
-    })
+# -- subcommand handlers: (args, ring file, quotient ring) -> (exit code, report fields)
 
-
-# -- subcommand handlers ------------------------------------------------------
-
-def _cmd_gb(args):
-    rf = _load_ring_file(args.ring)
+def _cmd_gb(args, rf, R):
     ideal = _named_ideal(rf, args.ideal, args.ring)
-    R = rf.quotient_ring()
     basis = R.lift(ideal).groebner_basis()
     print(f"reduced Groebner basis of the lift of {args.ideal} ({rf.ring.order}):")
     for g in basis:
         print(f"  {g}")
-    _write_json(args.json, {
-        "schema": SCHEMA,
-        "command": "gb",
-        "ring": _ring_info(rf),
+    return EXIT_OK, {
         "ideal": args.ideal,
         "generators": [str(g) for g in ideal.gens],
         "basis": [str(g) for g in basis],
-    })
-    return EXIT_OK
+    }
 
 
-def _cmd_member(args):
-    rf = _load_ring_file(args.ring)
+def _cmd_member(args, rf, R):
     ideal = _named_ideal(rf, args.ideal, args.ring)
-    f = _parse_polys(rf, args.poly, "--poly")[0]
-    R = rf.quotient_ring()
+    polys = _parse_polys(rf, args.poly, "--poly")
+    if len(polys) != 1:
+        raise CliInputError("--poly: expected one polynomial")
+    f = polys[0]
     member = R.lift(ideal).contains(f)
     print(f"{f} in {args.ideal}: {'true' if member else 'false'}")
-    _write_json(args.json, {
-        "schema": SCHEMA,
-        "command": "member",
-        "ring": _ring_info(rf),
-        "ideal": args.ideal,
-        "poly": str(f),
-        "member": member,
-    })
-    return EXIT_OK
+    return EXIT_OK, {"ideal": args.ideal, "poly": str(f), "member": member}
 
 
-def _cmd_regseq(args):
-    rf = _load_ring_file(args.ring)
+def _cmd_regseq(args, rf, R):
     elems = _parse_polys(rf, args.elems, "--elems")
-    R = rf.quotient_ring()
     check = R.is_poor_regular_sequence(elems)
     if check.ok:
         print("poor regular sequence: true")
     else:
         print(f"poor regular sequence: false (fails at index {check.failure_index})")
-    _write_json(args.json, {
-        "schema": SCHEMA,
-        "command": "regseq",
-        "ring": _ring_info(rf),
+    return EXIT_OK, {
         "elems": [str(a) for a in elems],
         "ok": check.ok,
         "failure_index": check.failure_index,
-    })
-    return EXIT_OK
-
-
-def _run_closure(args):
-    rf = _load_ring_file(args.ring)
-    ideal = _named_ideal(rf, args.ideal, args.ring)
-    R = rf.quotient_ring()
-    report = frobenius_closure(R, ideal, e_max=args.emax, window=args.window)
-    return rf, report
+    }
 
 
 def _print_closure(report):
@@ -191,23 +141,29 @@ def _print_closure(report):
     print(f"completeness: {report.completeness}")
 
 
-def _cmd_closure(args):
-    rf, report = _run_closure(args)
-    _print_closure(report)
-    _write_closure_json(args, rf, report)
-    return EXIT_OK if report.stabilized else EXIT_UNSTABLE
-
-
-def _cmd_qnumber(args):
-    rf, report = _run_closure(args)
-    if report.stabilized:
+def _cmd_closure(args, rf, R):
+    """closure and qnumber: one chain, two printouts, one report."""
+    ideal = _named_ideal(rf, args.ideal, args.ring)
+    report = frobenius_closure(R, ideal, e_max=args.emax, window=args.window)
+    if args.command == "qnumber" and report.stabilized:
         exponent, q = q_number(report)
         print(f"q_exponent: {exponent}")
         print(f"Q: {q} (= {rf.ring.p}^{exponent})")
     else:
         _print_closure(report)
-    _write_closure_json(args, rf, report)
-    return EXIT_OK if report.stabilized else EXIT_UNSTABLE
+    return EXIT_OK if report.stabilized else EXIT_UNSTABLE, {
+        "ideal": args.ideal,
+        "status": report.status,
+        "stabilization_index": report.stabilization_index,
+        "chain": [{"e": e, "basis": [str(g) for g in gb]} for e, gb in report.chain],
+        "closure": [str(g) for g in report.chain[-1][1]],
+        "q_exponent": report.q_exponent,
+        "q": report.q_value,
+        "certificate_ok": report.certificate_ok,
+        "completeness": report.completeness,
+        "e_max": report.e_max,
+        "window": report.window,
+    }
 
 
 def _parse_range(spec):
@@ -248,9 +204,7 @@ def _write_census_csv(path, report):
             ])
 
 
-def _cmd_census(args):
-    rf = _load_ring_file(args.ring)
-    R = rf.quotient_ring()
+def _cmd_census(args, rf, R):
     if args.frobenius_family:
         if not args.ideal:
             raise CliInputError("--frobenius-family requires --ideal")
@@ -274,7 +228,7 @@ def _cmd_census(args):
         try:
             report = uniform_census(R, args.template, ranges,
                                     e_max=args.emax, window=args.window, jobs=args.jobs)
-        except (ValueError, PolyParseError) as err:
+        except ValueError as err:  # a parse error or a template/range mismatch
             raise CliInputError(f"--template: {err}") from None
         family = {
             "kind": "template",
@@ -296,10 +250,8 @@ def _cmd_census(args):
     else:
         print(f"uniform_e: {report.uniform_e}")
         print(f"bracket-power recheck at uniform_e: {'ok' if report.recheck_ok else 'FAILED'}")
-    payload = {
-        "schema": SCHEMA,
-        "command": "census",
-        "ring": _ring_info(rf),
+    _write_census_csv(args.csv, report)
+    return EXIT_OK if not report.uniform_e_is_lower_bound else EXIT_UNSTABLE, {
         "family": family,
         "rows": [
             {
@@ -317,19 +269,14 @@ def _cmd_census(args):
         "e_max": report.e_max,
         "window": report.window,
     }
-    _write_json(args.json, payload)
-    _write_census_csv(args.csv, report)
-    return EXIT_OK if not report.uniform_e_is_lower_bound else EXIT_UNSTABLE
 
 
-def _cmd_eta(args):
-    rf = _load_ring_file(args.ring)
-    R = rf.quotient_ring()
+def _cmd_eta(args, rf, R):
     sop = _parse_polys(rf, args.sop, "--sop")
     try:
         report = eta_estimate(R, sop, n_max=args.nmax, e_max=args.emax,
                               window=args.window, jobs=args.jobs)
-    except InvalidSequenceError as err:
+    except ValueError as err:  # not a system of parameters, or not homogeneous
         raise CliInputError(f"--sop: {err}") from None
     for n, q in report.per_n:
         q_text = "-" if q is None else q
@@ -341,10 +288,7 @@ def _cmd_eta(args):
         print(f"f_injective: {'true' if flag else 'false'}")
     else:
         print("f_injective: undetermined (scan incomplete)")
-    payload = {
-        "schema": SCHEMA,
-        "command": "eta",
-        "ring": _ring_info(rf),
+    return EXIT_OK if report.complete else EXIT_UNSTABLE, {
         "sop": [str(b) for b in report.sop],
         "rows": [{"n": n, "q_exponent": q} for n, q in report.per_n],
         "eta_hat": report.eta_hat,
@@ -355,31 +299,23 @@ def _cmd_eta(args):
         "e_max": report.e_max,
         "window": report.window,
     }
-    _write_json(args.json, payload)
-    return EXIT_OK if report.complete else EXIT_UNSTABLE
 
 
-def _cmd_paramcheck(args):
-    rf = _load_ring_file(args.ring)
-    R = rf.quotient_ring()
+def _cmd_paramcheck(args, rf, R):
     ideal = _named_ideal(rf, args.ideal, args.ring)
     extension = _parse_polys(rf, args.extend, "--extend") if args.extend else []
     try:
         holds = parameter_ideal_check(R, ideal.gens, extension, args.e,
                                       e_max=args.emax, window=args.window)
-    except InvalidSequenceError as err:
+    except ValueError as err:  # not a system of parameters, or not homogeneous
         raise CliInputError(f"--extend: {err}") from None
     print(f"(closure)^[p^{args.e}] = (ideal)^[p^{args.e}] in R: {'true' if holds else 'false'}")
-    _write_json(args.json, {
-        "schema": SCHEMA,
-        "command": "paramcheck",
-        "ring": _ring_info(rf),
+    return EXIT_OK, {
         "ideal": args.ideal,
         "extension": [str(a) for a in extension],
         "e": args.e,
         "holds": holds,
-    })
-    return EXIT_OK
+    }
 
 
 # -- parser -------------------------------------------------------------------
@@ -424,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("qnumber", help="Q-number of a named ideal")
     common(sp, bounds=True)
     sp.add_argument("--ideal", required=True)
-    sp.set_defaults(func=_cmd_qnumber)
+    sp.set_defaults(func=_cmd_closure)
 
     sp = sub.add_parser("census", help="Q-exponent census over a family of ideals")
     common(sp, bounds=True)
@@ -456,6 +392,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# (flag, argparse destination, smallest accepted value)
+_BOUNDS = (
+    ("--emax", "emax", 1),
+    ("--window", "window", 1),
+    ("--nmax", "nmax", 0),
+    ("--e", "e", 0),
+)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -469,25 +414,27 @@ def main(argv=None) -> int:
             print(f"error: FROB_MAX_DEGREE: invalid degree cap {env_cap!r}", file=sys.stderr)
             return EXIT_INPUT
     try:
-        return args.func(args)
-    except CliInputError as err:
+        rf = _load_ring_file(args.ring)
+        for flag, dest, low in _BOUNDS:
+            value = getattr(args, dest, low)
+            if value < low:
+                raise CliInputError(f"{flag}: must be >= {low}, got {value}")
+        code, fields = args.func(args, rf, rf.quotient_ring())
+        _write_report(args, rf, fields)
+        return code
+    except (CliInputError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
-    except PolyParseError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    except DegreeCapExceeded as err:
+    except (DegreeCapExceeded, NotStabilizedError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_UNSTABLE
-    except NotStabilizedError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_UNSTABLE
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
     finally:
         set_degree_cap(previous_cap)
 
 
 def main_entry() -> None:
     sys.exit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main_entry()

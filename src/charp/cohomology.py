@@ -165,6 +165,8 @@ def eta_estimate(R: QuotientRing, sop, n_max: int = 1, e_max: int = 8,
     given system of parameters; eta_hat is their maximum.  Rows are
     independent and fan out to a process pool when jobs > 1; the report
     order is by n either way."""
+    if n_max < 0:
+        raise ValueError(f"n_max must be non-negative, got {n_max}")
     sop = tuple(sop)
     if not R.is_system_of_parameters(sop):
         raise InvalidSequenceError("the given elements are not a system of parameters")

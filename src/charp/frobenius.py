@@ -27,8 +27,8 @@ import itertools
 import re
 from dataclasses import dataclass
 
-from .groebner import Ideal, buchberger
-from .poly import Polynomial, PolyRing, block_order, frobenius_power, frobenius_root
+from .groebner import Ideal, adjoin_variable
+from .poly import Polynomial, PolyRing, frobenius_power, frobenius_root
 from .quotient import QuotientRing
 
 STATUS_STABLE = "certified_subset_window_stable"
@@ -48,8 +48,6 @@ def bracket_power(I: Ideal, e: int) -> Ideal:
     generating set because Frobenius is a ring endomorphism)."""
     if e < 0:
         raise ValueError(f"bracket-power exponent must be non-negative, got {e}")
-    if e == 0:
-        return Ideal(I.ring, I.gens)
     return Ideal(I.ring, [frobenius_power(g, e) for g in I.gens])
 
 
@@ -109,43 +107,18 @@ def frobenius_preimage(K: Ideal, e: int) -> Ideal:
 
 def _contract_one_variable(K: Ideal, i: int) -> Ideal:
     """phi^{-1}(K) for the substitution phi fixing every variable except
-    x_i, which maps to x_i**p."""
+    x_i, which maps to x_i**p: eliminate x_i from K + (u - x_i**p) and
+    read u back as x_i."""
     ring = K.ring
-    p = ring.p
-    n = ring.nvars
-    if "_u" in ring._index:
-        raise ValueError("ring already contains the reserved variable '_u'")
-    others = [j for j in range(n) if j != i]
-    tvars = (ring.variables[i],) + tuple(ring.variables[j] for j in others) + ("_u",)
-    ext = PolyRing(p, tvars, block_order(1), internal=True)
-
-    def fwd(g):
-        return Polynomial(
-            ext,
-            {
-                (m[i],) + tuple(m[j] for j in others) + (0,): c
-                for m, c in g.terms.items()
-            },
-            _canonical=True,
-        )
-
-    u_mono = (0,) * n + (1,)
-    xp_mono = (p,) + (0,) * n
-    relation = Polynomial(ext, {u_mono: 1, xp_mono: p - 1}, _canonical=True)
-    gens = [fwd(g) for g in K.gens] + [relation]
-    kept = [h for h in buchberger(gens, ext.order) if all(m[0] == 0 for m in h.terms)]
-
-    def back(h):
-        table = {}
-        for m, c in h.terms.items():
-            mm = [0] * n
-            mm[i] = m[-1]
-            for pos, j in enumerate(others):
-                mm[j] = m[1 + pos]
-            table[tuple(mm)] = c
-        return Polynomial(ring, table, _canonical=True)
-
-    return Ideal(ring, [back(h) for h in kept])
+    ext, u, emb = adjoin_variable(ring, "_u")
+    x_i = ring.variables[i]
+    gens = [emb(g) for g in K.gens] + [u - ext.var(x_i) ** ring.p]
+    kept = Ideal(ext, gens).eliminate([x_i]).gens
+    return Ideal(ring, [
+        Polynomial(ring, {m[:i] + m[-1:] + m[i + 1:-1]: c for m, c in h.terms.items()},
+                   _canonical=True)
+        for h in kept
+    ])
 
 
 def frobenius_root_ideal(R: QuotientRing, e: int) -> Ideal:

@@ -9,6 +9,10 @@ are idempotent and therefore safe under concurrent population).
 A colon (I : A) with S/I finite dimensional is the kernel of r -> r*A
 on the standard monomials of S/I (the linear algebra of FGLM); otherwise,
 and as the kernel route's oracle, it is taken by intersections.
+:meth:`Ideal.eliminate` is the only elimination: intersections (and so
+those colons) and the Frobenius preimage fallback of
+:mod:`charp.frobenius` adjoin one fresh variable
+(:func:`adjoin_variable`), eliminate and map the result back.
 
 No modular or tracing shortcuts and no F4/F5: determinism and correctness
 over speed, which is adequate at desk scale.
@@ -20,7 +24,6 @@ import heapq
 import itertools
 
 from .poly import (
-    GREVLEX,
     MonomialOrder,
     Polynomial,
     PolyRing,
@@ -293,6 +296,19 @@ def _standard_monomials(lms, nvars: int) -> list:
     return out
 
 
+def adjoin_variable(ring: PolyRing, stem: str):
+    """(ext, u, emb): ``ring`` with one variable u appended, named by the
+    first of stem0, stem1, ... that ``ring`` does not already have, and the
+    embedding of ``ring``'s polynomials into ext."""
+    name = next(f"{stem}{i}" for i in itertools.count() if f"{stem}{i}" not in ring._index)
+    ext = PolyRing(ring.p, ring.variables + (name,), ring.order, internal=True)
+
+    def emb(g: Polynomial) -> Polynomial:
+        return Polynomial(ext, {m + (0,): c for m, c in g.terms.items()}, _canonical=True)
+
+    return ext, ext.var(name), emb
+
+
 class Ideal:
     """An ideal of a PolyRing, given by generators (zero generators dropped)."""
 
@@ -343,10 +359,6 @@ class Ideal:
 
     def is_zero(self) -> bool:
         return not self.gens
-
-    def is_unit(self) -> bool:
-        gb = self.groebner_basis()
-        return bool(gb) and gb[0].total_degree() == 0
 
     def __add__(self, other: "Ideal") -> "Ideal":
         if other.ring != self.ring:
@@ -459,31 +471,26 @@ class Ideal:
         return result
 
     def intersect(self, other: "Ideal") -> "Ideal":
-        """Tag-variable intersection: eliminate t from t*I + (1-t)*K."""
+        """Tag-variable intersection: eliminate a fresh t from t*I + (1-t)*K."""
         if other.ring != self.ring:
             raise RingMismatchError("intersection across different rings")
         ring = self.ring
-        tag = next(
-            f"_t{i}" for i in itertools.count() if f"_t{i}" not in ring._index
-        )
-        ext = PolyRing(ring.p, (tag,) + ring.variables, block_order(1), internal=True)
-
-        def emb(g):
-            return Polynomial(ext, {(0,) + m: c for m, c in g.terms.items()}, _canonical=True)
-
-        t = ext.var(tag)
+        ext, t, emb = adjoin_variable(ring, "_t")
         one = ext.one()
         gens = [t * emb(g) for g in self.gens]
         gens += [(one - t) * emb(g) for g in other.gens]
-        kept = [h for h in buchberger(gens, ext.order) if all(m[0] == 0 for m in h.terms)]
-        back = [
-            Polynomial(ring, {m[1:]: c for m, c in h.terms.items()}, _canonical=True)
+        kept = Ideal(ext, gens).eliminate(ext.variables[-1:]).gens
+        return Ideal(ring, [
+            Polynomial(ring, {m[:-1]: c for m, c in h.terms.items()}, _canonical=True)
             for h in kept
-        ]
-        return Ideal(ring, back)
+        ])
 
     def eliminate(self, front_vars) -> "Ideal":
-        """self ∩ F_p[variables not in front_vars], as an ideal of the same ring."""
+        """self ∩ F_p[variables not in front_vars], as an ideal of the same ring.
+
+        The basis is taken in a block order with ``front_vars`` moved to the
+        front and the other variables kept in their order; this is the only
+        block-order computation of the library."""
         front = tuple(front_vars)
         for v in front:
             if v not in self.ring._index:

@@ -100,16 +100,10 @@ def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
         while True:
             kind, value, line, col = peek()
             if kind == "op" and value == "*":
-                if seen == 0:
-                    pos += 1  # separator after the coefficient
-                    kind, value, line, col = peek()
-                    if kind != "name":
-                        error("expected a variable after '*'")
-                else:
-                    pos += 1
-                    kind, value, line, col = peek()
-                    if kind != "name":
-                        error("expected a variable after '*'")
+                pos += 1  # separator after the coefficient or a factor
+                kind, value, line, col = peek()
+                if kind != "name":
+                    error("expected a variable after '*'")
             if kind != "name":
                 return seen
             parts = _split_variables(value, ring)
@@ -165,10 +159,3 @@ def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
         error(f"expected '+' or '-', got {value!r}")
     return Polynomial(ring, terms, _canonical=True)
 
-
-def parse_polynomial_list(ring: PolyRing, text: str):
-    """Parse a comma-separated list of polynomials (positions per segment)."""
-    polys = []
-    for segment in text.split(","):
-        polys.append(parse_polynomial(ring, segment))
-    return polys

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groebner import Ideal
-from .poly import Polynomial, PolyRing, RingMismatchError
+from .poly import PolyRing, RingMismatchError
 
 
 @dataclass(frozen=True)
@@ -123,10 +123,6 @@ class QuotientRing:
     def project_equal(self, I: Ideal, K: Ideal) -> bool:
         """Whether I and K have the same image in R."""
         return self.lift(I).equals(self.lift(K))
-
-    def contains(self, I: Ideal, f: Polynomial) -> bool:
-        """Membership of f's image in the image of I."""
-        return self.lift(I).contains(f)
 
     # -- hypothesis checks -------------------------------------------------------
 

@@ -62,9 +62,9 @@ def assert_spolys_reduce_to_zero(basis, order=None):
 
 
 def count_buchberger_runs(monkeypatch) -> list:
-    """Wrap ``buchberger`` where charp.groebner and charp.frobenius call it;
-    the returned one-element list counts the runs from now on."""
-    import charp.frobenius
+    """Wrap ``charp.groebner.buchberger``, through which every Groebner
+    basis of the library is computed; the returned one-element list counts
+    the runs from now on."""
     import charp.groebner
 
     runs = [0]
@@ -75,5 +75,4 @@ def count_buchberger_runs(monkeypatch) -> list:
         return original(*args, **kwargs)
 
     monkeypatch.setattr(charp.groebner, "buchberger", counting)
-    monkeypatch.setattr(charp.frobenius, "buchberger", counting)
     return runs

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import charp
 from charp.cli import main
 
 FERMAT = """char 2;
@@ -133,6 +137,20 @@ def test_input_errors_name_the_flag(ring_file, tmp_path, capsys):
     bad.write_text("char 4;\nvars x;\n")
     assert main(["gb", "--ring", str(bad), "--ideal", "I"]) == 1
     assert "1:1" in capsys.readouterr().err
+    for argv, flag in (
+        (["closure", "--ideal", "I", "--emax", "0"], "--emax"),
+        (["qnumber", "--ideal", "I", "--window", "0"], "--window"),
+        (["census", "--ideal", "I", "--frobenius-family", "--nmax", "-1"], "--nmax"),
+        (["eta", "--sop", "x,y", "--nmax", "-1"], "--nmax"),
+        (["paramcheck", "--ideal", "P", "--extend", "y", "--e", "-1"], "--e"),
+        (["eta", "--sop", "x+1,y"], "--sop"),
+        (["paramcheck", "--ideal", "P", "--extend", "y+1", "--e", "1"], "--extend"),
+        (["member", "--ideal", "I", "--poly", "z^2, x"], "--poly"),
+    ):
+        assert main(argv[:1] + ["--ring", ring_file] + argv[1:]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {flag}: "), captured.err
+        assert captured.out == ""
 
 
 def test_degree_cap_env(ring_file, tmp_path, capsys, monkeypatch):
@@ -289,6 +307,274 @@ GOLDEN_REGSEQ_FALSE_JSON = (
 GOLDEN_REGSEQ_TRUE_STDOUT = 'poor regular sequence: true\n'
 GOLDEN_REGSEQ_FALSE_STDOUT = 'poor regular sequence: false (fails at index 1)\n'
 
+GOLDEN_GB_JSON = (
+    '{\n'
+    '  "basis": [\n'
+    '    "z^3",\n'
+    '    "x",\n'
+    '    "y"\n'
+    '  ],\n'
+    '  "command": "gb",\n'
+    '  "generators": [\n'
+    '    "x",\n'
+    '    "y"\n'
+    '  ],\n'
+    '  "ideal": "I",\n'
+    '  "ring": {\n'
+    '    "characteristic": 2,\n'
+    '    "order": "grevlex",\n'
+    '    "quotient": [\n'
+    '      "x^3 + y^3 + z^3"\n'
+    '    ],\n'
+    '    "variables": [\n'
+    '      "x",\n'
+    '      "y",\n'
+    '      "z"\n'
+    '    ]\n'
+    '  },\n'
+    '  "schema": 1\n'
+    '}\n'
+)
+GOLDEN_GB_STDOUT = (
+    'reduced Groebner basis of the lift of I (grevlex):\n'
+    '  z^3\n'
+    '  x\n'
+    '  y\n'
+)
+GOLDEN_MEMBER_JSON = (
+    '{\n'
+    '  "command": "member",\n'
+    '  "ideal": "I",\n'
+    '  "member": true,\n'
+    '  "poly": "x^2 + x*y",\n'
+    '  "ring": {\n'
+    '    "characteristic": 2,\n'
+    '    "order": "grevlex",\n'
+    '    "quotient": [\n'
+    '      "x^3 + y^3 + z^3"\n'
+    '    ],\n'
+    '    "variables": [\n'
+    '      "x",\n'
+    '      "y",\n'
+    '      "z"\n'
+    '    ]\n'
+    '  },\n'
+    '  "schema": 1\n'
+    '}\n'
+)
+GOLDEN_MEMBER_STDOUT = 'x^2 + x*y in I: true\n'
+GOLDEN_CENSUS_JSON = (
+    '{\n'
+    '  "command": "census",\n'
+    '  "e_max": 8,\n'
+    '  "family": {\n'
+    '    "kind": "template",\n'
+    '    "ranges": {\n'
+    '      "a": [\n'
+    '        1,\n'
+    '        2\n'
+    '      ],\n'
+    '      "b": [\n'
+    '        1,\n'
+    '        2\n'
+    '      ]\n'
+    '    },\n'
+    '    "template": "x^{a}, y^{b}"\n'
+    '  },\n'
+    '  "recheck_ok": true,\n'
+    '  "ring": {\n'
+    '    "characteristic": 2,\n'
+    '    "order": "grevlex",\n'
+    '    "quotient": [\n'
+    '      "x^3 + y^3 + z^3"\n'
+    '    ],\n'
+    '    "variables": [\n'
+    '      "x",\n'
+    '      "y",\n'
+    '      "z"\n'
+    '    ]\n'
+    '  },\n'
+    '  "rows": [\n'
+    '    {\n'
+    '      "closure": [\n'
+    '        "z^2",\n'
+    '        "x",\n'
+    '        "y"\n'
+    '      ],\n'
+    '      "params": {\n'
+    '        "a": 1,\n'
+    '        "b": 1\n'
+    '      },\n'
+    '      "q_exponent": 1,\n'
+    '      "regseq_ok": true,\n'
+    '      "stabilized": true\n'
+    '    },\n'
+    '    {\n'
+    '      "closure": [\n'
+    '        "y*z^2",\n'
+    '        "z^3",\n'
+    '        "y^2",\n'
+    '        "x"\n'
+    '      ],\n'
+    '      "params": {\n'
+    '        "a": 1,\n'
+    '        "b": 2\n'
+    '      },\n'
+    '      "q_exponent": 1,\n'
+    '      "regseq_ok": true,\n'
+    '      "stabilized": true\n'
+    '    },\n'
+    '    {\n'
+    '      "closure": [\n'
+    '        "x*z^2",\n'
+    '        "z^3",\n'
+    '        "x^2",\n'
+    '        "y"\n'
+    '      ],\n'
+    '      "params": {\n'
+    '        "a": 2,\n'
+    '        "b": 1\n'
+    '      },\n'
+    '      "q_exponent": 1,\n'
+    '      "regseq_ok": true,\n'
+    '      "stabilized": true\n'
+    '    },\n'
+    '    {\n'
+    '      "closure": [\n'
+    '        "x*y*z^2",\n'
+    '        "z^3",\n'
+    '        "x^2",\n'
+    '        "y^2"\n'
+    '      ],\n'
+    '      "params": {\n'
+    '        "a": 2,\n'
+    '        "b": 2\n'
+    '      },\n'
+    '      "q_exponent": 1,\n'
+    '      "regseq_ok": true,\n'
+    '      "stabilized": true\n'
+    '    }\n'
+    '  ],\n'
+    '  "schema": 1,\n'
+    '  "uniform_e": 1,\n'
+    '  "uniform_e_is_lower_bound": false,\n'
+    '  "window": 2\n'
+    '}\n'
+)
+GOLDEN_CENSUS_STDOUT = (
+    '  a=1;b=1: q_exponent=1\n'
+    '  a=1;b=2: q_exponent=1\n'
+    '  a=2;b=1: q_exponent=1\n'
+    '  a=2;b=2: q_exponent=1\n'
+    'uniform_e: 1\n'
+    'bracket-power recheck at uniform_e: ok\n'
+)
+GOLDEN_ETA_JSON = (
+    '{\n'
+    '  "command": "eta",\n'
+    '  "complete": true,\n'
+    '  "e_max": 8,\n'
+    '  "eta_hat": 1,\n'
+    '  "f_injective": false,\n'
+    '  "label": "\\u03b7\\u0302 (scan n \\u2264 1) = 1",\n'
+    '  "n_max": 1,\n'
+    '  "ring": {\n'
+    '    "characteristic": 2,\n'
+    '    "order": "grevlex",\n'
+    '    "quotient": [\n'
+    '      "x^3 + y^3 + z^3"\n'
+    '    ],\n'
+    '    "variables": [\n'
+    '      "x",\n'
+    '      "y",\n'
+    '      "z"\n'
+    '    ]\n'
+    '  },\n'
+    '  "rows": [\n'
+    '    {\n'
+    '      "n": 0,\n'
+    '      "q_exponent": 1\n'
+    '    },\n'
+    '    {\n'
+    '      "n": 1,\n'
+    '      "q_exponent": 1\n'
+    '    }\n'
+    '  ],\n'
+    '  "schema": 1,\n'
+    '  "sop": [\n'
+    '    "x",\n'
+    '    "y"\n'
+    '  ],\n'
+    '  "window": 2\n'
+    '}\n'
+)
+GOLDEN_ETA_STDOUT = (
+    '  n=0: q_exponent=1\n'
+    '  n=1: q_exponent=1\n'
+    'η̂ (scan n ≤ 1) = 1\n'
+    'f_injective: false\n'
+)
+GOLDEN_PARAMCHECK_TRUE_JSON = (
+    '{\n'
+    '  "command": "paramcheck",\n'
+    '  "e": 1,\n'
+    '  "extension": [\n'
+    '    "y"\n'
+    '  ],\n'
+    '  "holds": true,\n'
+    '  "ideal": "P",\n'
+    '  "ring": {\n'
+    '    "characteristic": 2,\n'
+    '    "order": "grevlex",\n'
+    '    "quotient": [\n'
+    '      "x^3 + y^3 + z^3"\n'
+    '    ],\n'
+    '    "variables": [\n'
+    '      "x",\n'
+    '      "y",\n'
+    '      "z"\n'
+    '    ]\n'
+    '  },\n'
+    '  "schema": 1\n'
+    '}\n'
+)
+GOLDEN_PARAMCHECK_TRUE_STDOUT = '(closure)^[p^1] = (ideal)^[p^1] in R: true\n'
+GOLDEN_PARAMCHECK_FALSE_JSON = (
+    '{\n'
+    '  "command": "paramcheck",\n'
+    '  "e": 0,\n'
+    '  "extension": [],\n'
+    '  "holds": false,\n'
+    '  "ideal": "I",\n'
+    '  "ring": {\n'
+    '    "characteristic": 2,\n'
+    '    "order": "grevlex",\n'
+    '    "quotient": [\n'
+    '      "x^3 + y^3 + z^3"\n'
+    '    ],\n'
+    '    "variables": [\n'
+    '      "x",\n'
+    '      "y",\n'
+    '      "z"\n'
+    '    ]\n'
+    '  },\n'
+    '  "schema": 1\n'
+    '}\n'
+)
+GOLDEN_PARAMCHECK_FALSE_STDOUT = '(closure)^[p^0] = (ideal)^[p^0] in R: false\n'
+# (argv after the subcommand's --ring, pinned --json bytes, pinned stdout)
+PINNED_RUNS = (
+    (["gb", "--ideal", "I"], GOLDEN_GB_JSON, GOLDEN_GB_STDOUT),
+    (["member", "--ideal", "I", "--poly", "x^2+x*y"], GOLDEN_MEMBER_JSON, GOLDEN_MEMBER_STDOUT),
+    (["census", "--template", "x^{a}, y^{b}", "--range", "a=1..2", "--range", "b=1..2"],
+     GOLDEN_CENSUS_JSON, GOLDEN_CENSUS_STDOUT),
+    (["eta", "--sop", "x,y", "--nmax", "1"], GOLDEN_ETA_JSON, GOLDEN_ETA_STDOUT),
+    (["paramcheck", "--ideal", "P", "--extend", "y", "--e", "1"],
+     GOLDEN_PARAMCHECK_TRUE_JSON, GOLDEN_PARAMCHECK_TRUE_STDOUT),
+    (["paramcheck", "--ideal", "I", "--e", "0"],
+     GOLDEN_PARAMCHECK_FALSE_JSON, GOLDEN_PARAMCHECK_FALSE_STDOUT),
+)
+
 
 def test_reports_match_golden_bytes(ring_file, tmp_path, capsys):
     out_json = tmp_path / "closure.json"
@@ -314,9 +600,24 @@ def test_reports_match_golden_bytes(ring_file, tmp_path, capsys):
     assert main(["regseq", "--ring", str(x2y), "--elems", "z,x", "--json", str(r_json)]) == 0
     assert capsys.readouterr().out == GOLDEN_REGSEQ_FALSE_STDOUT
     assert r_json.read_bytes() == GOLDEN_REGSEQ_FALSE_JSON.encode()
+    for argv, golden_json, golden_stdout in PINNED_RUNS:
+        out_json = tmp_path / f"{argv[0]}.json"
+        assert main(argv[:1] + ["--ring", ring_file] + argv[1:] + ["--json", str(out_json)]) == 0
+        assert capsys.readouterr().out == golden_stdout
+        assert out_json.read_bytes() == golden_json.encode()
 
 
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_module_entry_point():
+    # python -m charp.cli runs the same command line as the charp script
+    src = os.path.dirname(os.path.dirname(charp.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "charp.cli", "--version"],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0
+    assert proc.stdout == f"charp {charp.__version__}\n"

@@ -138,6 +138,13 @@ def test_eta_rejects_non_sop(R2):
         eta_estimate(R2, [x, x], n_max=1)
 
 
+def test_eta_rejects_negative_scan_bound(R2):
+    # an empty scan must not read as a complete one with eta_hat unknown
+    x, y, _ = R2.ambient.gens()
+    with pytest.raises(ValueError, match="n_max"):
+        eta_estimate(R2, [x, y], n_max=-1)
+
+
 def test_eta_incomplete_scan(R2):
     x, y, _ = R2.ambient.gens()
     report = eta_estimate(R2, [x, y], n_max=0, e_max=1, window=2)

@@ -109,6 +109,25 @@ def test_preimage_direct_check_oracle(p, e):
         assert bracket_power(U, e).is_subset_of(K)
 
 
+def test_elimination_variables_avoid_the_ring_own_names():
+    # the adjoined variable is the first unused _t<i> or _u<i>, so a ring
+    # that already has _t0 and _u still intersects and takes preimages
+    ring = PolyRing(2, ["x", "_t0", "_u"], internal=True)
+    rng = random.Random(71)
+    sample = monomials_of_degree_at_most(ring, 2)
+    sample += [random_poly(rng, ring, max_degree=3) for _ in range(8)]
+    for _ in range(3):
+        I = random_ideal(rng, ring, max_gens=2, max_degree=2)
+        K = random_ideal(rng, ring, max_gens=2, max_degree=2)
+        meet = I.intersect(K)
+        U = frobenius_preimage(K, 1)
+        gb_K = K.groebner_basis()
+        for r in sample:
+            assert (r in meet) == (r in I and r in K)
+            direct = normal_form(frobenius_power(r, 1), gb_K).is_zero if gb_K else r.is_zero
+            assert (r in U) == direct
+
+
 # -- single closure steps -------------------------------------------------------------
 
 def test_closure_step_examples():
