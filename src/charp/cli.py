@@ -3,9 +3,11 @@ machine-readable reports.
 
 Exit codes: 0 success, 1 input error (every message names the offending
 flag or file position), 2 computation did not stabilize within the given
-bounds or tripped the FROB_MAX_DEGREE guard (partial JSON is still
-written).  Output is deterministic byte for byte for fixed inputs and
-flags.
+bounds or tripped the FROB_MAX_DEGREE guard.  A closure, qnumber, census
+or eta report that did not stabilize is still written as JSON; a run
+stopped by an error (the guard, or a parameter-ideal closure that did
+not stabilize) writes none.  Output is deterministic byte for byte for
+fixed inputs and flags.
 """
 
 from __future__ import annotations
@@ -398,6 +400,7 @@ _BOUNDS = (
     ("--window", "window", 1),
     ("--nmax", "nmax", 0),
     ("--e", "e", 0),
+    ("--jobs", "jobs", 1),
 )
 
 

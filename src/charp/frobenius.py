@@ -3,15 +3,16 @@ uniform-bound census.
 
 The closure of an ideal I of R = S/J is approximated by the ascending
 chain C_e = {r : r**(p**e) in I^[p^e]}, computed exactly.  Over a
-hypersurface R = S/(f), when a height test shows f to be a nonzerodivisor
-modulo I's other generators, each step is a colon by the Frobenius root
-I_e(f**(p**e - 1)) (Fedder's lemma); otherwise it is the elimination-based
-preimage of I^[p^e] + J, which is also the oracle the colon is tested
-against.  Window stabilization of the chain is
-a heuristic stopping rule: every element of the returned ideal is
-certified to lie in the closure (the certificate is re-verified on every
-run), but equality with the full closure is not proved and reports say so
-explicitly.
+complete intersection R = S/(f_1, ..., f_c) (zero and principal J
+included), when a height test shows J's generators to stay a regular
+sequence modulo I's other generators, each step is a colon by the
+Frobenius root I_e(u**(p**e - 1)) of u = f_1 * ... * f_c (Fedder's
+lemma); otherwise it is the elimination-based preimage of I^[p^e] + J,
+which is also the oracle the colon is tested against.  Window
+stabilization of the chain is a heuristic stopping rule: every element
+of the returned ideal is certified to lie in the closure (the
+certificate is re-verified on every run), but equality with the full
+closure is not proved and reports say so explicitly.
 
 Every bracket-power equality (C)^[p^e] = I^[p^e] in R -- the certificate,
 the census recheck and the parameter-ideal check -- is decided by
@@ -24,6 +25,7 @@ of its own: it is the chain's stabilization index.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 
@@ -122,11 +124,12 @@ def _contract_one_variable(K: Ideal, i: int) -> Ideal:
 
 
 def frobenius_root_ideal(R: QuotientRing, e: int) -> Ideal:
-    """A_e = I_e(f**(p**e - 1)) for a hypersurface R = S/(f), generated by
-    its reduced Groebner basis.
+    """A_e = I_e(u**(p**e - 1)) for u = f_1 * ... * f_c, the product of the
+    generators of J (u = 1 when J = 0), generated by its reduced Groebner
+    basis.
 
-    Built by Katzman's recursion A_0 = (1), A_e = I_1(f**(p-1) * A_{e-1}),
-    so f**(p**e - 1) itself is never formed; cached on R per e."""
+    Built by Katzman's recursion A_0 = (1), A_e = I_1(u**(p-1) * A_{e-1}),
+    so u**(p**e - 1) itself is never formed; cached on R per e."""
     key = ("frob_root", e)
     A = R._cache.get(key)
     if A is None:
@@ -134,12 +137,11 @@ def frobenius_root_ideal(R: QuotientRing, e: int) -> Ideal:
         if e == 0:
             A = Ideal(S, [S.one()])
         else:
-            (f,) = R.defining.gens
-            fp = f ** (R.p - 1)
+            up = math.prod(R.defining.gens, start=S.one()) ** (R.p - 1)
             roots = [
                 h
                 for a in frobenius_root_ideal(R, e - 1).gens
-                for h in frobenius_root(fp * a, 1).values()
+                for h in frobenius_root(up * a, 1).values()
             ]
             A = Ideal(S, Ideal(S, roots).groebner_basis())
         R._cache[key] = A
@@ -147,20 +149,27 @@ def frobenius_root_ideal(R: QuotientRing, e: int) -> Ideal:
 
 
 def _root_colon_base(R: QuotientRing, I: Ideal) -> Ideal | None:
-    """(g, f) for the generators g of I other than f, when J = (f) and f
-    is a nonzerodivisor on S/(g); None when that cannot be shown.
+    """(g) + J for the generators g of I that are not generators of J,
+    when J = (f_1, ..., f_c) is generated by a regular sequence of S and
+    ht((g) + J) = k + c for the k generators g; None otherwise.
 
-    The test is ht(g, f) = k + 1 for the k generators g.  Then no
-    associated prime P of (g) contains f: such a P would contain a minimal
-    prime of (g, f), so ht P > k, while in the Cohen-Macaulay ring S_P the
-    k generators of (g) have height k (a lower one would bring ht(g, f)
-    down to k) and so generate an unmixed ideal of height k."""
-    if len(R.defining.gens) != 1:
+    The height test is dim S/((g) + J) = n - k - c.  It makes
+    ((g**q) + J^[q]) : u**(q-1) = (g**q) + J for u = f_1 * ... * f_c and
+    every q = p**e, which can be checked at each maximal ideal m of S.
+    When m does not contain (g) + J, neither contains (g**q) + J, which
+    has the same radical, so both sides are the unit ideal.  Otherwise
+    every minimal prime of (g) + J has height k + c, so in the
+    Cohen-Macaulay local ring S_m the k + c generators of (g) + J form a
+    regular sequence in any order, and so do their powers g**q, f_1, ...,
+    f_c: J's generators stay regular modulo (g**q), and for a regular
+    sequence f_1, ..., f_c on a module M, (f_1**q, ..., f_c**q)M :_M
+    u**(q-1) = (f_1, ..., f_c)M."""
+    if not R._complete_intersection:
         return None
-    (f,) = R.defining.gens
-    g = tuple(h for h in I.gens if h != f)
+    J = R.defining.gens
+    g = tuple(h for h in I.gens if h not in J)
     base = R.lift(g)
-    if base.krull_dimension() != R.ambient.nvars - len(g) - 1:
+    if base.krull_dimension() != R.ambient.nvars - len(g) - len(J):
         return None
     return base
 
@@ -168,16 +177,16 @@ def _root_colon_base(R: QuotientRing, I: Ideal) -> Ideal | None:
 def closure_step(R: QuotientRing, I: Ideal, e: int) -> Ideal:
     """The lift of C_e(I) = {r in R : r**(p**e) in I^[p^e]}, for e >= 1.
 
-    Over a hypersurface R = S/(f) with I = (g) + (f) and f a nonzerodivisor
-    on S/(g) (checked by :func:`_root_colon_base`), Fedder's lemma gives
-    the colon C_e = ((g, f) : I_e(f**(p**e - 1))): r**q lies in
-    (g**q) + (f) = (g, f)^[q] : f**(q-1) (f stays a nonzerodivisor modulo
-    (g**q), Frobenius being flat on S) exactly when I_e(r**q * f**(q-1))
-    = r * I_e(f**(q-1)) lies in (g, f).  Otherwise the elimination
-    preimage of I^[p^e] + J is taken; it is also the oracle the colon is
-    tested against.
+    Over a complete intersection R = S/J, J = (f_1, ..., f_c) (zero and
+    principal J included), with I = (g) + J passing the height test of
+    :func:`_root_colon_base`, Fedder's lemma gives the colon
+    C_e = ((g) + J : I_e(u**(q-1))) for u = f_1 * ... * f_c and q = p**e:
+    r**q lies in (g**q) + J = ((g) + J)^[q] : u**(q-1) exactly when
+    I_e(r**q * u**(q-1)) = r * I_e(u**(q-1)) lies in (g) + J.  Otherwise
+    the elimination preimage of I^[p^e] + J is taken; it is also the
+    oracle the colon is tested against.
 
-    The colon is cached on R, keyed by (g, f) and the basis of the root
+    The colon is cached on R, keyed by (g) + J and the basis of the root
     ideal, so a step whose root ideal equals an earlier step's (Katzman's
     recursion is often stationary) returns that step's ideal."""
     if e < 1:
@@ -208,7 +217,6 @@ class ClosureChainReport:
     chain: tuple
     status: str
     stabilization_index: int | None
-    q_exponent: int | None
     certificate_ok: bool
     e_max: int
     window: int
@@ -227,10 +235,18 @@ class ClosureChainReport:
         return self.ring.lift(self.chain[-1][1])
 
     @property
+    def q_exponent(self) -> int | None:
+        """The smallest e' with C^[p^e'] + J = I^[p^e'] + J for the closure
+        C, which is the stabilization index s.  The certificate shows the
+        equality at e' = s.  No smaller e' can pass: that equality puts
+        every r in C into C_e' (r^(p^e') lies in I^[p^e'] + J), and C_e'
+        lies in C as the chain ascends, so C_e' = C and the chain would
+        have reached its final member by e' < s."""
+        return self.stabilization_index
+
+    @property
     def q_value(self) -> int | None:
-        if self.q_exponent is None:
-            return None
-        return self.ring.p ** self.q_exponent
+        return None if self.q_exponent is None else self.ring.p ** self.q_exponent
 
 
 def frobenius_closure(R: QuotientRing, I, e_max: int = 8, window: int = 2) -> ClosureChainReport:
@@ -267,19 +283,12 @@ def frobenius_closure(R: QuotientRing, I, e_max: int = 8, window: int = 2) -> Cl
     closure_gb = chain_ideals[cert_e].groebner_basis()
     if not bracket_powers_agree(R, lift, closure_gb, cert_e):
         raise RuntimeError("closure soundness certificate failed; closure-step bug")
-    # The Q-exponent is the smallest e' with C^[p^e'] + J = I^[p^e'] + J,
-    # which the certificate shows at e' = stab.  No smaller e' can pass:
-    # that equality puts every r in C into C_e' (r^(p^e') lies in
-    # I^[p^e'] + J), and C_e' lies in C as the chain ascends, so C_e' = C
-    # and the chain would have reached its final member by e' < stab.
-    q_exponent = stab
     return ClosureChainReport(
         ring=R,
         input_ideal=lift,
         chain=tuple((e, C.groebner_basis()) for e, C in enumerate(chain_ideals)),
         status=status,
         stabilization_index=stab,
-        q_exponent=q_exponent,
         certificate_ok=True,
         e_max=e_max,
         window=window,
@@ -292,7 +301,7 @@ def q_number(report: ClosureChainReport) -> tuple[int, int]:
         raise NotStabilizedError(
             "Q-number requires a window-stabilized closure chain", report
         )
-    return report.q_exponent, report.ring.p ** report.q_exponent
+    return report.q_exponent, report.q_value
 
 
 # ---------------------------------------------------------------------------
@@ -371,12 +380,13 @@ def _census_row(R, params, gens, e_max, window):
 
 
 def _map_rows(fn, rows, jobs: int) -> list:
-    """[fn(*row) for row in rows], on a pool of ``jobs`` worker processes
-    when jobs > 1 and there is more than one row; results keep row order."""
+    """[fn(*row) for row in rows], on a pool of min(jobs, len(rows)) worker
+    processes when jobs > 1 and there is more than one row (no idle worker
+    is started); results keep row order."""
     if jobs > 1 and len(rows) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(rows))) as pool:
             return list(pool.map(fn, *zip(*rows)))
     return [fn(*row) for row in rows]
 

@@ -8,8 +8,8 @@
     assert cm;
 
 ``char`` and ``vars`` are mandatory and come first, ``quotient`` is
-optional, any number of named ideals may follow, and ``assert cm;`` marks
-the quotient as Cohen-Macaulay when that is known but not derivable.
+optional, any number of named ideals may follow, and ``assert cm;`` sets
+the quotient ring's reported ``cm_hint``; no computation reads it.
 Statements end with ``;`` and may span lines.  Parsing the canonical
 printout yields an identical file.
 """

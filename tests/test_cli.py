@@ -67,6 +67,22 @@ def test_closure_not_stabilized_exit_2(ring_file, tmp_path):
     assert len(payload["chain"]) == 2
 
 
+def test_exit_2_on_an_error_writes_no_json(ring_file, tmp_path, capsys, monkeypatch):
+    # only an unstabilized report is written; a run stopped by an error
+    # (a parameter-ideal closure that did not stabilize, or the degree
+    # guard) exits 2 with its message and no report
+    out_json = tmp_path / "stopped.json"
+    assert main(["paramcheck", "--ring", ring_file, "--ideal", "I", "--e", "1",
+                 "--emax", "1", "--json", str(out_json)]) == 2
+    assert "did not stabilize" in capsys.readouterr().err
+    assert not out_json.exists()
+    monkeypatch.setenv("FROB_MAX_DEGREE", "4")
+    assert main(["closure", "--ring", ring_file, "--ideal", "I",
+                 "--json", str(out_json)]) == 2
+    assert "FROB_MAX_DEGREE" in capsys.readouterr().err
+    assert not out_json.exists()
+
+
 def test_qnumber(ring_file, capsys):
     assert main(["qnumber", "--ring", ring_file, "--ideal", "I"]) == 0
     out = capsys.readouterr().out
@@ -146,6 +162,8 @@ def test_input_errors_name_the_flag(ring_file, tmp_path, capsys):
         (["eta", "--sop", "x+1,y"], "--sop"),
         (["paramcheck", "--ideal", "P", "--extend", "y+1", "--e", "1"], "--extend"),
         (["member", "--ideal", "I", "--poly", "z^2, x"], "--poly"),
+        (["census", "--ideal", "I", "--frobenius-family", "--jobs", "0"], "--jobs"),
+        (["eta", "--sop", "x,y", "--jobs", "-3"], "--jobs"),
     ):
         assert main(argv[:1] + ["--ring", ring_file] + argv[1:]) == 1
         captured = capsys.readouterr()

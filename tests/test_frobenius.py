@@ -11,6 +11,7 @@ from charp import (
     STATUS_STABLE,
     bracket_power,
     closure_step,
+    eta_estimate,
     frobenius_closure,
     frobenius_power,
     frobenius_power_family,
@@ -166,28 +167,33 @@ def _count_preimages(monkeypatch):
 
 @pytest.mark.parametrize("p,max_degree", [(2, 3), (3, 3), (5, 2)])
 def test_closure_step_matches_preimage_oracle(p, max_degree, monkeypatch):
-    # seeded random hypersurfaces, homogeneous or not: the root colon (and
-    # the fallback where its height test fails) against the preimage
+    # seeded random J with c = 0, 1 or 2 generators (zero, principal or two
+    # elements), homogeneous or not: the root colon (and the fallback where
+    # J is not a complete intersection or the height test fails) against
+    # the preimage
     oracle, calls = _count_preimages(monkeypatch)
     rng = random.Random(92 + p)
-    colon_runs = []  # (f homogeneous, C_e larger than I) for each colon step
+    colon_runs = []  # (c, J homogeneous, C_e larger than I) for each colon step
     for variables in (["x", "y"], ["x", "y", "z"]):
         S = PolyRing(p, variables)
-        for _ in range(6):
-            f = random_poly(rng, S, max_degree=max_degree)
-            if f.total_degree() < 1:
-                continue
-            R = QuotientRing(S, [f])
-            I = R.lift(random_ideal(rng, S, max_gens=S.nvars - 1, max_degree=2))
-            for e in (1, 2):
-                expected = R.lift(oracle(frobenius_target(R, I, e), e))
-                before = len(calls)
-                C = closure_step(R, I, e)
-                assert C.equals(expected)
-                if len(calls) == before:
-                    colon_runs.append((f.is_homogeneous(), not C.equals(I)))
-    assert {homogeneous for homogeneous, _ in colon_runs} == {True, False}
-    assert any(grew for _, grew in colon_runs)
+        for c in range(S.nvars):
+            for _ in range(6 if c == 1 else 3):
+                J = [random_poly(rng, S, max_degree=max_degree) for _ in range(c)]
+                if any(f.total_degree() < 1 for f in J):
+                    continue
+                R = QuotientRing(S, J)
+                I = R.lift(random_ideal(rng, S, max_gens=S.nvars - c, max_degree=2))
+                for e in (1, 2):
+                    expected = R.lift(oracle(frobenius_target(R, I, e), e))
+                    before = len(calls)
+                    C = closure_step(R, I, e)
+                    assert C.equals(expected)
+                    if len(calls) == before:
+                        homogeneous = all(f.is_homogeneous() for f in J)
+                        colon_runs.append((c, homogeneous, not C.equals(I)))
+    assert {c for c, _, _ in colon_runs} == {0, 1, 2}
+    assert {homogeneous for c, homogeneous, _ in colon_runs if c} == {True, False}
+    assert any(grew for _, _, grew in colon_runs)
 
 
 def test_closure_step_falls_back_where_the_colon_is_wrong(monkeypatch):
@@ -209,6 +215,19 @@ def test_closure_step_falls_back_where_the_colon_is_wrong(monkeypatch):
         assert calls == [1]
         assert C.equals(R.lift(truth))
         assert C.equals(R.lift(oracle(frobenius_target(R, I, 1), 1)))
+
+    # J = (xy, xz) is not a complete intersection (xz is a zerodivisor
+    # modulo xy), so no height test is tried and the preimage runs; the
+    # colon by I_1(x^2yz) = (x) would again be too large
+    R = QuotientRing(S, [x * y, x * z])
+    assert not R._complete_intersection
+    for gens in ([y + z], [x + y, z]):
+        I = R.lift(gens)
+        calls.clear()
+        C = closure_step(R, I, 1)
+        assert calls == [1]
+        assert C.equals(R.lift(oracle(frobenius_target(R, I, 1), 1)))
+        assert not I.colon_ideal(frobenius_root_ideal(R, 1)).is_subset_of(C)
 
 
 @pytest.mark.parametrize("p", [2, 5, 7])
@@ -536,6 +555,36 @@ def test_census_rows_parallel_matches_serial():
     serial = run_census(R, rows, jobs=1)
     parallel = run_census(R, rows, jobs=2)
     assert serial == parallel
+
+
+def test_worker_pool_capped_at_row_count(monkeypatch):
+    # a stand-in executor records the pool size and maps the rows in this
+    # process, so no worker process is started
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    R = fermat_ring(2)
+    x, y, _ = R.ambient.gens()
+    rows = instantiate_template(R.ambient, "x^{a}, y^{b}", {"a": [1, 2], "b": [1]})
+    assert run_census(R, rows, jobs=64) == run_census(R, rows, jobs=1)
+    assert eta_estimate(R, [x, y], n_max=2, jobs=8) == eta_estimate(R, [x, y], n_max=2)
+    run_census(R, rows[:1], jobs=8)  # a single row opens no pool
+    assert sizes == [2, 3]
 
 
 def test_census_recheck_reuses_row_bases(monkeypatch):
