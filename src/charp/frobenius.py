@@ -2,13 +2,12 @@
 uniform-bound census.
 
 The closure of an ideal I of R = S/J is approximated by the ascending
-chain C_e = {r : r**(p**e) in I^[p^e]}, computed exactly.  Over a
-complete intersection R = S/(f_1, ..., f_c) (zero and principal J
-included), when a height test shows J's generators to stay a regular
-sequence modulo I's other generators, each step is a colon by the
-Frobenius root I_e(u**(p**e - 1)) of u = f_1 * ... * f_c (Fedder's
-lemma); otherwise it is the elimination-based preimage of I^[p^e] + J,
-which is also the oracle the colon is tested against.  Window
+chain C_e = {r : r**(p**e) in I^[p^e]}, computed exactly.  Over
+R = S/(f_1, ..., f_c), when J = 0 or a height test shows J's generators
+to stay a regular sequence modulo I's other generators, each step is a
+colon by the Frobenius root I_e(u**(p**e - 1)) of u = f_1 * ... * f_c
+(Fedder's lemma); otherwise it is the elimination-based preimage of
+I^[p^e] + J, which is also the oracle the colon is tested against.  Window
 stabilization of the chain is a heuristic stopping rule: every element
 of the returned ideal is certified to lie in the closure (the
 certificate is re-verified on every run), but equality with the full
@@ -149,27 +148,26 @@ def frobenius_root_ideal(R: QuotientRing, e: int) -> Ideal:
 
 
 def _root_colon_base(R: QuotientRing, I: Ideal) -> Ideal | None:
-    """(g) + J for the generators g of I that are not generators of J,
-    when J = (f_1, ..., f_c) is generated by a regular sequence of S and
-    ht((g) + J) = k + c for the k generators g; None otherwise.
+    """(g) + J for the generators g of I that are not generators of
+    J = (f_1, ..., f_c), when c = 0 or ht((g) + J) = k + c for the k
+    generators g; None otherwise.
 
-    The height test is dim S/((g) + J) = n - k - c.  It makes
-    ((g**q) + J^[q]) : u**(q-1) = (g**q) + J for u = f_1 * ... * f_c and
-    every q = p**e, which can be checked at each maximal ideal m of S.
-    When m does not contain (g) + J, neither contains (g**q) + J, which
-    has the same radical, so both sides are the unit ideal.  Otherwise
-    every minimal prime of (g) + J has height k + c, so in the
-    Cohen-Macaulay local ring S_m the k + c generators of (g) + J form a
-    regular sequence in any order, and so do their powers g**q, f_1, ...,
-    f_c: J's generators stay regular modulo (g**q), and for a regular
-    sequence f_1, ..., f_c on a module M, (f_1**q, ..., f_c**q)M :_M
-    u**(q-1) = (f_1, ..., f_c)M."""
-    if not R._complete_intersection:
-        return None
+    Either way ((g**q) + J^[q]) : u**(q-1) = (g**q) + J for
+    u = f_1 * ... * f_c and every q = p**e.  For c = 0 this is
+    (g**q) : 1 = (g**q).  For c >= 1 the height test is
+    dim S/((g) + J) = n - k - c, and the equality can be checked at each
+    maximal ideal m of S.  When m does not contain (g) + J, neither
+    contains (g**q) + J, which has the same radical, so both sides are the
+    unit ideal.  Otherwise every minimal prime of (g) + J has height
+    k + c, so in the Cohen-Macaulay local ring S_m the k + c generators of
+    (g) + J form a regular sequence in any order, and so do their powers
+    g**q, f_1, ..., f_c: J's generators stay regular modulo (g**q), and
+    for a regular sequence f_1, ..., f_c on a module M,
+    (f_1**q, ..., f_c**q)M :_M u**(q-1) = (f_1, ..., f_c)M."""
     J = R.defining.gens
     g = tuple(h for h in I.gens if h not in J)
     base = R.lift(g)
-    if base.krull_dimension() != R.ambient.nvars - len(g) - len(J):
+    if J and base.krull_dimension() != R.ambient.nvars - len(g) - len(J):
         return None
     return base
 
@@ -177,12 +175,11 @@ def _root_colon_base(R: QuotientRing, I: Ideal) -> Ideal | None:
 def closure_step(R: QuotientRing, I: Ideal, e: int) -> Ideal:
     """The lift of C_e(I) = {r in R : r**(p**e) in I^[p^e]}, for e >= 1.
 
-    Over a complete intersection R = S/J, J = (f_1, ..., f_c) (zero and
-    principal J included), with I = (g) + J passing the height test of
-    :func:`_root_colon_base`, Fedder's lemma gives the colon
-    C_e = ((g) + J : I_e(u**(q-1))) for u = f_1 * ... * f_c and q = p**e:
-    r**q lies in (g**q) + J = ((g) + J)^[q] : u**(q-1) exactly when
-    I_e(r**q * u**(q-1)) = r * I_e(u**(q-1)) lies in (g) + J.  Otherwise
+    Over R = S/J, J = (f_1, ..., f_c), with J = 0 or I = (g) + J passing
+    the height test of :func:`_root_colon_base`, Fedder's lemma gives the
+    colon C_e = ((g) + J : I_e(u**(q-1))) for u = f_1 * ... * f_c and
+    q = p**e: r**q lies in (g**q) + J = ((g) + J)^[q] : u**(q-1) exactly
+    when I_e(r**q * u**(q-1)) = r * I_e(u**(q-1)) lies in (g) + J.  Otherwise
     the elimination preimage of I^[p^e] + J is taken; it is also the
     oracle the colon is tested against.
 

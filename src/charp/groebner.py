@@ -49,6 +49,13 @@ class _Reducer:
         self.poly = g
 
 
+def _check_ring(ring: PolyRing, polys) -> None:
+    """Raise RingMismatchError unless every polynomial lives in ``ring``."""
+    for g in polys:
+        if g.ring != ring:
+            raise RingMismatchError(f"generator {g} does not live in {ring!r}")
+
+
 def _reduce_terms(terms: dict, reds, p: int, key, keycache: dict, quots=None) -> dict:
     """Core division loop on a term table (consumed and returned).
 
@@ -107,6 +114,7 @@ def normal_form(f: Polynomial, reducers, order: MonomialOrder | None = None) -> 
     if order is None:
         order = f.ring.order
     reducers = list(reducers)
+    _check_ring(f.ring, reducers)
     if any(g.is_zero for g in reducers):
         raise ValueError("zero polynomial among reducers")
     if not reducers:
@@ -123,6 +131,7 @@ def reduce_with_quotients(f: Polynomial, reducers, order: MonomialOrder | None =
     if order is None:
         order = f.ring.order
     reducers = list(reducers)
+    _check_ring(f.ring, reducers)
     if any(g.is_zero for g in reducers):
         raise ValueError("zero polynomial among reducers")
     if not reducers:
@@ -163,6 +172,7 @@ def buchberger(generators, order: MonomialOrder | None = None) -> tuple[Polynomi
     if not gens:
         return ()
     ring = gens[0].ring
+    _check_ring(ring, gens)
     if order is None:
         order = ring.order
     p = ring.p
@@ -258,10 +268,10 @@ def buchberger(generators, order: MonomialOrder | None = None) -> tuple[Polynomi
             minimal.append(i)
     basis = [reds[i].poly for i in minimal]
 
-    # tail-reduce each element against the others
+    # tail-reduce each element against the others, reusing their reducers
     reduced = []
     for i, g in enumerate(basis):
-        others = [_Reducer(o, order, p) for o in basis[:i] + basis[i + 1:]]
+        others = [reds[k] for k in minimal[:i] + minimal[i + 1:]]
         if others:
             table = _reduce_terms(dict(g.terms), others, p, key, keycache)
             g = Polynomial(ring, table, _canonical=True)
@@ -316,9 +326,7 @@ class Ideal:
 
     def __init__(self, ring: PolyRing, gens):
         gens = tuple(g for g in gens if not g.is_zero)
-        for g in gens:
-            if g.ring != ring:
-                raise RingMismatchError(f"generator {g} does not live in {ring!r}")
+        _check_ring(ring, gens)
         self.ring = ring
         self.gens = gens
         self._gb: dict = {}
@@ -386,6 +394,8 @@ class Ideal:
             raise RingMismatchError("colon across different rings")
         if not other.gens:  # colon by the zero ideal is the unit ideal
             return Ideal(self.ring, [self.ring.one()])
+        if any(g.total_degree() == 0 for g in other.gens):  # colon by (1)
+            return self
         if self.krull_dimension() == 0:
             return self._colon_by_kernel(other)
         result = None

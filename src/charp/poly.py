@@ -181,6 +181,8 @@ class PolyRing:
             m = tuple(m)
             if len(m) != n or any(e < 0 for e in m):
                 raise ValueError(f"bad monomial {m} for {self!r}")
+            if not isinstance(c, int):
+                raise ValueError(f"coefficient {c!r} is not an integer")
             c = c % self.p
             if c:
                 c0 = table.get(m)
@@ -196,6 +198,8 @@ class PolyRing:
         return self.const(1)
 
     def const(self, c: int) -> "Polynomial":
+        if not isinstance(c, int):
+            raise ValueError(f"coefficient {c!r} is not an integer")
         c %= self.p
         if not c:
             return self.zero()

@@ -168,12 +168,25 @@ def _count_preimages(monkeypatch):
 @pytest.mark.parametrize("p,max_degree", [(2, 3), (3, 3), (5, 2)])
 def test_closure_step_matches_preimage_oracle(p, max_degree, monkeypatch):
     # seeded random J with c = 0, 1 or 2 generators (zero, principal or two
-    # elements), homogeneous or not: the root colon (and the fallback where
-    # J is not a complete intersection or the height test fails) against
-    # the preimage
+    # elements), homogeneous or not, and J = h*(l_1, l_2), which is never a
+    # complete intersection: the root colon (and the fallback where the
+    # height test fails) against the preimage
     oracle, calls = _count_preimages(monkeypatch)
     rng = random.Random(92 + p)
-    colon_runs = []  # (c, J homogeneous, C_e larger than I) for each colon step
+    colon_runs = []  # (c, J homogeneous, J a complete intersection, C_e > I)
+
+    def check(R, I):
+        J = R.defining.gens
+        for e in (1, 2):
+            expected = R.lift(oracle(frobenius_target(R, I, e), e))
+            before = len(calls)
+            C = closure_step(R, I, e)
+            assert C.equals(expected)
+            if len(calls) == before:
+                homogeneous = all(f.is_homogeneous() for f in J)
+                ci = R._complete_intersection
+                colon_runs.append((len(J), homogeneous, ci, not C.equals(I)))
+
     for variables in (["x", "y"], ["x", "y", "z"]):
         S = PolyRing(p, variables)
         for c in range(S.nvars):
@@ -182,18 +195,20 @@ def test_closure_step_matches_preimage_oracle(p, max_degree, monkeypatch):
                 if any(f.total_degree() < 1 for f in J):
                     continue
                 R = QuotientRing(S, J)
-                I = R.lift(random_ideal(rng, S, max_gens=S.nvars - c, max_degree=2))
-                for e in (1, 2):
-                    expected = R.lift(oracle(frobenius_target(R, I, e), e))
-                    before = len(calls)
-                    C = closure_step(R, I, e)
-                    assert C.equals(expected)
-                    if len(calls) == before:
-                        homogeneous = all(f.is_homogeneous() for f in J)
-                        colon_runs.append((c, homogeneous, not C.equals(I)))
-    assert {c for c, _, _ in colon_runs} == {0, 1, 2}
-    assert {homogeneous for c, homogeneous, _ in colon_runs if c} == {True, False}
-    assert any(grew for _, _, grew in colon_runs)
+                check(R, R.lift(random_ideal(rng, S, max_gens=S.nvars - c, max_degree=2)))
+    # with I = (g) and h = g + a for a constant a != 0, (g, h) is the unit
+    # ideal, so the height test asks only for dim S/(g, l_1, l_2) = 0
+    for _ in range(6):
+        g, l1, l2 = [random_poly(rng, S, max_degree=d) for d in (2, 1, 1)]
+        if any(f.total_degree() < 1 for f in (g, l1, l2)):
+            continue
+        h = g + rng.randint(1, p - 1)
+        R = QuotientRing(S, [h * l1, h * l2])
+        check(R, R.lift([g]))
+    assert {c for c, _, _, _ in colon_runs} == {0, 1, 2}
+    assert {homogeneous for c, homogeneous, _, _ in colon_runs if c} == {True, False}
+    assert not all(ci for _, _, ci, _ in colon_runs)
+    assert any(grew for _, _, _, grew in colon_runs)
 
 
 def test_closure_step_falls_back_where_the_colon_is_wrong(monkeypatch):
@@ -216,18 +231,61 @@ def test_closure_step_falls_back_where_the_colon_is_wrong(monkeypatch):
         assert C.equals(R.lift(truth))
         assert C.equals(R.lift(oracle(frobenius_target(R, I, 1), 1)))
 
-    # J = (xy, xz) is not a complete intersection (xz is a zerodivisor
-    # modulo xy), so no height test is tried and the preimage runs; the
+    # J = (xy, xz) (not a complete intersection: xz is a zerodivisor
+    # modulo xy) with I = (y + z) and (x + y, z): both fail the height test,
+    # dim 1 != 3 - 1 - 2 and dim 0 != 3 - 2 - 2, so the preimage runs; the
     # colon by I_1(x^2yz) = (x) would again be too large
     R = QuotientRing(S, [x * y, x * z])
-    assert not R._complete_intersection
-    for gens in ([y + z], [x + y, z]):
+    for gens, dim in (([y + z], 1), ([x + y, z], 0)):
         I = R.lift(gens)
+        assert I.krull_dimension() == dim != 3 - len(gens) - 2
         calls.clear()
         C = closure_step(R, I, 1)
         assert calls == [1]
         assert C.equals(R.lift(oracle(frobenius_target(R, I, 1), 1)))
         assert not I.colon_ideal(frobenius_root_ideal(R, 1)).is_subset_of(C)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_closure_step_takes_the_colon_where_the_height_test_passes(p, monkeypatch):
+    # J = (xy, xz) is not a complete intersection, but with I = (x + 1) the
+    # height test passes: dim S/(x + 1, xy, xz) = 0 = 3 - 1 - 2
+    oracle, calls = _count_preimages(monkeypatch)
+    S = PolyRing(p, ["x", "y", "z"])
+    x, y, z = S.gens()
+    R = QuotientRing(S, [x * y, x * z])
+    assert not R._complete_intersection
+    I = R.lift([x + 1])
+    assert I.krull_dimension() == 0
+    for e in (1, 2):
+        C = closure_step(R, I, e)
+        assert calls == []
+        assert C.equals(R.lift(oracle(frobenius_target(R, I, e), e)))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_closure_step_over_a_polynomial_ring_is_the_identity(p, monkeypatch):
+    # Frobenius is flat on S (Kunz), so C_e = I for every I, also for ideals
+    # not generated by a regular sequence: no height test, no preimage and
+    # no elimination
+    _, calls = _count_preimages(monkeypatch)
+    eliminations = []
+    eliminate = Ideal.eliminate
+
+    def counting(self, front_vars):
+        eliminations.append(front_vars)
+        return eliminate(self, front_vars)
+
+    monkeypatch.setattr(Ideal, "eliminate", counting)
+    S = PolyRing(p, ["x", "y", "z"])
+    x, y, z = S.gens()
+    R = QuotientRing(S, [])
+    for gens in ([x**2, x * y], [x * y, x * z, y * z]):
+        I = R.lift(gens)
+        for e in (1, 2):
+            assert closure_step(R, I, e).equals(I)
+    assert calls == []
+    assert eliminations == []
 
 
 @pytest.mark.parametrize("p", [2, 5, 7])

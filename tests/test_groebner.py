@@ -7,6 +7,7 @@ from charp import (
     Ideal,
     LEX,
     PolyRing,
+    RingMismatchError,
     block_order,
     buchberger,
     membership_oracle,
@@ -53,6 +54,37 @@ def test_normal_form_rejects_zero_reducer(f2xyz):
     x, _, _ = f2xyz.gens()
     with pytest.raises(ValueError):
         normal_form(x, [f2xyz.zero()])
+
+
+def _foreign_polynomials():
+    """x*z + y in F_2[x,y,z], with x + y from a ring with fewer variables
+    (on which the division loop never cancelled the top term) and x from
+    F_3[x,y,z] (which mixed the characteristics)."""
+    S = PolyRing(2, ["x", "y", "z"])
+    x, y, z = S.gens()
+    a, b = PolyRing(2, ["x", "y"]).gens()
+    return x * z + y, [a + b, PolyRing(3, ["x", "y", "z"]).var("x")]
+
+
+def test_normal_form_rejects_another_ring():
+    f, foreign = _foreign_polynomials()
+    for g in foreign:
+        with pytest.raises(RingMismatchError):
+            normal_form(f, [g])
+
+
+def test_reduce_with_quotients_rejects_another_ring():
+    f, foreign = _foreign_polynomials()
+    for g in foreign:
+        with pytest.raises(RingMismatchError):
+            reduce_with_quotients(f, [g])
+
+
+def test_buchberger_rejects_another_ring():
+    f, foreign = _foreign_polynomials()
+    for g in foreign:
+        with pytest.raises(RingMismatchError):
+            buchberger([f, g])
 
 
 # -- buchberger ----------------------------------------------------------------
@@ -138,6 +170,11 @@ def test_colon_examples():
     assert Ideal(ring, [x]).colon(y).groebner_basis() == (x,)
     with pytest.raises(ValueError):
         Ideal(ring, [x]).colon(ring.zero())
+    # the unit ideal, given with a constant generator, leaves the ideal as
+    # it is, zero-dimensional or not
+    unit = Ideal(ring, [x, ring.one()])
+    for I in (Ideal(ring, [x**2, y**3]), Ideal(ring, [x * y])):
+        assert I.colon_ideal(unit).equals(I)
 
 
 def test_colon_soundness_random():

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -170,6 +171,14 @@ def test_ring_mismatch():
     b = PolyRing(3, ["x"]).var("x")
     with pytest.raises(ValueError):
         a + b
+
+
+def test_non_integer_coefficients_rejected(f2xyz):
+    for bad in (1.5, "1", None):
+        with pytest.raises(ValueError, match=re.escape(f"coefficient {bad!r}")):
+            f2xyz.poly({(1, 0, 0): bad})
+        with pytest.raises(ValueError, match=re.escape(f"coefficient {bad!r}")):
+            f2xyz.const(bad)
 
 
 def test_reserved_variable_names():
