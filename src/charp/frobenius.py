@@ -60,12 +60,11 @@ def frobenius_target(R: QuotientRing, I: Ideal, e: int) -> Ideal:
     Only input-side targets are built: the preimage fallback of the closure
     step reads one, and :func:`bracket_powers_agree` (the certificate, the
     census recheck and the parameter-ideal check) tests membership in
-    one."""
+    one.  For e = 0 the target is the lift I itself."""
     key = ("frob_target", I.gens, e)
     target = R._cache.get(key)
     if target is None:
-        target = bracket_power(I, e) + R.defining
-        R._cache[key] = target
+        target = R._cache[key] = bracket_power(I, e) + R.defining if e else I
     return target
 
 
@@ -149,36 +148,33 @@ def frobenius_root_ideal(R: QuotientRing, e: int) -> Ideal:
 
 def _root_colon_base(R: QuotientRing, I: Ideal) -> Ideal | None:
     """(g) + J for the generators g of I that are not generators of
-    J = (f_1, ..., f_c), when c = 0 or ht((g) + J) = k + c for the k
-    generators g; None otherwise.
+    J = (f_1, ..., f_c), when c = 0 or (g) + J passes
+    :meth:`QuotientRing._height_test`; None otherwise.
 
     Either way ((g**q) + J^[q]) : u**(q-1) = (g**q) + J for
     u = f_1 * ... * f_c and every q = p**e.  For c = 0 this is
-    (g**q) : 1 = (g**q).  For c >= 1 the height test is
-    dim S/((g) + J) = n - k - c, and the equality can be checked at each
+    (g**q) : 1 = (g**q).  For c >= 1 the equality can be checked at each
     maximal ideal m of S.  When m does not contain (g) + J, neither
     contains (g**q) + J, which has the same radical, so both sides are the
-    unit ideal.  Otherwise every minimal prime of (g) + J has height
-    k + c, so in the Cohen-Macaulay local ring S_m the k + c generators of
-    (g) + J form a regular sequence in any order, and so do their powers
-    g**q, f_1, ..., f_c: J's generators stay regular modulo (g**q), and
-    for a regular sequence f_1, ..., f_c on a module M,
+    unit ideal.  Otherwise, by the height test, the generators of
+    (g) + J form a regular sequence of S_m in any order, and so do their
+    powers g**q, f_1, ..., f_c: J's generators stay regular modulo
+    (g**q), and for a regular sequence f_1, ..., f_c on a module M,
     (f_1**q, ..., f_c**q)M :_M u**(q-1) = (f_1, ..., f_c)M."""
     J = R.defining.gens
     g = tuple(h for h in I.gens if h not in J)
-    base = R.lift(g)
-    if J and base.krull_dimension() != R.ambient.nvars - len(g) - len(J):
+    if J and not R._height_test(g):
         return None
-    return base
+    return R.lift(g)
 
 
 def closure_step(R: QuotientRing, I: Ideal, e: int) -> Ideal:
     """The lift of C_e(I) = {r in R : r**(p**e) in I^[p^e]}, for e >= 1.
 
     Over R = S/J, J = (f_1, ..., f_c), with J = 0 or I = (g) + J passing
-    the height test of :func:`_root_colon_base`, Fedder's lemma gives the
-    colon C_e = ((g) + J : I_e(u**(q-1))) for u = f_1 * ... * f_c and
-    q = p**e: r**q lies in (g**q) + J = ((g) + J)^[q] : u**(q-1) exactly
+    the ring's height test (see :func:`_root_colon_base`), Fedder's lemma
+    gives the colon C_e = ((g) + J : I_e(u**(q-1))) for u = f_1 * ... * f_c
+    and q = p**e: r**q lies in (g**q) + J = ((g) + J)^[q] : u**(q-1) exactly
     when I_e(r**q * u**(q-1)) = r * I_e(u**(q-1)) lies in (g) + J.  Otherwise
     the elimination preimage of I^[p^e] + J is taken; it is also the
     oracle the colon is tested against.

@@ -365,9 +365,6 @@ class Ideal:
             raise RingMismatchError("equality test across different rings")
         return self.groebner_basis() == other.groebner_basis()
 
-    def is_zero(self) -> bool:
-        return not self.gens
-
     def __add__(self, other: "Ideal") -> "Ideal":
         if other.ring != self.ring:
             raise RingMismatchError("sum of ideals across different rings")

@@ -293,9 +293,6 @@ class Polynomial:
             self.ring, {m: c * inv % self.ring.p for m, c in self.terms.items()}, _canonical=True
         )
 
-    def coefficient(self, m: Monomial) -> int:
-        return self.terms.get(tuple(m), 0)
-
     # -- arithmetic ----------------------------------------------------------
 
     def _check_ring(self, other: "Polynomial") -> None:

@@ -6,11 +6,12 @@ every membership question decidable by Groebner bases.  Ideals of R are
 always handled through lifted ideals of S that contain J; a ring hands out
 one lifted ideal per generator tuple, so every caller shares its basis.
 
-The regular-sequence check runs a height test (one dimension per prefix)
-when J is zero, principal or generated by a regular sequence of S, as
-worked out from J's own generators; for any other J it takes the colon
-(prefix : a) of every element, which the tests also use as the height
-test's oracle.
+Every regular-sequence hypothesis is decided by one height test,
+:meth:`QuotientRing._height_test`: J + (gens) is the unit ideal or its
+height is the number of its generators.  The regular-sequence check runs
+it on each prefix when J itself passes it; for any other J it takes the
+colon (prefix : a) of every element, which the tests also use as the
+height test's oracle.
 """
 
 from __future__ import annotations
@@ -37,13 +38,13 @@ class RegularSequenceCheck:
 class QuotientRing:
     """R = S/J for a polynomial ring S and ideal J (with cached data).
 
-    ``cm_hint`` marks R as Cohen-Macaulay; it is derived automatically for
-    principal J and for J generated by a poor regular sequence (complete
-    intersections), and can be overridden by the caller.  The override
-    only changes what ``cm_hint`` reports: no computation relies on it.
+    ``cm_hint`` marks R as Cohen-Macaulay; it defaults to the height test
+    of J (see :attr:`cm_hint`) and can be overridden by the caller.  The
+    override only changes what ``cm_hint`` reports: no computation relies
+    on it.
     """
 
-    __slots__ = ("ambient", "defining", "_dimension", "_cm_override", "_ci", "_cache")
+    __slots__ = ("ambient", "defining", "_dimension", "_cm_override", "_cache")
 
     def __init__(self, ambient: PolyRing, defining, cm_hint: bool | None = None):
         if isinstance(defining, Ideal):
@@ -55,7 +56,6 @@ class QuotientRing:
         self.defining = defining
         self._dimension = None
         self._cm_override = cm_hint
-        self._ci = None
         self._cache: dict = {}
 
     def __repr__(self):
@@ -84,22 +84,26 @@ class QuotientRing:
 
     @property
     def cm_hint(self) -> bool:
+        """The override if one was given, else whether J passes the height
+        test: then R is the zero ring or locally a quotient of S by a
+        regular sequence, a complete intersection and so Cohen-Macaulay."""
         if self._cm_override is not None:
             return self._cm_override
-        return self._complete_intersection
+        return self._height_test(())
 
-    @property
-    def _complete_intersection(self) -> bool:
-        """Whether J's generators form a poor regular sequence of S (always
-        so for zero or principal J), decided from J alone."""
-        if self._ci is None:
-            gens = self.defining.gens
-            if len(gens) <= 1:
-                self._ci = True
-            else:
-                ambient_ring = QuotientRing(self.ambient, Ideal(self.ambient, ()))
-                self._ci = bool(ambient_ring.is_poor_regular_sequence(gens))
-        return self._ci
+    def _height_test(self, gens) -> bool:
+        """Whether K = J + (gens) is the unit ideal or has height k + c,
+        for the k elements ``gens`` and the c generators of J: whether
+        dim S/K = n - k - c, since dim S/K = n - ht K over S.  For
+        ``gens = ()`` it reads the cached :attr:`dimension`.
+
+        When it holds for a proper K, K is generated by ht K elements of
+        the Cohen-Macaulay ring S, so it is unmixed (Macaulay; Bruns-Herzog,
+        Thm 2.1.6): every associated prime of S/K is minimal of height
+        k + c.  So in the local ring S_m at each maximal ideal m containing
+        K, its k + c generators form a regular sequence in any order."""
+        dim = self.lift(gens).krull_dimension() if gens else self.dimension
+        return dim == -1 or dim == self.ambient.nvars - len(gens) - len(self.defining.gens)
 
     # -- lifted-ideal plumbing -------------------------------------------------
 
@@ -130,32 +134,24 @@ class QuotientRing:
         """Check that each element is a nonzerodivisor on R modulo its
         predecessors (properness is not required).
 
-        When J is zero, principal or generated by a regular sequence of S
-        (decided from J's generators, never from a ``cm_hint`` override),
-        a_i passes exactly when dim S/(J + a_1..a_i) = dim S/(J +
-        a_1..a_{i-1}) - 1, or when J + a_1..a_i is the unit ideal.  Proof:
-        while the prefix P = J + a_1..a_{i-1} is proper it is generated by
-        a regular sequence of S of length m, so ht P = m, and an ideal of
-        the Cohen-Macaulay ring S generated by ht P elements is unmixed
-        (Bruns-Herzog, Thm 2.1.6): every associated prime of S/P has height
-        m.  a_i is a zerodivisor modulo P exactly when it lies in one of
-        them, i.e. when ht(P + a_i) <= m; otherwise ht(P + a_i) = m + 1.
-        Over S, dim S/K = n - ht K for every proper K.  A unit a_i modulo P
-        and any a_i after a unit prefix are nonzerodivisors (the latter on
-        the zero module).  For any other J, each colon (prefix : a_i) is
-        tested for containment in the prefix (see
-        :meth:`_regular_sequence_by_colons`)."""
+        When J passes :meth:`_height_test` (decided from J's dimension,
+        never from a ``cm_hint`` override), a_i passes exactly when
+        J + a_1..a_i does.  By induction the prefix P = J + a_1..a_{i-1}
+        passes.  If P is the unit ideal, a_i is a nonzerodivisor on the
+        zero module.  Otherwise every associated prime of S/P is minimal of
+        height m = c + i - 1, so a_i is a zerodivisor modulo P exactly when
+        it lies in one of them, i.e. when dim S/(P + a_i) >= n - m; if it
+        lies in none, every minimal prime over P + a_i has height m + 1.
+        For any other J, each colon (prefix : a_i) is tested for
+        containment in the prefix (see :meth:`_regular_sequence_by_colons`)."""
         elems = list(elems)
         if not elems:
             raise ValueError("empty sequence")
-        if not self._complete_intersection:
+        if not self._height_test(()):
             return self._regular_sequence_by_colons(elems)
-        dim = self.dimension
         for i in range(len(elems)):
-            new_dim = self.lift(elems[:i + 1]).krull_dimension()
-            if new_dim != -1 and new_dim != dim - 1:
+            if not self._height_test(elems[:i + 1]):
                 return RegularSequenceCheck(False, i)
-            dim = new_dim
         return RegularSequenceCheck(True)
 
     def _regular_sequence_by_colons(self, elems) -> RegularSequenceCheck:

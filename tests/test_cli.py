@@ -325,6 +325,63 @@ GOLDEN_REGSEQ_FALSE_JSON = (
 GOLDEN_REGSEQ_TRUE_STDOUT = 'poor regular sequence: true\n'
 GOLDEN_REGSEQ_FALSE_STDOUT = 'poor regular sequence: false (fails at index 1)\n'
 
+# J = (x(y - 1), z(y - 1), y) over F_2[x,y,z,w]: height 3 = c, although its
+# generators are not a regular sequence in their given order
+HEIGHT_RING = "char 2;\nvars x y z w;\nquotient x*y - x, y*z - z, y;\n"
+GOLDEN_REGSEQ_HEIGHT_TRUE_JSON = (
+    '{\n'
+    '  "command": "regseq",\n'
+    '  "elems": [\n'
+    '    "w"\n'
+    '  ],\n'
+    '  "failure_index": null,\n'
+    '  "ok": true,\n'
+    '  "ring": {\n'
+    '    "characteristic": 2,\n'
+    '    "order": "grevlex",\n'
+    '    "quotient": [\n'
+    '      "x*y + x",\n'
+    '      "y*z + z",\n'
+    '      "y"\n'
+    '    ],\n'
+    '    "variables": [\n'
+    '      "x",\n'
+    '      "y",\n'
+    '      "z",\n'
+    '      "w"\n'
+    '    ]\n'
+    '  },\n'
+    '  "schema": 1\n'
+    '}\n'
+)
+GOLDEN_REGSEQ_HEIGHT_FALSE_JSON = (
+    '{\n'
+    '  "command": "regseq",\n'
+    '  "elems": [\n'
+    '    "w",\n'
+    '    "x"\n'
+    '  ],\n'
+    '  "failure_index": 1,\n'
+    '  "ok": false,\n'
+    '  "ring": {\n'
+    '    "characteristic": 2,\n'
+    '    "order": "grevlex",\n'
+    '    "quotient": [\n'
+    '      "x*y + x",\n'
+    '      "y*z + z",\n'
+    '      "y"\n'
+    '    ],\n'
+    '    "variables": [\n'
+    '      "x",\n'
+    '      "y",\n'
+    '      "z",\n'
+    '      "w"\n'
+    '    ]\n'
+    '  },\n'
+    '  "schema": 1\n'
+    '}\n'
+)
+
 GOLDEN_GB_JSON = (
     '{\n'
     '  "basis": [\n'
@@ -618,6 +675,16 @@ def test_reports_match_golden_bytes(ring_file, tmp_path, capsys):
     assert main(["regseq", "--ring", str(x2y), "--elems", "z,x", "--json", str(r_json)]) == 0
     assert capsys.readouterr().out == GOLDEN_REGSEQ_FALSE_STDOUT
     assert r_json.read_bytes() == GOLDEN_REGSEQ_FALSE_JSON.encode()
+    height = tmp_path / "height.ring"
+    height.write_text(HEIGHT_RING, encoding="utf-8")
+    for elems, golden_json, golden_stdout in (
+        ("w", GOLDEN_REGSEQ_HEIGHT_TRUE_JSON, GOLDEN_REGSEQ_TRUE_STDOUT),
+        ("w, x", GOLDEN_REGSEQ_HEIGHT_FALSE_JSON, GOLDEN_REGSEQ_FALSE_STDOUT),
+    ):
+        assert main(["regseq", "--ring", str(height), "--elems", elems,
+                     "--json", str(r_json)]) == 0
+        assert capsys.readouterr().out == golden_stdout
+        assert r_json.read_bytes() == golden_json.encode()
     for argv, golden_json, golden_stdout in PINNED_RUNS:
         out_json = tmp_path / f"{argv[0]}.json"
         assert main(argv[:1] + ["--ring", ring_file] + argv[1:] + ["--json", str(out_json)]) == 0

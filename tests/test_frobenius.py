@@ -173,7 +173,7 @@ def test_closure_step_matches_preimage_oracle(p, max_degree, monkeypatch):
     # height test fails) against the preimage
     oracle, calls = _count_preimages(monkeypatch)
     rng = random.Random(92 + p)
-    colon_runs = []  # (c, J homogeneous, J a complete intersection, C_e > I)
+    colon_runs = []  # (c, J homogeneous, J passes the height test, C_e > I)
 
     def check(R, I):
         J = R.defining.gens
@@ -184,7 +184,7 @@ def test_closure_step_matches_preimage_oracle(p, max_degree, monkeypatch):
             assert C.equals(expected)
             if len(calls) == before:
                 homogeneous = all(f.is_homogeneous() for f in J)
-                ci = R._complete_intersection
+                ci = R._height_test(())
                 colon_runs.append((len(J), homogeneous, ci, not C.equals(I)))
 
     for variables in (["x", "y"], ["x", "y", "z"]):
@@ -248,19 +248,21 @@ def test_closure_step_falls_back_where_the_colon_is_wrong(monkeypatch):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_closure_step_takes_the_colon_where_the_height_test_passes(p, monkeypatch):
-    # J = (xy, xz) is not a complete intersection, but with I = (x + 1) the
-    # height test passes: dim S/(x + 1, xy, xz) = 0 = 3 - 1 - 2
+    # J = (xy, xz) fails the height test, but with I = (x + 1) the step's
+    # test passes, dim S/(x + 1, xy, xz) = 0 = 3 - 1 - 2, and with I = (1)
+    # the lift is the unit ideal, which passes it too: the colon is (1)
     oracle, calls = _count_preimages(monkeypatch)
     S = PolyRing(p, ["x", "y", "z"])
     x, y, z = S.gens()
     R = QuotientRing(S, [x * y, x * z])
-    assert not R._complete_intersection
-    I = R.lift([x + 1])
-    assert I.krull_dimension() == 0
-    for e in (1, 2):
-        C = closure_step(R, I, e)
-        assert calls == []
-        assert C.equals(R.lift(oracle(frobenius_target(R, I, e), e)))
+    assert not R._height_test(())
+    for gens, dim in (([x + 1], 0), ([S.one()], -1)):
+        I = R.lift(gens)
+        assert I.krull_dimension() == dim
+        for e in (1, 2):
+            C = closure_step(R, I, e)
+            assert calls == []
+            assert C.equals(R.lift(oracle(frobenius_target(R, I, e), e)))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -669,6 +671,21 @@ def test_census_sweep_shares_lifted_bases(monkeypatch):
     assert len(report.rows) == 64 and report.recheck_ok
     assert all(row.regular_sequence_ok for row in report.rows)
     assert runs[0] <= 220
+
+
+def test_closure_stable_at_zero_reuses_the_lift(monkeypatch):
+    """A chain that stabilizes at e = 0 certifies against the lift itself:
+    the e = 0 target is I, so (x^2, xy) over F_2[x,y,z] builds two bases,
+    the lift's and the root ideal A_1 = (1)'s (three when the certificate
+    built I + J anew)."""
+    runs = count_buchberger_runs(monkeypatch)
+    S = PolyRing(2, ["x", "y", "z"])
+    x, y, _ = S.gens()
+    R = QuotientRing(S, [])
+    report = frobenius_closure(R, [x**2, x * y])
+    assert report.stabilization_index == 0
+    assert frobenius_target(R, R.lift([x**2, x * y]), 0) is R.lift([x**2, x * y])
+    assert runs[0] == 2
 
 
 def test_parallel_census_recheck_builds_only_input_targets(monkeypatch):

@@ -144,8 +144,10 @@ def _random_element(rng, ring, homogeneous):
 
 
 def _random_defining_ideal(rng, S, kind, homogeneous):
-    """([], None), ([f], None) or a 2-generator complete intersection;
-    principal f is sometimes a product g*h, returned as g to be tested."""
+    """([], None), ([f], None), a 2-generator complete intersection, or
+    (a*(v - 1), b*(v - 1), v), which has height 3 = c although its second
+    generator is a zerodivisor modulo its first; principal f is sometimes
+    a product g*h, returned as g to be tested."""
     if kind == 0:
         return [], None
     if kind == 1:
@@ -156,9 +158,16 @@ def _random_defining_ideal(rng, S, kind, homogeneous):
         return [g], None
     free = QuotientRing(S, [])
     while True:
-        gens = [_random_element(rng, S, homogeneous) for _ in range(2)]
-        if free._regular_sequence_by_colons(gens).ok:
-            return gens, None
+        if kind == 2:
+            gens = [_random_element(rng, S, homogeneous) for _ in range(2)]
+            if free._regular_sequence_by_colons(gens).ok:
+                return gens, None
+        else:
+            a, b, v = [_random_element(rng, S, homogeneous) for _ in range(3)]
+            gens = [a * (v - 1), b * (v - 1), v]
+            if (QuotientRing(S, gens).dimension <= 0
+                    and not free._regular_sequence_by_colons(gens).ok):
+                return gens, None
 
 
 def _random_sequence(rng, S, homogeneous, factor):
@@ -180,10 +189,11 @@ def _random_sequence(rng, S, homogeneous, factor):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_height_test_matches_colon_route(p, monkeypatch):
-    """On zero, principal and complete-intersection J, the height test
-    gives the colon route's verdict and failure index on seeded random
-    sequences, and takes no colon or intersection; both verdicts occur
-    for each kind of J."""
+    """On zero, principal and complete-intersection J, and on J of height
+    c whose generators are not a regular sequence in their given order,
+    the height test gives the colon route's verdict and failure index on
+    seeded random sequences, and takes no colon or intersection; both
+    verdicts occur for each kind of J."""
     rng = random.Random(1000 + p)
     S = PolyRing(p, ["x", "y", "z"])
 
@@ -191,9 +201,9 @@ def test_height_test_matches_colon_route(p, monkeypatch):
         raise AssertionError("the height test took a colon")
 
     verdicts = set()
-    for trial in range(96):
-        homogeneous = trial % 2 == 0
-        kind = trial % 3
+    for trial in range(128):
+        homogeneous = trial // 4 % 2 == 0
+        kind = trial % 4
         J, factor = _random_defining_ideal(rng, S, kind, homogeneous)
         seq = _random_sequence(rng, S, homogeneous, factor)
         R = QuotientRing(S, J)
@@ -204,7 +214,41 @@ def test_height_test_matches_colon_route(p, monkeypatch):
         oracle = QuotientRing(S, J)._regular_sequence_by_colons(seq)
         assert (fast.ok, fast.failure_index) == (oracle.ok, oracle.failure_index), (J, seq)
         verdicts.add((kind, fast.ok))
-    assert verdicts == {(kind, ok) for kind in range(3) for ok in (True, False)}
+    assert verdicts == {(kind, ok) for kind in range(4) for ok in (True, False)}
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_height_of_j_not_the_order_of_its_generators_decides(p, monkeypatch):
+    """J = (x(y - 1), z(y - 1), y) has height 3 = c, so R = F_p[w] is
+    Cohen-Macaulay although z(y - 1) is a zerodivisor modulo x(y - 1):
+    cm_hint holds and the regular-sequence check takes the height route,
+    with the colon route's verdicts; the closure step of (w) is the
+    preimage's."""
+    from charp.frobenius import closure_step, frobenius_preimage, frobenius_target
+
+    S = PolyRing(p, ["x", "y", "z", "w"])
+    x, y, z, w = S.gens()
+    J = [x * (y - 1), z * (y - 1), y]
+    assert not QuotientRing(S, [])._regular_sequence_by_colons(J).ok
+    R = QuotientRing(S, J)
+    assert R.cm_hint
+
+    def no_colons(*args, **kwargs):
+        raise AssertionError("the height test took a colon")
+
+    cases = [([w], None), ([w + 1], None), ([x], 0), ([w, x], 1)]
+    for seq, failure_index in cases:
+        with monkeypatch.context() as m:
+            m.setattr(Ideal, "intersect", no_colons)
+            m.setattr(Ideal, "colon_ideal", no_colons)
+            fast = R.is_poor_regular_sequence(seq)
+        oracle = R._regular_sequence_by_colons(seq)
+        assert (fast.ok, fast.failure_index) == (failure_index is None, failure_index)
+        assert (oracle.ok, oracle.failure_index) == (fast.ok, fast.failure_index)
+    I = R.lift([w])
+    for e in (1, 2):
+        expected = R.lift(frobenius_preimage(frobenius_target(R, I, e), e))
+        assert closure_step(R, I, e).equals(expected)
 
 
 def test_lift_is_shared_per_ring(monkeypatch):
