@@ -3,8 +3,9 @@
 Normal forms, Buchberger completion to the unique reduced basis, ideal
 membership, colon ideals, intersections, elimination and dimension.  The
 reduced basis for a fixed order is unique, so results do not depend on
-generator order; bases are cached per order on each Ideal (cache writes
-are idempotent and therefore safe under concurrent population).
+generator order.  Everything is taken in the ring's own monomial order,
+and each Ideal caches its reduced basis and its Krull dimension (cache
+writes are idempotent and therefore safe under concurrent population).
 
 A colon (I : A) with S/I finite dimensional is the kernel of r -> r*A
 on the standard monomials of S/I (the linear algebra of FGLM); otherwise,
@@ -24,7 +25,6 @@ import heapq
 import itertools
 
 from .poly import (
-    MonomialOrder,
     Polynomial,
     PolyRing,
     RingMismatchError,
@@ -42,8 +42,8 @@ class _Reducer:
 
     __slots__ = ("lm", "lcinv", "terms", "poly")
 
-    def __init__(self, g: Polynomial, order: MonomialOrder, p: int):
-        self.lm = g.leading_monomial(order)
+    def __init__(self, g: Polynomial, p: int):
+        self.lm = g.leading_monomial()
         self.lcinv = pow(g.terms[self.lm], -1, p)
         self.terms = g.terms
         self.poly = g
@@ -106,30 +106,10 @@ def _reduce_terms(terms: dict, reds, p: int, key, keycache: dict, quots=None) ->
                 work.pop(mm, None)
 
 
-def normal_form(f: Polynomial, reducers, order: MonomialOrder | None = None) -> Polynomial:
-    """Remainder of f on division by ``reducers``; no term of the result is
-    divisible by any reducer's leading monomial, and f - result lies in the
-    ideal the reducers generate.  Deterministic: the highest reducible term
-    is cancelled first, by the first divisor in list order."""
-    if order is None:
-        order = f.ring.order
-    reducers = list(reducers)
-    _check_ring(f.ring, reducers)
-    if any(g.is_zero for g in reducers):
-        raise ValueError("zero polynomial among reducers")
-    if not reducers:
-        return f
-    p = f.ring.p
-    reds = [_Reducer(g, order, p) for g in reducers]
-    out = _reduce_terms(dict(f.terms), reds, p, order.key, {})
-    return Polynomial(f.ring, out, _canonical=True)
-
-
-def reduce_with_quotients(f: Polynomial, reducers, order: MonomialOrder | None = None):
-    """Division with record: returns (quotients, remainder) with
-    f == sum(q_i * g_i) + remainder."""
-    if order is None:
-        order = f.ring.order
+def _divide(f: Polynomial, reducers, quotients: bool):
+    """(quotient tables, remainder) of f on division by ``reducers``, with
+    no tables (None) kept unless ``quotients`` is set: the shared body of
+    :func:`normal_form` and :func:`reduce_with_quotients`."""
     reducers = list(reducers)
     _check_ring(f.ring, reducers)
     if any(g.is_zero for g in reducers):
@@ -137,28 +117,38 @@ def reduce_with_quotients(f: Polynomial, reducers, order: MonomialOrder | None =
     if not reducers:
         return [], f
     p = f.ring.p
-    reds = [_Reducer(g, order, p) for g in reducers]
-    quots = [{} for _ in reds]
-    out = _reduce_terms(dict(f.terms), reds, p, order.key, {}, quots=quots)
-    return (
-        [Polynomial(f.ring, q, _canonical=True) for q in quots],
-        Polynomial(f.ring, out, _canonical=True),
-    )
+    reds = [_Reducer(g, p) for g in reducers]
+    quots = [{} for _ in reds] if quotients else None
+    out = _reduce_terms(dict(f.terms), reds, p, f.ring.order.key, {}, quots=quots)
+    return quots, Polynomial(f.ring, out, _canonical=True)
 
 
-def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder | None = None) -> Polynomial:
-    if order is None:
-        order = f.ring.order
+def normal_form(f: Polynomial, reducers) -> Polynomial:
+    """Remainder of f on division by ``reducers``; no term of the result is
+    divisible by any reducer's leading monomial, and f - result lies in the
+    ideal the reducers generate.  Deterministic: the highest reducible term
+    is cancelled first, by the first divisor in list order."""
+    return _divide(f, reducers, False)[1]
+
+
+def reduce_with_quotients(f: Polynomial, reducers):
+    """Division with record: returns (quotients, remainder) with
+    f == sum(q_i * g_i) + remainder."""
+    quots, rem = _divide(f, reducers, True)
+    return [Polynomial(f.ring, q, _canonical=True) for q in quots], rem
+
+
+def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     ring = f.ring
     p = ring.p
-    lmf, lmg = f.leading_monomial(order), g.leading_monomial(order)
+    lmf, lmg = f.leading_monomial(), g.leading_monomial()
     lcm = mono_lcm(lmf, lmg)
     cf = pow(f.terms[lmf], -1, p)
     cg = pow(g.terms[lmg], -1, p)
     return f * ring.monomial(mono_div(lcm, lmf), cf) - g * ring.monomial(mono_div(lcm, lmg), cg)
 
 
-def buchberger(generators, order: MonomialOrder | None = None) -> tuple[Polynomial, ...]:
+def buchberger(generators) -> tuple[Polynomial, ...]:
     """The unique reduced Groebner basis of the given generators.
 
     Pair selection follows the normal strategy (smallest lcm in the order,
@@ -173,10 +163,8 @@ def buchberger(generators, order: MonomialOrder | None = None) -> tuple[Polynomi
         return ()
     ring = gens[0].ring
     _check_ring(ring, gens)
-    if order is None:
-        order = ring.order
     p = ring.p
-    key = order.key
+    key = ring.order.key
     keycache: dict = {}
 
     reds: list[_Reducer] = []
@@ -235,31 +223,31 @@ def buchberger(generators, order: MonomialOrder | None = None) -> tuple[Polynomi
                 alive[i] = False
 
     def add_element(h):
-        reds.append(_Reducer(h, order, p))
+        reds.append(_Reducer(h, p))
         lms.append(reds[-1].lm)
         alive.append(True)
         update(len(reds) - 1)
 
     # seed with the interreduced input: redundant generators (common in
     # bracket-power lists) reduce to zero here and never enter the queue
-    for g in sorted(gens, key=lambda h: key(h.leading_monomial(order))):
+    for g in sorted(gens, key=lambda h: key(h.leading_monomial())):
         if reds:
             table = _reduce_terms(dict(g.terms), reds, p, key, keycache)
             h = Polynomial(ring, table, _canonical=True)
         else:
             h = g
         if not h.is_zero:
-            add_element(h.monic(order))
+            add_element(h.monic())
 
     while heap:
         _, i, j = heapq.heappop(heap)
         if pending.pop((i, j), None) is None:
             continue  # pruned by a later update
-        s = s_polynomial(reds[i].poly, reds[j].poly, order)
+        s = s_polynomial(reds[i].poly, reds[j].poly)
         table = _reduce_terms(dict(s.terms), reds, p, key, keycache)
         if not table:
             continue
-        add_element(Polynomial(ring, table, _canonical=True).monic(order))
+        add_element(Polynomial(ring, table, _canonical=True).monic())
 
     # minimalize: drop elements whose lead is divisible by another's lead
     minimal: list[int] = []
@@ -275,9 +263,9 @@ def buchberger(generators, order: MonomialOrder | None = None) -> tuple[Polynomi
         if others:
             table = _reduce_terms(dict(g.terms), others, p, key, keycache)
             g = Polynomial(ring, table, _canonical=True)
-        reduced.append(g.monic(order))
+        reduced.append(g.monic())
     reduced = [h for h in reduced if not h.is_zero]
-    reduced.sort(key=lambda h: key(h.leading_monomial(order)), reverse=True)
+    reduced.sort(key=lambda h: key(h.leading_monomial()), reverse=True)
     return tuple(reduced)
 
 
@@ -306,6 +294,24 @@ def _standard_monomials(lms, nvars: int) -> list:
     return out
 
 
+def _dimension_of(gb, nvars: int) -> int:
+    """Dimension of S/I for I with reduced basis ``gb``, via independent
+    variable sets modulo the initial ideal; -1 for the unit ideal."""
+    if not gb:
+        return nvars
+    supports = [
+        frozenset(i for i, e in enumerate(g.leading_monomial()) if e) for g in gb
+    ]
+    if frozenset() in supports:  # a unit leads the basis
+        return -1
+    for size in range(nvars, 0, -1):
+        for subset in itertools.combinations(range(nvars), size):
+            chosen = set(subset)
+            if not any(s <= chosen for s in supports):
+                return size
+    return 0
+
+
 def adjoin_variable(ring: PolyRing, stem: str):
     """(ext, u, emb): ``ring`` with one variable u appended, named by the
     first of stem0, stem1, ... that ``ring`` does not already have, and the
@@ -322,25 +328,23 @@ def adjoin_variable(ring: PolyRing, stem: str):
 class Ideal:
     """An ideal of a PolyRing, given by generators (zero generators dropped)."""
 
-    __slots__ = ("ring", "gens", "_gb")
+    __slots__ = ("ring", "gens", "_gb", "_dim")
 
     def __init__(self, ring: PolyRing, gens):
         gens = tuple(g for g in gens if not g.is_zero)
         _check_ring(ring, gens)
         self.ring = ring
         self.gens = gens
-        self._gb: dict = {}
+        self._gb: tuple[Polynomial, ...] | None = None
+        self._dim: int | None = None
 
     def __repr__(self):
         return f"Ideal({', '.join(map(str, self.gens)) or '0'})"
 
-    def groebner_basis(self, order: MonomialOrder | None = None) -> tuple[Polynomial, ...]:
-        order = order or self.ring.order
-        gb = self._gb.get(order)
-        if gb is None:
-            gb = buchberger(self.gens, order)
-            self._gb[order] = gb  # idempotent: the reduced basis is unique
-        return gb
+    def groebner_basis(self) -> tuple[Polynomial, ...]:
+        if self._gb is None:
+            self._gb = buchberger(self.gens)  # idempotent: the reduced basis is unique
+        return self._gb
 
     # -- membership ----------------------------------------------------------
 
@@ -411,17 +415,17 @@ class Ideal:
         per call.  Each left-kernel vector c gives sum(c_s * s) in
         (self : other), and these generate it modulo self."""
         ring = self.ring
-        order = ring.order
+        key = ring.order.key
         p = ring.p
         gb = self.groebner_basis()
         staircase = _standard_monomials([g.leading_monomial() for g in gb], ring.nvars)
         index = {s: k for k, s in enumerate(staircase)}
-        reds = [_Reducer(g, order, p) for g in gb]
+        reds = [_Reducer(g, p) for g in gb]
         keycache: dict = {}
         nfs = {s: ((s, 1),) for s in staircase}  # monomial -> its normal form
 
         def reduce(terms: dict) -> dict:
-            return _reduce_terms(terms, reds, p, order.key, keycache)
+            return _reduce_terms(terms, reds, p, key, keycache)
 
         def times_var(vec: dict, j: int) -> dict:
             out: dict = {}
@@ -472,9 +476,8 @@ class Ideal:
                         vec[c] = t
                     else:
                         vec.pop(c, None)
-        basis = buchberger(list(gb) + kernel, order)
-        result = Ideal(ring, basis)
-        result._gb[order] = basis
+        result = Ideal(ring, buchberger(list(gb) + kernel))
+        result._gb = result.gens
         return result
 
     def intersect(self, other: "Ideal") -> "Ideal":
@@ -516,7 +519,7 @@ class Ideal:
 
         k = len(front)
         kept = [
-            h for h in buchberger([fwd(g) for g in self.gens], ext.order)
+            h for h in buchberger([fwd(g) for g in self.gens])
             if all(not any(m[:k]) for m in h.terms)
         ]
         inv = {pos: i for i, pos in enumerate(perm)}
@@ -534,23 +537,10 @@ class Ideal:
     # -- dimension -------------------------------------------------------------
 
     def krull_dimension(self) -> int:
-        """Dimension of S/self via independent variable sets modulo the
-        initial ideal; -1 for the unit ideal."""
-        gb = self.groebner_basis()
-        n = self.ring.nvars
-        if not gb:
-            return n
-        supports = [
-            frozenset(i for i, e in enumerate(g.leading_monomial()) if e) for g in gb
-        ]
-        if frozenset() in supports:  # a unit leads the basis
-            return -1
-        for size in range(n, 0, -1):
-            for subset in itertools.combinations(range(n), size):
-                chosen = set(subset)
-                if not any(s <= chosen for s in supports):
-                    return size
-        return 0
+        """Dimension of S/self, computed once (see :func:`_dimension_of`)."""
+        if self._dim is None:
+            self._dim = _dimension_of(self.groebner_basis(), self.ring.nvars)
+        return self._dim
 
     def vector_space_dimension(self) -> int | None:
         """Number of standard monomials when the quotient is finite

@@ -126,7 +126,8 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
 class PolyRing:
-    """F_p[x_1, ..., x_n] with a fixed default monomial order.
+    """F_p[x_1, ..., x_n] with one fixed monomial order, the only order its
+    polynomials and their Groebner bases are ever taken in.
 
     Variable names starting with an underscore are reserved for internal
     elimination variables and rejected unless ``internal=True``.
@@ -226,7 +227,7 @@ class PolyRing:
 class Polynomial:
     """Immutable sparse polynomial; construct via :class:`PolyRing` methods."""
 
-    __slots__ = ("ring", "terms", "_sorted", "_hash")
+    __slots__ = ("ring", "terms", "_sorted", "_lm", "_hash")
 
     def __init__(self, ring: PolyRing, terms: dict, _canonical: bool = False):
         if not _canonical:
@@ -234,6 +235,7 @@ class Polynomial:
         self.ring = ring
         self.terms = terms
         self._sorted = None
+        self._lm = None
         self._hash = None
         cap = _DEGREE_CAP
         if cap is not None and terms:
@@ -261,37 +263,36 @@ class Polynomial:
     def is_homogeneous(self) -> bool:
         return len({sum(m) for m in self.terms}) <= 1
 
-    def sorted_terms(self, order: MonomialOrder | None = None):
-        """Terms as (monomial, coefficient) pairs, descending in the order."""
-        if order is None or order == self.ring.order:
-            if self._sorted is None:
-                key = self.ring.order.key
-                self._sorted = tuple(
-                    sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
-                )
-            return self._sorted
-        key = order.key
-        return tuple(sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True))
+    def sorted_terms(self):
+        """Terms as (monomial, coefficient) pairs, descending in the ring's order."""
+        if self._sorted is None:
+            key = self.ring.order.key
+            self._sorted = tuple(sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True))
+        return self._sorted
 
-    def leading_monomial(self, order: MonomialOrder | None = None) -> Monomial:
-        if not self.terms:
-            raise ValueError("the zero polynomial has no leading monomial")
-        key = (order or self.ring.order).key
-        return max(self.terms, key=key)
+    def leading_monomial(self) -> Monomial:
+        """The largest monomial in the ring's order, computed once."""
+        if self._lm is None:
+            if not self.terms:
+                raise ValueError("the zero polynomial has no leading monomial")
+            self._lm = max(self.terms, key=self.ring.order.key)
+        return self._lm
 
-    def leading_coefficient(self, order: MonomialOrder | None = None) -> int:
-        return self.terms[self.leading_monomial(order)]
+    def leading_coefficient(self) -> int:
+        return self.terms[self.leading_monomial()]
 
-    def monic(self, order: MonomialOrder | None = None) -> "Polynomial":
+    def monic(self) -> "Polynomial":
         if not self.terms:
             return self
-        lc = self.leading_coefficient(order)
+        lc = self.leading_coefficient()
         if lc == 1:
             return self
         inv = pow(lc, -1, self.ring.p)
-        return Polynomial(
+        out = Polynomial(
             self.ring, {m: c * inv % self.ring.p for m, c in self.terms.items()}, _canonical=True
         )
+        out._lm = self._lm
+        return out
 
     # -- arithmetic ----------------------------------------------------------
 

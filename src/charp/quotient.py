@@ -44,7 +44,7 @@ class QuotientRing:
     on it.
     """
 
-    __slots__ = ("ambient", "defining", "_dimension", "_cm_override", "_cache")
+    __slots__ = ("ambient", "defining", "_cm_override", "_cache")
 
     def __init__(self, ambient: PolyRing, defining, cm_hint: bool | None = None):
         if isinstance(defining, Ideal):
@@ -54,7 +54,6 @@ class QuotientRing:
             defining = Ideal(ambient, list(defining))
         self.ambient = ambient
         self.defining = defining
-        self._dimension = None
         self._cm_override = cm_hint
         self._cache: dict = {}
 
@@ -78,9 +77,8 @@ class QuotientRing:
 
     @property
     def dimension(self) -> int:
-        if self._dimension is None:
-            self._dimension = self.defining.krull_dimension()
-        return self._dimension
+        """dim R = dim S/J, cached on J (see :meth:`Ideal.krull_dimension`)."""
+        return self.defining.krull_dimension()
 
     @property
     def cm_hint(self) -> bool:
@@ -94,15 +92,16 @@ class QuotientRing:
     def _height_test(self, gens) -> bool:
         """Whether K = J + (gens) is the unit ideal or has height k + c,
         for the k elements ``gens`` and the c generators of J: whether
-        dim S/K = n - k - c, since dim S/K = n - ht K over S.  For
-        ``gens = ()`` it reads the cached :attr:`dimension`.
+        dim S/K = n - k - c, since dim S/K = n - ht K over S.  K is the
+        lift of ``gens``, so its dimension is cached on it, and for
+        ``gens = ()`` it is J and its dimension is :attr:`dimension`.
 
         When it holds for a proper K, K is generated by ht K elements of
         the Cohen-Macaulay ring S, so it is unmixed (Macaulay; Bruns-Herzog,
         Thm 2.1.6): every associated prime of S/K is minimal of height
         k + c.  So in the local ring S_m at each maximal ideal m containing
         K, its k + c generators form a regular sequence in any order."""
-        dim = self.lift(gens).krull_dimension() if gens else self.dimension
+        dim = self.lift(gens).krull_dimension()
         return dim == -1 or dim == self.ambient.nvars - len(gens) - len(self.defining.gens)
 
     # -- lifted-ideal plumbing -------------------------------------------------
@@ -111,10 +110,13 @@ class QuotientRing:
         """The ideal of S generated by ``gens`` together with J.
 
         Cached on R by generator tuple, so equal lifts are one object for
-        the ring's lifetime and share one Groebner basis."""
+        the ring's lifetime and share one Groebner basis; the empty tuple
+        lifts to J itself."""
         if isinstance(gens, Ideal):
             gens = gens.gens
         gens = tuple(gens)
+        if not gens:
+            return self.defining
         for g in gens:
             if g.ring != self.ambient:
                 raise RingMismatchError(f"{g} does not live in the ambient ring")
@@ -123,10 +125,6 @@ class QuotientRing:
         if lifted is None:
             lifted = self._cache[key] = Ideal(self.ambient, gens + self.defining.gens)
         return lifted
-
-    def project_equal(self, I: Ideal, K: Ideal) -> bool:
-        """Whether I and K have the same image in R."""
-        return self.lift(I).equals(self.lift(K))
 
     # -- hypothesis checks -------------------------------------------------------
 

@@ -336,12 +336,13 @@ def test_groebner_cache_is_used(f2xyz):
     I = Ideal(f2xyz, [x, y])
     gb1 = I.groebner_basis()
     assert I.groebner_basis() is gb1
-    assert I.groebner_basis(LEX) == (x, y)
+    lex = PolyRing(2, f2xyz.variables, LEX)
+    x, y, _ = lex.gens()
+    assert Ideal(lex, [x, y]).groebner_basis() == (x, y)
 
 
 def test_lex_vs_grevlex():
-    ring = PolyRing(7, ["x", "y"])
-    x, y = ring.gens()
-    I = Ideal(ring, [x**2 + y, x * y + 1])
-    for order in (LEX, GREVLEX):
-        assert_spolys_reduce_to_zero(I.groebner_basis(order), order)
+    for order in (LEX, GREVLEX, block_order(1)):
+        ring = PolyRing(7, ["x", "y"], order)
+        x, y = ring.gens()
+        assert_spolys_reduce_to_zero(Ideal(ring, [x**2 + y, x * y + 1]).groebner_basis())

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from charp import Ideal, PolyRing, QuotientRing, membership_oracle
+from charp import Ideal, MonomialOrder, PolyRing, QuotientRing
 from support import count_buchberger_runs, fermat_ring, random_poly
 
 
@@ -13,18 +13,6 @@ def test_lift_includes_defining_ideal():
     g = x**3 + y**3 + z**3
     L = R.lift([x, y])
     assert set(L.gens) == {x, y, g}
-
-
-def test_project_equal_examples():
-    R = fermat_ring(2)
-    x, y, z = R.ambient.gens()
-    g = x**3 + y**3 + z**3
-    S = R.ambient
-    assert R.project_equal(Ideal(S, [x]), Ideal(S, [x, g]))
-    assert not R.project_equal(Ideal(S, [x]), Ideal(S, [y]))
-    # independent check for the negative case: x - y is not reachable from
-    # {y, g} by products of degree <= 1, and the ideal is homogeneous
-    assert not membership_oracle(x - y, [y, g], 1)
 
 
 def test_poor_regular_sequence_examples():
@@ -270,3 +258,24 @@ def test_lift_is_shared_per_ring(monkeypatch):
 def test_dimension_cache_consistency():
     R = fermat_ring(3)
     assert R.dimension == R.defining.krull_dimension()
+
+
+def test_dimension_and_leading_monomial_are_computed_once(monkeypatch):
+    R = fermat_ring(2)
+    x, y, z = R.ambient.gens()
+    runs = count_buchberger_runs(monkeypatch)
+    assert R.dimension == 2 and R.cm_hint and R._height_test(())
+    assert runs[0] == 1  # J's basis, shared by all three
+    assert R.lift(()) is R.defining
+    I = R.lift([x])
+    assert I.krull_dimension() == 1
+    f = x**2 * y + z**3 + y
+    assert f.leading_monomial() == (2, 1, 0)
+
+    def no_work(*args):
+        raise AssertionError("recomputed")
+
+    monkeypatch.setattr(Ideal, "groebner_basis", no_work)
+    monkeypatch.setattr(MonomialOrder, "key", no_work)
+    assert I.krull_dimension() == 1 and R.dimension == 2 and R._height_test(())
+    assert f.leading_monomial() == (2, 1, 0)
