@@ -212,6 +212,8 @@ def _cmd_census(args, rf, R):
             raise CliInputError("--frobenius-family requires --ideal")
         if args.template:
             raise CliInputError("--template cannot be combined with --frobenius-family")
+        if args.range:
+            raise CliInputError("--range: cannot be combined with --frobenius-family")
         ideal = _named_ideal(rf, args.ideal, args.ring)
         rows = frobenius_power_family(R, ideal, args.nmax)
         report = run_census(R, rows, e_max=args.emax, window=args.window, jobs=args.jobs)
@@ -221,6 +223,8 @@ def _cmd_census(args, rf, R):
             raise CliInputError("census needs --template with --range, or --frobenius-family")
         if not args.range:
             raise CliInputError("--template requires at least one --range name=lo..hi")
+        if args.ideal:
+            raise CliInputError("--ideal: needs --frobenius-family; a template names its own generators")
         ranges = {}
         for spec in args.range:
             name, values = _parse_range(spec)

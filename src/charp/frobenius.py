@@ -16,8 +16,10 @@ closure is not proved and reports say so explicitly.
 Every bracket-power equality (C)^[p^e] = I^[p^e] in R -- the certificate,
 the census recheck and the parameter-ideal check -- is decided by
 :func:`bracket_powers_agree`: I lies in C, so one membership test per
-generator of C against the input's cached target I^[p^e] + J suffices,
-and no target of a closure is ever built.  The Q-exponent needs no test
+generator of C against the input's target I^[p^e] + J suffices, and no
+target of a closure is ever built.  A target is the ring's cached lift of
+the p^e-th powers of I's own generators, so it shares its Groebner basis
+with every equal lift.  The Q-exponent needs no test
 of its own: it is the chain's stabilization index.
 """
 
@@ -52,20 +54,27 @@ def bracket_power(I: Ideal, e: int) -> Ideal:
     return Ideal(I.ring, [frobenius_power(g, e) for g in I.gens])
 
 
-def frobenius_target(R: QuotientRing, I: Ideal, e: int) -> Ideal:
-    """I^[p^e] + J for a lifted ideal I of R = S/J.
+def _own_gens(R: QuotientRing, I: Ideal) -> tuple:
+    """The generators of a lifted ideal I of R = S/J that are not
+    generators of J."""
+    return tuple(g for g in I.gens if g not in R.defining.gens)
 
-    Cached on R, keyed by I's generators and e, for the ring's lifetime
-    (the reduced basis is unique, so sharing the ideal shares its basis).
-    Only input-side targets are built: the preimage fallback of the closure
-    step reads one, and :func:`bracket_powers_agree` (the certificate, the
-    census recheck and the parameter-ideal check) tests membership in
-    one.  For e = 0 the target is the lift I itself."""
-    key = ("frob_target", I.gens, e)
-    target = R._cache.get(key)
-    if target is None:
-        target = R._cache[key] = bracket_power(I, e) + R.defining if e else I
-    return target
+
+def frobenius_target(R: QuotientRing, I: Ideal, e: int) -> Ideal:
+    """I^[p^e] + J for a lifted ideal I of R = S/J: the lift of the
+    p^e-th powers of I's own generators (J's generators need no power,
+    since f**(p**e) already lies in J).
+
+    So a target is the ring's cached lift, one object with one Groebner
+    basis for the ring's lifetime, shared with any equal lift: the e = 0
+    target is I itself, and the target of (x**a, y**b) is the lift of
+    (x**(a*p**e), y**(b*p**e)).  Only input-side targets are built: the
+    preimage fallback of the closure step reads one, and
+    :func:`bracket_powers_agree` (the certificate, the census recheck and
+    the parameter-ideal check) tests membership in one."""
+    if e < 0:
+        raise ValueError(f"bracket-power exponent must be non-negative, got {e}")
+    return R.lift(frobenius_power(g, e) for g in _own_gens(R, I))
 
 
 def bracket_powers_agree(R: QuotientRing, I: Ideal, gens, e: int) -> bool:
@@ -161,9 +170,8 @@ def _root_colon_base(R: QuotientRing, I: Ideal) -> Ideal | None:
     powers g**q, f_1, ..., f_c: J's generators stay regular modulo
     (g**q), and for a regular sequence f_1, ..., f_c on a module M,
     (f_1**q, ..., f_c**q)M :_M u**(q-1) = (f_1, ..., f_c)M."""
-    J = R.defining.gens
-    g = tuple(h for h in I.gens if h not in J)
-    if J and not R._height_test(g):
+    g = _own_gens(R, I)
+    if R.defining.gens and not R._height_test(g):
         return None
     return R.lift(g)
 
@@ -223,11 +231,6 @@ class ClosureChainReport:
         return self.status == STATUS_STABLE
 
     @property
-    def closure(self) -> Ideal:
-        """The last chain member (the certified closure approximation), lifted."""
-        return self.ring.lift(self.chain[-1][1])
-
-    @property
     def q_exponent(self) -> int | None:
         """The smallest e' with C^[p^e'] + J = I^[p^e'] + J for the closure
         C, which is the stabilization index s.  The certificate shows the
@@ -254,8 +257,6 @@ def frobenius_closure(R: QuotientRing, I, e_max: int = 8, window: int = 2) -> Cl
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     needed = max(window - 1, 1)
-    if isinstance(I, Ideal):
-        I = I.gens
     lift = R.lift(I)
     chain_ideals = [lift]
     run = 0
@@ -353,7 +354,7 @@ def frobenius_power_family(R: QuotientRing, I: Ideal, n_max: int) -> list:
     if n_max < 0:
         raise ValueError(f"n_max must be non-negative, got {n_max}")
     return [
-        ((("n", n),), list(bracket_power(Ideal(R.ambient, I.gens), n).gens))
+        ((("n", n),), [frobenius_power(g, n) for g in I.gens])
         for n in range(n_max + 1)
     ]
 

@@ -76,7 +76,7 @@ def test_exit_2_on_an_error_writes_no_json(ring_file, tmp_path, capsys, monkeypa
                  "--emax", "1", "--json", str(out_json)]) == 2
     assert "did not stabilize" in capsys.readouterr().err
     assert not out_json.exists()
-    monkeypatch.setenv("FROB_MAX_DEGREE", "4")
+    monkeypatch.setenv("FROB_MAX_DEGREE", "3")
     assert main(["closure", "--ring", ring_file, "--ideal", "I",
                  "--json", str(out_json)]) == 2
     assert "FROB_MAX_DEGREE" in capsys.readouterr().err
@@ -164,6 +164,8 @@ def test_input_errors_name_the_flag(ring_file, tmp_path, capsys):
         (["member", "--ideal", "I", "--poly", "z^2, x"], "--poly"),
         (["census", "--ideal", "I", "--frobenius-family", "--jobs", "0"], "--jobs"),
         (["eta", "--sop", "x,y", "--jobs", "-3"], "--jobs"),
+        (["census", "--ideal", "I", "--frobenius-family", "--range", "a=1..2"], "--range"),
+        (["census", "--template", "x^{a}, y", "--range", "a=1..2", "--ideal", "I"], "--ideal"),
     ):
         assert main(argv[:1] + ["--ring", ring_file] + argv[1:]) == 1
         captured = capsys.readouterr()
@@ -172,13 +174,18 @@ def test_input_errors_name_the_flag(ring_file, tmp_path, capsys):
 
 
 def test_degree_cap_env(ring_file, tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("FROB_MAX_DEGREE", "4")
+    monkeypatch.setenv("FROB_MAX_DEGREE", "3")
     assert main(["closure", "--ring", ring_file, "--ideal", "I"]) == 2
     assert "FROB_MAX_DEGREE" in capsys.readouterr().err
     monkeypatch.setenv("FROB_MAX_DEGREE", "junk")
     assert main(["closure", "--ring", ring_file, "--ideal", "I"]) == 1
     monkeypatch.delenv("FROB_MAX_DEGREE")
     assert main(["closure", "--ring", ring_file, "--ideal", "I"]) == 0
+    uncapped = capsys.readouterr().out
+    # the targets carry no f**q of degree 6, so cap 4 completes the run
+    monkeypatch.setenv("FROB_MAX_DEGREE", "4")
+    assert main(["closure", "--ring", ring_file, "--ideal", "I"]) == 0
+    assert capsys.readouterr().out == uncapped
 
 
 def test_reports_are_byte_deterministic(ring_file, tmp_path):

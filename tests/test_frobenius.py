@@ -10,6 +10,8 @@ from charp import (
     STATUS_NOT_STABILIZED,
     STATUS_STABLE,
     bracket_power,
+    cech_class,
+    cech_is_zero,
     closure_step,
     eta_estimate,
     frobenius_closure,
@@ -361,6 +363,36 @@ def test_frobenius_target_cached_per_ring(p):
             assert frobenius_target(R, Ideal(S, I.gens), e) is target
             expected = bracket_power(I, e) + R.defining
             assert target.groebner_basis() == expected.groebner_basis()
+        assert frobenius_target(R, I, 0) is I
+    # the exponent is checked even when I has no generators of its own
+    with pytest.raises(ValueError):
+        frobenius_target(R, R.lift(()), -1)
+    run_census(R, [((), [x]), ((), [x, y**2])])
+    assert not any(key[0] == "frob_target" for key in R._cache)
+
+
+def test_frobenius_target_is_the_lift_of_the_powers():
+    """A target is the ring's lift of the p^e-th powers of I's own
+    generators: the same object as that lift, with no power of J's
+    generator."""
+    R = fermat_ring(2)
+    x, y, z = R.ambient.gens()
+    target = frobenius_target(R, R.lift([x, y]), 1)
+    assert target is R.lift([x**2, y**2])
+    assert target.gens == (x**2, y**2, x**3 + y**3 + z**3)
+
+
+def test_cech_zero_test_reads_the_closure_target(monkeypatch):
+    """The certificate of the closure of (x, y) builds the basis of the
+    target (x^2, y^2) + J, which is the zero test's power ideal at level 2,
+    so the zero test after it runs no Buchberger run."""
+    R = fermat_ring(2)
+    x, y, z = R.ambient.gens()
+    assert frobenius_closure(R, [x, y]).stabilization_index == 1
+    zs = [cech_class(R, [x, y], h, level=2) for h in (x**2 * z, x * z)]
+    runs = count_buchberger_runs(monkeypatch)
+    assert [cech_is_zero(c) for c in zs] == [True, False]
+    assert runs[0] == 0
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
