@@ -8,7 +8,8 @@ and each Ideal caches its reduced basis and its Krull dimension (cache
 writes are idempotent and therefore safe under concurrent population).
 
 A colon (I : A) with S/I finite dimensional is the kernel of r -> r*A
-on the standard monomials of S/I (the linear algebra of FGLM); otherwise,
+on the standard monomials of S/I (the linear algebra of FGLM), whose
+reduced basis is read off that kernel with no Buchberger run; otherwise,
 and as the kernel route's oracle, it is taken by intersections.
 :meth:`Ideal.eliminate` is the only elimination: intersections (and so
 those colons) and the Frobenius preimage fallback of
@@ -270,27 +271,30 @@ def buchberger(generators) -> tuple[Polynomial, ...]:
 
 
 def _standard_monomials(lms, nvars: int) -> list:
-    """The monomials in ``nvars`` variables divisible by none of ``lms``
-    (which must generate a monomial ideal of dimension <= 0), in ascending
-    lex order.  A prefix padded with zeros that some lm divides ends its
-    branch: every extension is a multiple of it."""
+    """The monomials in ``nvars`` variables divisible by none of ``lms``,
+    in ascending lex order.  Raises ValueError unless ``lms`` generate a
+    monomial ideal of dimension <= 0, i.e. hold the lead 1 or a pure
+    power of every variable (otherwise the staircase is infinite).
+
+    Each prefix carries only the leads its exponents cover; among those,
+    the ones with no exponent after the current variable bound its run,
+    and the last variable's run is emitted as one range."""
+    supports = {frozenset(i for i, e in enumerate(lm) if e) for lm in lms}
+    if frozenset() not in supports and any(frozenset((i,)) not in supports for i in range(nvars)):
+        raise ValueError("the leading monomials generate a positive-dimensional ideal")
+    # (lead, index of its last nonzero exponent), -1 for the lead 1
+    leads = [(lm, max((i for i, e in enumerate(lm) if e), default=-1)) for lm in lms]
     out: list = []
 
-    def walk(prefix: tuple, i: int) -> None:
-        pad = (0,) * (nvars - i - 1)
-        e = 0
-        while True:
-            head = prefix + (e,)
-            m = head + pad
-            if any(mono_divides(lm, m) for lm in lms):
-                return
-            if i + 1 == nvars:
-                out.append(m)
-            else:
-                walk(head, i + 1)
-            e += 1
+    def walk(prefix: tuple, i: int, active: list) -> None:
+        run = min(lm[i] for lm, last in active if last <= i)
+        if i + 1 == nvars:
+            out.extend(prefix + (e,) for e in range(run))
+            return
+        for e in range(run):
+            walk(prefix + (e,), i + 1, [(lm, last) for lm, last in active if lm[i] <= e])
 
-    walk((), 0)
+    walk((), 0, leads)
     return out
 
 
@@ -387,10 +391,11 @@ class Ideal:
         """(self : other) = {r : r*a in self for every a in other}.
 
         When ``krull_dimension() == 0``, self plus the kernel of
-        r -> (r*a_1, ..., r*a_m) on S/self: one sparse elimination over F_p
-        and one Buchberger run.  Otherwise the intersection of (self : g)
-        over the generators g of ``other``, which is also the kernel
-        route's oracle in the tests."""
+        r -> (r*a_1, ..., r*a_m) on S/self: one sparse elimination over F_p,
+        whose kernel vectors give the reduced basis with no Buchberger run
+        (see :meth:`_colon_by_kernel`).  Otherwise the intersection of
+        (self : g) over the generators g of ``other``, which is also the
+        kernel route's oracle in the tests."""
         if other.ring != self.ring:
             raise RingMismatchError("colon across different rings")
         if not other.gens:  # colon by the zero ideal is the unit ideal
@@ -406,19 +411,31 @@ class Ideal:
         return result
 
     def _colon_by_kernel(self, other: "Ideal") -> "Ideal":
-        """(self : other) for zero-dimensional self, by linear algebra in S/self.
+        """(self : other) for zero-dimensional self, by linear algebra in
+        S/self (the FGLM linear algebra), with no Buchberger run.
 
         The rows are the normal forms of s*a_1, ..., s*a_m side by side, one
-        row per standard monomial s.  The staircase is closed under
-        division, so s's row is its parent s/x_j's row times x_j, where a
-        product outside the staircase is a border monomial reduced once
-        per call.  Each left-kernel vector c gives sum(c_s * s) in
-        (self : other), and these generate it modulo self."""
+        row per standard monomial s, visited in ascending ring order.  A
+        parent s/x_j is smaller than s, so it comes first, and s's row is
+        its parent's row times x_j, where a product outside the staircase
+        is a border monomial reduced once per call.  Each row is
+        top-reduced against the earlier rows that stayed independent; a row
+        that reduces to zero gives s + (a combination of earlier
+        independent monomials) in the colon.  Dependent rows never become
+        pivots, so that tail holds only independent monomials, which are
+        the standard monomials of the colon: the vector has lead s and is
+        already reduced.
+
+        The reduced basis is read off: the vector of each new lead that no
+        other new lead divides, and each basis element of self whose lead
+        no new lead divides, with every new lead in its tail replaced by
+        minus that lead's tail."""
         ring = self.ring
         key = ring.order.key
         p = ring.p
         gb = self.groebner_basis()
-        staircase = _standard_monomials([g.leading_monomial() for g in gb], ring.nvars)
+        lms = [g.leading_monomial() for g in gb]
+        staircase = sorted(_standard_monomials(lms, ring.nvars), key=key)
         index = {s: k for k, s in enumerate(staircase)}
         reds = [_Reducer(g, p) for g in gb]
         keycache: dict = {}
@@ -450,19 +467,18 @@ class Ideal:
 
         # Top-reduce each row, augmented by its unit vector in the negative
         # columns -1-k, against the earlier pivots; a row left with only
-        # negative columns is a kernel vector.
+        # negative columns is a kernel vector s + tail.
         width = len(staircase)
         pivots: dict = {}  # leading column -> row scaled to lead with 1
-        kernel = []
+        tails: dict = {}  # new lead s -> the tail of its kernel vector
         for k, row in enumerate(rows):
             vec = {i * width + index[b]: c for i, part in enumerate(row) for b, c in part.items()}
             vec[-1 - k] = 1
             while True:
                 col = max(vec)
                 if col < 0:
-                    kernel.append(Polynomial(
-                        ring, {staircase[-1 - c]: v for c, v in vec.items()}, _canonical=True
-                    ))
+                    del vec[-1 - k]
+                    tails[staircase[k]] = {staircase[-1 - c]: v for c, v in vec.items()}
                     break
                 pivot = pivots.get(col)
                 if pivot is None:
@@ -476,7 +492,27 @@ class Ideal:
                         vec[c] = t
                     else:
                         vec.pop(c, None)
-        result = Ideal(ring, buchberger(list(gb) + kernel))
+
+        minimal: list = []  # ascending, so a divisor of s is met before s
+        for s in tails:
+            if not any(mono_divides(t, s) for t in minimal):
+                minimal.append(s)
+        basis = [Polynomial(ring, {s: 1, **tails[s]}, _canonical=True) for s in minimal]
+        for g in gb:
+            if any(mono_divides(t, g.leading_monomial()) for t in minimal):
+                continue
+            terms = dict(g.terms)
+            for s in [m for m in terms if m in tails]:  # s = -tails[s] in the colon
+                c = terms.pop(s)
+                for m, v in tails[s].items():
+                    t = (terms.get(m, 0) - c * v) % p
+                    if t:
+                        terms[m] = t
+                    else:
+                        del terms[m]
+            basis.append(Polynomial(ring, terms, _canonical=True))
+        basis.sort(key=lambda h: key(h.leading_monomial()), reverse=True)
+        result = Ideal(ring, basis)
         result._gb = result.gens
         return result
 

@@ -35,6 +35,19 @@ def random_ideal(rng: random.Random, ring: PolyRing, max_gens=3, max_degree=3) -
     return Ideal(ring, gens)
 
 
+def random_zero_dimensional_colon(rng: random.Random, ring: PolyRing):
+    """(I, A) with dim S/I = 0: I from one random polynomial of mixed
+    degrees per variable, with pure powers of some variables added, redrawn
+    until zero-dimensional; A from 1-3 random polynomials."""
+    while True:
+        gens = [random_poly(rng, ring) for _ in range(ring.nvars)]
+        gens += [v ** rng.randint(2, 4) for v in ring.gens() if rng.random() < 0.4]
+        I = Ideal(ring, gens)
+        if I.krull_dimension() == 0:
+            break
+    return I, Ideal(ring, [random_poly(rng, ring) for _ in range(rng.randint(1, 3))])
+
+
 def monomials_of_degree_at_most(ring: PolyRing, d: int):
     """All monomials of the ring with total degree <= d, as polynomials."""
     out = []

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -14,11 +15,13 @@ from charp import (
     normal_form,
     reduce_with_quotients,
 )
+from charp.groebner import _standard_monomials
 from support import (
     assert_spolys_reduce_to_zero,
     random_ideal,
     random_monomial,
     random_poly,
+    random_zero_dimensional_colon,
 )
 
 
@@ -255,6 +258,35 @@ def test_zero_dimensional_colon_matches_intersection_route(p, monkeypatch):
                 assert _colon_by_kernel(monkeypatch, *scaled) == fast
 
 
+def test_zero_dimensional_colon_random_draws(monkeypatch):
+    # 17 draws for each characteristic, order and number of variables
+    rng = random.Random(1300)
+    for p in (2, 3, 5, 7):
+        for order in (GREVLEX, LEX, block_order(1)):
+            for variables in (["x", "y"], ["x", "y", "z"]):
+                ring = PolyRing(p, variables, order)
+                for _ in range(17):
+                    I, A = random_zero_dimensional_colon(rng, ring)
+                    assert _colon_by_kernel(monkeypatch, I, A) == _colon_by_intersection(I, A)
+
+
+def test_zero_dimensional_colon_rewrites_tails_of_the_old_basis(monkeypatch):
+    # the basis elements of I kept in the colon have new leads in their
+    # tails, each to be replaced by minus that lead's tail
+    ring = PolyRing(7, ["x", "y", "z"])
+    x, y, z = ring.gens()
+    I = Ideal(ring, [
+        x + 2 * x * y + 5 * z + 2 * z**2,
+        y**4 + 2 * x**2 * y**2 + 3 * y**2 * z**2 + 5 * x * y,
+        z**2 + 4 * z,
+    ])
+    A = Ideal(ring, [y**3 * z**2 + 6 * x**3 * z, 2 * x**3 * y * z**3 + 5 * x * z**3])
+    colon = _colon_by_kernel(monkeypatch, I, A)
+    assert x * y + 4 * x + 6 in colon
+    assert y**4 + 4 * x**2 + 6 * y**2 + 6 * x in colon
+    assert colon == _colon_by_intersection(I, A)
+
+
 def test_zero_dimensional_colon_edge_cases(monkeypatch):
     ring = PolyRing(3, ["x", "y", "z"])
     x, y, z = ring.gens()
@@ -313,6 +345,30 @@ def test_eliminate_output_free_of_front_variables():
         for g in E.gens:
             assert all(m[ix] == 0 for m in g.terms)
         assert E.is_subset_of(I)
+
+
+def test_standard_monomials_match_box_enumeration():
+    rng = random.Random(77)
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        powers = [rng.randint(1, 4) for _ in range(n)]
+        lms = [tuple(e if i == j else 0 for i in range(n)) for j, e in enumerate(powers)]
+        lms += [tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(rng.randint(0, 4))]
+        rng.shuffle(lms)
+        box = [
+            m for m in itertools.product(*(range(e) for e in powers))
+            if not any(all(a <= b for a, b in zip(lm, m)) for lm in lms)
+        ]
+        assert _standard_monomials(lms, n) == box
+    assert _standard_monomials([(1, 2), (0, 0)], 2) == []
+
+
+def test_standard_monomials_reject_positive_dimension():
+    # no pure power of y: the staircase would hold every power of y
+    with pytest.raises(ValueError):
+        _standard_monomials([(2, 0)], 2)
+    with pytest.raises(ValueError):
+        _standard_monomials([(2, 0, 0), (0, 3, 0), (1, 1, 1)], 3)
 
 
 # -- dimension -------------------------------------------------------------------
