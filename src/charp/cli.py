@@ -28,7 +28,7 @@ from .frobenius import (
     run_census,
     uniform_census,
 )
-from .parse import PolyParseError, parse_polynomial
+from .parse import PolyParseError, parse_polynomials
 from .poly import DegreeCapExceeded, degree_cap, set_degree_cap
 from .ringfile import RingFileError, parse_ring_file
 
@@ -63,13 +63,11 @@ def _named_ideal(rf, name, path):
 
 
 def _parse_polys(rf, text, flag):
-    polys = []
-    for segment in text.split(","):
-        try:
-            polys.append(parse_polynomial(rf.ring, segment))
-        except PolyParseError as err:
-            raise CliInputError(f"{flag}: {err}") from None
-    return polys
+    """The comma list ``text``; an error's line:col counts in the whole flag value."""
+    try:
+        return parse_polynomials(rf.ring, text)
+    except PolyParseError as err:
+        raise CliInputError(f"{flag}: {err}") from None
 
 
 def _ring_info(rf):
@@ -175,14 +173,14 @@ def _parse_range(spec):
     name, _, bounds = spec.partition("=")
     name = name.strip()
     if ".." not in bounds:
-        raise CliInputError(f"--range {name}: expected lo..hi, got {bounds!r}")
+        raise CliInputError(f"--range: {name}: expected lo..hi, got {bounds!r}")
     lo, _, hi = bounds.partition("..")
     try:
         lo, hi = int(lo), int(hi)
     except ValueError:
-        raise CliInputError(f"--range {name}: bounds must be integers, got {bounds!r}") from None
+        raise CliInputError(f"--range: {name}: bounds must be integers, got {bounds!r}") from None
     if hi < lo:
-        raise CliInputError(f"--range {name}: empty range {bounds!r}")
+        raise CliInputError(f"--range: {name}: empty range {bounds!r}")
     return name, list(range(lo, hi + 1))
 
 
@@ -209,9 +207,9 @@ def _write_census_csv(path, report):
 def _cmd_census(args, rf, R):
     if args.frobenius_family:
         if not args.ideal:
-            raise CliInputError("--frobenius-family requires --ideal")
+            raise CliInputError("--frobenius-family: requires --ideal")
         if args.template:
-            raise CliInputError("--template cannot be combined with --frobenius-family")
+            raise CliInputError("--template: cannot be combined with --frobenius-family")
         if args.range:
             raise CliInputError("--range: cannot be combined with --frobenius-family")
         ideal = _named_ideal(rf, args.ideal, args.ring)
@@ -220,9 +218,9 @@ def _cmd_census(args, rf, R):
         family = {"kind": "frobenius_power_family", "ideal": args.ideal, "n_max": args.nmax}
     else:
         if not args.template:
-            raise CliInputError("census needs --template with --range, or --frobenius-family")
+            raise CliInputError("--template: census needs a template with --range, or --frobenius-family")
         if not args.range:
-            raise CliInputError("--template requires at least one --range name=lo..hi")
+            raise CliInputError("--template: requires at least one --range name=lo..hi")
         if args.ideal:
             raise CliInputError("--ideal: needs --frobenius-family; a template names its own generators")
         ranges = {}

@@ -31,6 +31,7 @@ import re
 from dataclasses import dataclass
 
 from .groebner import Ideal, adjoin_variable
+from .parse import parse_polynomials
 from .poly import Polynomial, PolyRing, frobenius_power, frobenius_root
 from .quotient import QuotientRing
 
@@ -330,7 +331,8 @@ def instantiate_template(ring: PolyRing, template: str, ranges) -> list:
 
     ``ranges`` maps parameter names to iterables of integers; rows are
     emitted in row-major order of the ranges as given.  Placeholders are
-    substituted as integer exponents only.
+    substituted as integer exponents only; a parse error's line:col counts
+    in the instantiated row text, such as ``x^1, y^1, w``.
     """
     names = list(ranges)
     used = set(_PLACEHOLDER_RE.findall(template))
@@ -344,7 +346,7 @@ def instantiate_template(ring: PolyRing, template: str, ranges) -> list:
     for values in itertools.product(*(list(ranges[n]) for n in names)):
         assignment = dict(zip(names, values))
         text = _PLACEHOLDER_RE.sub(lambda m: str(assignment[m.group(1)]), template)
-        gens = [ring.parse(part) for part in text.split(",")]
+        gens = parse_polynomials(ring, text)
         rows.append((tuple(zip(names, values)), gens))
     return rows
 

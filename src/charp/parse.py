@@ -6,6 +6,12 @@ coefficient followed by variable powers such as ``x^3``, separated by
 insignificant and integer coefficients are reduced mod p.  An identifier
 that is not a declared variable is split greedily into declared names, so
 ``xy`` parses as ``x*y`` when ``x`` and ``y`` are variables.
+
+A token keeps only its offset into the text.  Both parsers here take a
+slice ``text[start:end]`` and report positions in the whole ``text``, so a
+ring file or a comma list is parsed in place; the 1-based line and column
+of an offset are worked out by :func:`_position` only when an error is
+raised.
 """
 
 from __future__ import annotations
@@ -28,134 +34,99 @@ class PolyParseError(ValueError):
 _TOKEN_RE = re.compile(r"(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^])|(?P<bad>\S)")
 
 
-def _tokenize(text: str):
-    line, col = 1, 1
-    pos = 0
-    tokens = []
-    while pos < len(text):
-        ch = text[pos]
-        if ch == "\n":
-            line += 1
-            col = 1
-            pos += 1
-            continue
-        if ch.isspace():
-            col += 1
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if m.lastgroup == "bad":
-            raise PolyParseError(f"unexpected character {ch!r}", line, col)
-        tokens.append((m.lastgroup, m.group(), line, col))
-        col += m.end() - pos
-        pos = m.end()
-    return tokens
+def _position(text: str, offset: int):
+    """The 1-based (line, column) of ``text[offset]``; columns count characters."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-def _split_variables(name: str, ring: PolyRing):
+def _split_variables(name: str, by_length):
     """Decompose a juxtaposed identifier into declared variable names.
 
-    Greedy longest-prefix match with backtracking; returns None when no
-    decomposition exists.
+    ``by_length`` lists the names longest first.  Greedy longest-prefix
+    match with backtracking; returns None when no decomposition exists.
     """
-    by_length = sorted(ring.variables, key=len, reverse=True)
-
-    def rec(s):
-        if not s:
-            return []
-        for v in by_length:
-            if s.startswith(v):
-                rest = rec(s[len(v):])
-                if rest is not None:
-                    return [v] + rest
-        return None
-
-    return rec(name)
+    if not name:
+        return []
+    for v in by_length:
+        if name.startswith(v):
+            rest = _split_variables(name[len(v):], by_length)
+            if rest is not None:
+                return [v] + rest
+    return None
 
 
-def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
-    """Parse ``text`` as a polynomial of ``ring``; raises PolyParseError."""
-    tokens = _tokenize(text)
+def parse_polynomial(ring: PolyRing, text: str, start: int = 0, end: int | None = None) -> Polynomial:
+    """Parse ``text[start:end]`` as a polynomial of ``ring``.
+
+    Raises PolyParseError with a position in the whole ``text``."""
+    end = len(text) if end is None else end
+    tokens = []
+    for m in _TOKEN_RE.finditer(text, start, end):
+        if m.lastgroup == "bad":
+            raise PolyParseError(f"unexpected character {m.group()!r}", *_position(text, m.start()))
+        tokens.append((m.lastgroup, m.group(), m.start()))
     if not tokens:
-        raise PolyParseError("empty polynomial", 1, 1)
-    n = ring.nvars
-    pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else (None, "", 0, 0)
-
-    def error(message, tok=None):
-        if tok is None:
-            if pos < len(tokens):
-                tok = tokens[pos]
-            else:
-                _, value, line, col = tokens[-1]
-                raise PolyParseError(message, line, col + len(value))
-        raise PolyParseError(message, tok[2], tok[3])
-
-    def parse_factors(exponents):
-        """Parse variable powers into the exponent list; returns count seen."""
-        nonlocal pos
-        seen = 0
-        while True:
-            kind, value, line, col = peek()
-            if kind == "op" and value == "*":
-                pos += 1  # separator after the coefficient or a factor
-                kind, value, line, col = peek()
-                if kind != "name":
-                    error("expected a variable after '*'")
-            if kind != "name":
-                return seen
-            parts = _split_variables(value, ring)
-            if parts is None:
-                error(f"unknown variable {value!r}", (kind, value, line, col))
-            pos += 1
-            exp = 1
-            k2, v2, _, _ = peek()
-            if k2 == "op" and v2 == "^":
-                pos += 1
-                k3, v3, _, _ = peek()
-                if k3 != "num":
-                    error("expected an integer exponent after '^'")
-                exp = int(v3)
-                pos += 1
-            for i, var in enumerate(parts):
-                e = exp if i == len(parts) - 1 else 1
-                exponents[ring._index[var]] += e
-            seen += 1
-
+        raise PolyParseError("empty polynomial", *_position(text, start))
+    tokens.append((None, "", tokens[-1][2] + len(tokens[-1][1])))  # errors past the end point here
+    by_length = sorted(ring.variables, key=len, reverse=True)
+    index, p = ring._index, ring.p
     terms: dict = {}
-    p = ring.p
-    sign = 1
-    kind, value, _, _ = peek()
-    if kind == "op" and value in "+-":
-        sign = -1 if value == "-" else 1
-        pos += 1
+    sign, i = 1, 0
+    kind, value, offset = tokens[0]
     while True:
-        kind, value, line, col = peek()
-        coeff = 1
-        exponents = [0] * n
-        if kind == "num":
-            coeff = int(value)
-            pos += 1
-            parse_factors(exponents)
-        elif kind == "name":
-            parse_factors(exponents)
-        else:
-            error("expected a term")
-        m = tuple(exponents)
-        c = (terms.get(m, 0) + sign * coeff) % p
-        if c:
-            terms[m] = c
-        else:
-            terms.pop(m, None)
-        kind, value, line, col = peek()
-        if kind is None:
-            break
         if kind == "op" and value in "+-":
             sign = -1 if value == "-" else 1
-            pos += 1
-            continue
-        error(f"expected '+' or '-', got {value!r}")
-    return Polynomial(ring, terms, _canonical=True)
+            i += 1
+        elif i:  # after a term only a sign or the end may follow
+            raise PolyParseError(f"expected '+' or '-', got {value!r}", *_position(text, offset))
+        coeff, exponents = 1, [0] * ring.nvars
+        kind, value, offset = tokens[i]
+        if kind == "num":
+            coeff = int(value)
+            i += 1
+        elif kind != "name":
+            raise PolyParseError("expected a term", *_position(text, offset))
+        while True:  # variable powers, '*'-separated or juxtaposed
+            kind, value, offset = tokens[i]
+            if kind == "op" and value == "*":
+                i += 1
+                kind, value, offset = tokens[i]
+                if kind != "name":
+                    raise PolyParseError("expected a variable after '*'", *_position(text, offset))
+            if kind != "name":
+                break
+            parts = _split_variables(value, by_length)
+            if parts is None:
+                raise PolyParseError(f"unknown variable {value!r}", *_position(text, offset))
+            exp = 1
+            if tokens[i + 1][:2] == ("op", "^"):
+                kind, value, offset = tokens[i + 2]
+                if kind != "num":
+                    raise PolyParseError("expected an integer exponent after '^'", *_position(text, offset))
+                exp = int(value)
+                i += 2
+            i += 1
+            for var in parts[:-1]:
+                exponents[index[var]] += 1
+            exponents[index[parts[-1]]] += exp
+        mono = tuple(exponents)
+        c = (terms.get(mono, 0) + sign * coeff) % p
+        if c:
+            terms[mono] = c
+        else:
+            terms.pop(mono, None)
+        if kind is None:
+            return Polynomial(ring, terms, _canonical=True)
 
+
+def parse_polynomials(ring: PolyRing, text: str, start: int = 0, end: int | None = None) -> list:
+    """Parse the comma-separated polynomials of ``text[start:end]``.
+
+    Raises PolyParseError with a position in the whole ``text``."""
+    end = len(text) if end is None else end
+    polys = []
+    while (comma := text.find(",", start, end)) >= 0:
+        polys.append(parse_polynomial(ring, text, start, comma))
+        start = comma + 1
+    polys.append(parse_polynomial(ring, text, start, end))
+    return polys

@@ -12,15 +12,21 @@ optional, any number of named ideals may follow, and ``assert cm;`` sets
 the quotient ring's reported ``cm_hint``; no computation reads it.
 Statements end with ``;`` and may span lines.  Parsing the canonical
 printout yields an identical file.
+
+Comments are blanked in place and each statement is found by one regex,
+so every position is an offset into the text: a statement's generator
+lists are parsed where they stand, and the 1-based line and column of a
+``RingFileError`` are worked out from the offset only when it is raised.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .field import MAX_CHARACTERISTIC, is_prime
 from .groebner import Ideal
-from .parse import PolyParseError, parse_polynomial
+from .parse import PolyParseError, _position, parse_polynomials
 from .poly import GREVLEX, PolyRing
 from .quotient import QuotientRing
 
@@ -52,15 +58,6 @@ class RingFile:
             raise KeyError(f"unknown ideal {name!r} (known: {known})")
         return Ideal(self.ring, list(self.ideals[name]))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, RingFile)
-            and self.ring == other.ring
-            and self.quotient == other.quotient
-            and self.ideals == other.ideals
-            and self.assert_cm == other.assert_cm
-        )
-
 
 def print_ring_file(rf: RingFile) -> str:
     """Canonical text; parse(print_ring_file(rf)) == rf."""
@@ -74,135 +71,84 @@ def print_ring_file(rf: RingFile) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _strip_comments(text: str) -> str:
-    """Blank out # comments while preserving line/column positions."""
-    out = []
-    for line in text.split("\n"):
-        cut = line.find("#")
-        if cut >= 0:
-            line = line[:cut] + " " * (len(line) - cut)
-        out.append(line)
-    return "\n".join(out)
+# A comment runs to the end of its line; blanking it keeps every offset.
+_COMMENT_RE = re.compile(r"#[^\n]*")
+_STATEMENT_RE = re.compile(r"(?P<head>[^;\s]+)\s*(?P<body>[^;]*)")
 
 
-def _statements(text: str):
-    """Yield (statement_text, start_line, start_col) split on ';'."""
-    buf = []
-    line, col = 1, 1
-    start = None
-    for ch in text:
-        if ch == ";":
-            if start is not None:
-                yield "".join(buf), start[0], start[1]
-            buf = []
-            start = None
-        elif start is not None:
-            buf.append(ch)
-        elif not ch.isspace():
-            start = (line, col)
-            buf.append(ch)
-        if ch == "\n":
-            line += 1
-            col = 1
-        else:
-            col += 1
-    if start is not None:
-        raise RingFileError("unterminated statement (missing ';')", start[0], start[1])
-
-
-def _relocate(err: PolyParseError, text: str, start_line: int, start_col: int,
-              offset_in_stmt: int) -> RingFileError:
-    """Translate a polynomial parse error to file coordinates."""
-    prefix = text[:offset_in_stmt]
-    line = start_line + prefix.count("\n")
-    if "\n" in prefix:
-        col0 = len(prefix) - prefix.rfind("\n")
-    else:
-        col0 = start_col + len(prefix)
-    if err.line > 1:
-        line += err.line - 1
-        col = err.column
-    else:
-        col = col0 + err.column - 1
-    return RingFileError(err.message, line, col)
-
-
-def _parse_poly_list(ring, body: str, stmt: str, start_line: int, start_col: int):
-    """Parse comma-separated polynomials from ``body``, a suffix of ``stmt``."""
-    polys = []
-    offset = len(stmt) - len(body)
-    pos = 0
-    for segment in body.split(","):
-        try:
-            polys.append(parse_polynomial(ring, segment))
-        except PolyParseError as err:
-            raise _relocate(err, stmt, start_line, start_col, offset + pos) from None
-        pos += len(segment) + 1
-    return polys
+def _generators(ring, clean, start, end):
+    """The comma list ``clean[start:end]``, with parse errors as file errors."""
+    try:
+        return tuple(parse_polynomials(ring, clean, start, end))
+    except PolyParseError as err:
+        raise RingFileError(err.message, err.line, err.column) from None
 
 
 def parse_ring_file(text: str) -> RingFile:
     """Parse ring-file text; raises RingFileError with file positions."""
-    clean = _strip_comments(text)
-    statements = list(_statements(clean))
+    clean = _COMMENT_RE.sub(lambda m: " " * len(m.group()), text)
+    statements = list(_STATEMENT_RE.finditer(clean))
     if not statements:
         raise RingFileError("empty ring file", 1, 1)
 
-    p = None
-    ring = None
+    def error(message, stmt):
+        return RingFileError(message, *_position(clean, stmt.start()))
+
+    if statements[-1].end() == len(clean):
+        raise error("unterminated statement (missing ';')", statements[-1])
+
+    p = ring = None
     quotient: tuple = ()
     ideals: dict = {}
     assert_cm = False
 
-    for stmt, line, col in statements:
-        words = stmt.split(None, 1)
-        head = words[0]
-        body = words[1] if len(words) > 1 else ""
+    for stmt in statements:
+        head, body = stmt.group("head", "body")
         if head == "char":
             if p is not None:
-                raise RingFileError("duplicate 'char' statement", line, col)
+                raise error("duplicate 'char' statement", stmt)
             try:
                 p = int(body.strip())
             except ValueError:
-                raise RingFileError(f"invalid characteristic {body.strip()!r}", line, col) from None
+                raise error(f"invalid characteristic {body.strip()!r}", stmt) from None
             if not 2 <= p < MAX_CHARACTERISTIC or not is_prime(p):
-                raise RingFileError(f"characteristic {p} is not a prime in [2, 2^16)", line, col)
+                raise error(f"characteristic {p} is not a prime in [2, 2^16)", stmt)
         elif head == "vars":
             if p is None:
-                raise RingFileError("'vars' before 'char'", line, col)
+                raise error("'vars' before 'char'", stmt)
             if ring is not None:
-                raise RingFileError("duplicate 'vars' statement", line, col)
+                raise error("duplicate 'vars' statement", stmt)
             names = body.split()
             if not names:
-                raise RingFileError("'vars' needs at least one variable", line, col)
+                raise error("'vars' needs at least one variable", stmt)
             try:
                 ring = PolyRing(p, names, GREVLEX)
             except ValueError as err:
-                raise RingFileError(str(err), line, col) from None
+                raise error(str(err), stmt) from None
         elif head == "quotient":
             if ring is None:
-                raise RingFileError("'quotient' before 'vars'", line, col)
+                raise error("'quotient' before 'vars'", stmt)
             if quotient:
-                raise RingFileError("duplicate 'quotient' statement", line, col)
-            quotient = tuple(_parse_poly_list(ring, body, stmt, line, col))
+                raise error("duplicate 'quotient' statement", stmt)
+            quotient = _generators(ring, clean, stmt.start("body"), stmt.end())
         elif head == "ideal":
             if ring is None:
-                raise RingFileError("'ideal' before 'vars'", line, col)
+                raise error("'ideal' before 'vars'", stmt)
             if "=" not in body:
-                raise RingFileError("expected 'ideal <Name> = <poly>, ...'", line, col)
-            name_part, gens_part = body.split("=", 1)
-            name = name_part.strip()
+                raise error("expected 'ideal <Name> = <poly>, ...'", stmt)
+            name = body[:body.index("=")].strip()
             if not name.isidentifier():
-                raise RingFileError(f"invalid ideal name {name!r}", line, col)
+                raise error(f"invalid ideal name {name!r}", stmt)
             if name in ideals:
-                raise RingFileError(f"duplicate ideal name {name!r}", line, col)
-            ideals[name] = tuple(_parse_poly_list(ring, gens_part, stmt, line, col))
+                raise error(f"duplicate ideal name {name!r}", stmt)
+            gens_start = stmt.start("body") + body.index("=") + 1
+            ideals[name] = _generators(ring, clean, gens_start, stmt.end())
         elif head == "assert":
             if body.strip() != "cm":
-                raise RingFileError(f"unknown assertion {body.strip()!r}", line, col)
+                raise error(f"unknown assertion {body.strip()!r}", stmt)
             assert_cm = True
         else:
-            raise RingFileError(f"unknown statement {head!r}", line, col)
+            raise error(f"unknown statement {head!r}", stmt)
 
     if p is None:
         raise RingFileError("missing 'char' statement", 1, 1)

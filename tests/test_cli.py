@@ -166,11 +166,45 @@ def test_input_errors_name_the_flag(ring_file, tmp_path, capsys):
         (["eta", "--sop", "x,y", "--jobs", "-3"], "--jobs"),
         (["census", "--ideal", "I", "--frobenius-family", "--range", "a=1..2"], "--range"),
         (["census", "--template", "x^{a}, y", "--range", "a=1..2", "--ideal", "I"], "--ideal"),
+        (["census", "--template", "x^{a}", "--range", "a"], "--range"),
+        (["census", "--template", "x^{a}", "--range", "a=1"], "--range"),
+        (["census", "--template", "x^{a}", "--range", "a=x..2"], "--range"),
+        (["census", "--template", "x^{a}", "--range", "a=3..1"], "--range"),
+        (["census", "--frobenius-family"], "--frobenius-family"),
+        (["census", "--ideal", "I", "--frobenius-family", "--template", "x"], "--template"),
+        (["census"], "--template"),
+        (["census", "--template", "x^{a}"], "--template"),
     ):
         assert main(argv[:1] + ["--ring", ring_file] + argv[1:]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {flag}: "), captured.err
         assert captured.out == ""
+
+
+def test_comma_list_positions_count_in_the_whole_argument(ring_file, capsys):
+    assert main(["regseq", "--ring", ring_file, "--elems", "x, y, w"]) == 1
+    assert capsys.readouterr().err == "error: --elems: 1:7: unknown variable 'w'\n"
+    assert main(["eta", "--ring", ring_file, "--sop", "x,   2q"]) == 1
+    assert capsys.readouterr().err == "error: --sop: 1:7: unknown variable 'q'\n"
+    # a template error counts in the instantiated row text
+    assert main(["census", "--ring", ring_file, "--template", "x^{a}, y^{a}, w",
+                 "--range", "a=1..2"]) == 1
+    assert capsys.readouterr().err == "error: --template: 1:11: unknown variable 'w'\n"
+
+
+def test_unstabilized_census_and_eta_lines(ring_file, tmp_path, capsys):
+    out_json = tmp_path / "census.json"
+    assert main(["census", "--ring", ring_file, "--template", "x, y, z^{c}",
+                 "--range", "c=1..3", "--emax", "1", "--json", str(out_json)]) == 2
+    out = capsys.readouterr().out
+    assert "warning: 3 row(s) are not generated by a poor regular sequence" in out
+    assert "uniform_e: >= 0 (lower bound; some rows did not stabilize)" in out
+    assert json.loads(out_json.read_text())["uniform_e_is_lower_bound"] is True
+    assert main(["census", "--ring", ring_file, "--template", "x^{a},y",
+                 "--range", "a=1..3", "--emax", "1"]) == 2
+    assert "uniform_e: undetermined (no row stabilized)" in capsys.readouterr().out
+    assert main(["eta", "--ring", ring_file, "--sop", "x,y", "--emax", "1"]) == 2
+    assert "f_injective: undetermined (scan incomplete)" in capsys.readouterr().out
 
 
 def test_degree_cap_env(ring_file, tmp_path, capsys, monkeypatch):

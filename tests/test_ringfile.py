@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from charp import RingFileError, parse_ring_file, print_ring_file
@@ -59,6 +61,16 @@ def test_assert_cm_sets_hint():
     ("char 2; vars x; assert flat;", 1, 17, "unknown assertion"),
     ("", 1, 1, "empty"),
     ("char 2; vars x; ideal 2bad = x;", 1, 17, "invalid ideal name"),
+    # a generator list whose statement prefix holds a newline
+    ("char 2; vars x;\nideal I =\n  x, w;", 3, 6, "unknown variable"),
+    # CRLF line ends: the '\r' is a column of its line
+    ("char 2;\r\nvars x;\r\nideal I = x,\r\n w;", 4, 2, "unknown variable"),
+    # a tab is one column
+    ("char 2;\tvars x;\n\tideal I = x,\tw;", 2, 15, "unknown variable"),
+    # a comment inside a generator list
+    ("char 2; vars x y;\nideal I = x, # first\n  y, w;", 3, 6, "unknown variable"),
+    # the second generator of a quotient
+    ("char 2; vars x y;\nquotient x^2, y ?;", 2, 17, "unexpected character"),
 ])
 def test_error_positions(text, line, col, fragment):
     with pytest.raises(RingFileError) as err:
@@ -73,6 +85,29 @@ def test_comments_do_not_shift_positions():
     with pytest.raises(RingFileError) as err:
         parse_ring_file(text)
     assert (err.value.line, err.value.column) == (3, 11)
+
+
+def test_error_position_is_the_character_position():
+    # one stray '?' at a random place in a multi-line generator list; its
+    # line and column are found independently by splitting the text
+    rng = random.Random(14)
+    for _ in range(200):
+        gens = []
+        for _ in range(rng.randint(1, 4)):
+            gens.append(rng.choice(["x", "y^2", "3x*y", "x + y", "x^3 -\ty"]))
+        text = "char 3;\nvars x y;\nideal I ="
+        for g in gens:
+            text += rng.choice([" ", "\n", "\n  ", "\t", "\r\n "]) + g + ","
+        text = text[:-1] + ";\n"
+        body = text.index("=") + 1
+        cut = rng.randint(body, len(text) - 2)
+        text = text[:cut] + "?" + text[cut:]
+        lines = text.split("\n")
+        line = next(i for i, row in enumerate(lines) if "?" in row)
+        with pytest.raises(RingFileError) as err:
+            parse_ring_file(text)
+        assert err.value.message == "unexpected character '?'"
+        assert (err.value.line, err.value.column) == (line + 1, lines[line].index("?") + 1), text
 
 
 def test_unknown_ideal_lookup():
