@@ -338,7 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
         if bounds:
             sp.add_argument("--emax", type=int, default=8, help="chain bound (default 8)")
             sp.add_argument("--window", type=int, default=2,
-                            help="consecutive equalities required (default 2)")
+                            help="consecutive equal chain members required, i.e. "
+                                 "window - 1 equalities; 1 acts as 2 (default 2)")
 
     sp = sub.add_parser("gb", help="reduced Groebner basis of a named ideal's lift")
     common(sp)

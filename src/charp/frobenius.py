@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from .groebner import Ideal, adjoin_variable
 from .parse import parse_polynomials
-from .poly import Polynomial, PolyRing, frobenius_power, frobenius_root
+from .poly import Polynomial, PolyRing, degree_cap, frobenius_power, frobenius_root, set_degree_cap
 from .quotient import QuotientRing
 
 STATUS_STABLE = "certified_subset_window_stable"
@@ -378,11 +378,13 @@ def _census_row(R, params, gens, e_max, window):
 def _map_rows(fn, rows, jobs: int) -> list:
     """[fn(*row) for row in rows], on a pool of min(jobs, len(rows)) worker
     processes when jobs > 1 and there is more than one row (no idle worker
-    is started); results keep row order."""
+    is started); results keep row order.  Each worker starts with the
+    calling process's degree cap, whatever the start method."""
     if jobs > 1 and len(rows) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(jobs, len(rows))) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(rows)), initializer=set_degree_cap,
+                                 initargs=(degree_cap(),)) as pool:
             return list(pool.map(fn, *zip(*rows)))
     return [fn(*row) for row in rows]
 

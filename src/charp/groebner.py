@@ -7,6 +7,11 @@ generator order.  Everything is taken in the ring's own monomial order,
 and each Ideal caches its reduced basis and its Krull dimension (cache
 writes are idempotent and therefore safe under concurrent population).
 
+Every division is one loop over a term table, by monic polynomials (a
+reduced basis as it stands, other reducers made monic first): the
+highest pending term is cancelled or moved to a remainder table kept
+apart from the pending ones.
+
 A colon (I : A) with S/I finite dimensional is the kernel of r -> r*A
 on the standard monomials of S/I (the linear algebra of FGLM), whose
 reduced basis is read off that kernel with no Buchberger run; otherwise,
@@ -38,18 +43,6 @@ from .poly import (
 )
 
 
-class _Reducer:
-    """A basis element prepared for division: leading data precomputed."""
-
-    __slots__ = ("lm", "lcinv", "terms", "poly")
-
-    def __init__(self, g: Polynomial, p: int):
-        self.lm = g.leading_monomial()
-        self.lcinv = pow(g.terms[self.lm], -1, p)
-        self.terms = g.terms
-        self.poly = g
-
-
 def _check_ring(ring: PolyRing, polys) -> None:
     """Raise RingMismatchError unless every polynomial lives in ``ring``."""
     for g in polys:
@@ -58,59 +51,58 @@ def _check_ring(ring: PolyRing, polys) -> None:
 
 
 def _reduce_terms(terms: dict, reds, p: int, key, keycache: dict, quots=None) -> dict:
-    """Core division loop on a term table (consumed and returned).
+    """Remainder of the term table ``terms`` (consumed) on division by the
+    monic polynomials ``reds``.
 
-    Repeatedly cancels the highest reducible monomial using the first
-    reducer whose leading monomial divides it.  ``keycache`` maps monomials
-    to their order keys and may be shared across calls on the same ring.
+    The highest pending term is cancelled by the first reducer whose
+    leading monomial divides it, or else moved to the remainder.  Every
+    term a step adds lies below the term it cancels, so a remainder term
+    is never touched again and the cancelled terms strictly decrease.
+    With ``quots``, each step therefore sets a new term of ``quots[i]``,
+    the multiple of ``reds[i]`` it took.  ``keycache`` maps monomials to
+    their order keys and may be shared across calls on the same ring.
     """
+    leads = [g.leading_monomial() for g in reds]
     work = terms
-    irreducible: set = set()
-    while True:
+    out: dict = {}
+    while work:
         target = None
-        target_key = None
         for m in work:
-            if m in irreducible:
-                continue
             k = keycache.get(m)
             if k is None:
                 k = keycache[m] = key(m)
             if target is None or k > target_key:
                 target, target_key = m, k
-        if target is None:
-            return work
-        hit = None
-        for red in reds:
-            lm = red.lm
-            ok = True
+        for i, lm in enumerate(leads):
             for a, b in zip(lm, target):
                 if a > b:
-                    ok = False
                     break
-            if ok:
-                hit = red
+            else:
                 break
-        if hit is None:
-            irreducible.add(target)
+        else:
+            out[target] = work.pop(target)
             continue
-        factor = work[target] * hit.lcinv % p
-        shift = tuple(b - a for a, b in zip(hit.lm, target))
+        factor = work[target]
+        shift = tuple(b - a for a, b in zip(lm, target))
         if quots is not None:
-            q = quots[reds.index(hit)]
-            q[shift] = (q.get(shift, 0) + factor) % p
-        for mg, cg in hit.terms.items():
+            quots[i][shift] = factor
+        for mg, cg in reds[i].terms.items():
             mm = tuple(a + b for a, b in zip(mg, shift))
             s = (work.get(mm, 0) - factor * cg) % p
             if s:
                 work[mm] = s
             else:
                 work.pop(mm, None)
+    return out
 
 
 def _divide(f: Polynomial, reducers, quotients: bool):
     """(quotient tables, remainder) of f on division by ``reducers``, with
     no tables (None) kept unless ``quotients`` is set: the shared body of
-    :func:`normal_form` and :func:`reduce_with_quotients`."""
+    :func:`normal_form` and :func:`reduce_with_quotients`.  The division
+    runs by the monic reducers (a reduced basis is its own monic form), so
+    each table is scaled back by its reducer's inverse leading
+    coefficient."""
     reducers = list(reducers)
     _check_ring(f.ring, reducers)
     if any(g.is_zero for g in reducers):
@@ -118,17 +110,23 @@ def _divide(f: Polynomial, reducers, quotients: bool):
     if not reducers:
         return [], f
     p = f.ring.p
-    reds = [_Reducer(g, p) for g in reducers]
-    quots = [{} for _ in reds] if quotients else None
-    out = _reduce_terms(dict(f.terms), reds, p, f.ring.order.key, {}, quots=quots)
+    quots = [{} for _ in reducers] if quotients else None
+    out = _reduce_terms(
+        dict(f.terms), [g.monic() for g in reducers], p, f.ring.order.key, {}, quots=quots
+    )
+    for g, q in zip(reducers, quots or ()):
+        inv = pow(g.leading_coefficient(), -1, p)
+        for m in q:
+            q[m] = q[m] * inv % p
     return quots, Polynomial(f.ring, out, _canonical=True)
 
 
 def normal_form(f: Polynomial, reducers) -> Polynomial:
     """Remainder of f on division by ``reducers``; no term of the result is
     divisible by any reducer's leading monomial, and f - result lies in the
-    ideal the reducers generate.  Deterministic: the highest reducible term
-    is cancelled first, by the first divisor in list order."""
+    ideal the reducers generate.  Deterministic: the highest pending term
+    is cancelled first, by the first divisor in list order, or else set
+    aside as a remainder term."""
     return _divide(f, reducers, False)[1]
 
 
@@ -168,7 +166,7 @@ def buchberger(generators) -> tuple[Polynomial, ...]:
     key = ring.order.key
     keycache: dict = {}
 
-    reds: list[_Reducer] = []
+    reds: list[Polynomial] = []  # the monic basis elements, in order found
     lms: list = []
     alive: list[bool] = []
     pending: dict = {}  # (i, j) -> lcm of the leading monomials
@@ -224,8 +222,8 @@ def buchberger(generators) -> tuple[Polynomial, ...]:
                 alive[i] = False
 
     def add_element(h):
-        reds.append(_Reducer(h, p))
-        lms.append(reds[-1].lm)
+        reds.append(h)
+        lms.append(h.leading_monomial())
         alive.append(True)
         update(len(reds) - 1)
 
@@ -244,7 +242,7 @@ def buchberger(generators) -> tuple[Polynomial, ...]:
         _, i, j = heapq.heappop(heap)
         if pending.pop((i, j), None) is None:
             continue  # pruned by a later update
-        s = s_polynomial(reds[i].poly, reds[j].poly)
+        s = s_polynomial(reds[i], reds[j])
         table = _reduce_terms(dict(s.terms), reds, p, key, keycache)
         if not table:
             continue
@@ -255,9 +253,9 @@ def buchberger(generators) -> tuple[Polynomial, ...]:
     for i in sorted((i for i in range(len(reds)) if alive[i]), key=lambda i: key(lms[i])):
         if not any(mono_divides(lms[k], lms[i]) for k in minimal):
             minimal.append(i)
-    basis = [reds[i].poly for i in minimal]
+    basis = [reds[i] for i in minimal]
 
-    # tail-reduce each element against the others, reusing their reducers
+    # tail-reduce each element against the others
     reduced = []
     for i, g in enumerate(basis):
         others = [reds[k] for k in minimal[:i] + minimal[i + 1:]]
@@ -437,12 +435,11 @@ class Ideal:
         lms = [g.leading_monomial() for g in gb]
         staircase = sorted(_standard_monomials(lms, ring.nvars), key=key)
         index = {s: k for k, s in enumerate(staircase)}
-        reds = [_Reducer(g, p) for g in gb]
         keycache: dict = {}
         nfs = {s: ((s, 1),) for s in staircase}  # monomial -> its normal form
 
         def reduce(terms: dict) -> dict:
-            return _reduce_terms(terms, reds, p, key, keycache)
+            return _reduce_terms(terms, gb, p, key, keycache)
 
         def times_var(vec: dict, j: int) -> dict:
             out: dict = {}

@@ -39,6 +39,16 @@ def _position(text: str, offset: int):
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
+def _integer(text: str, value: str, offset: int) -> int:
+    """The numeral ``value`` at ``text[offset]`` as an int; PolyParseError
+    when it is longer than Python converts from a string."""
+    try:
+        return int(value)
+    except ValueError:
+        message = f"numeral of {len(value)} digits is too long"
+        raise PolyParseError(message, *_position(text, offset)) from None
+
+
 def _split_variables(name: str, by_length):
     """Decompose a juxtaposed identifier into declared variable names.
 
@@ -82,7 +92,7 @@ def parse_polynomial(ring: PolyRing, text: str, start: int = 0, end: int | None 
         coeff, exponents = 1, [0] * ring.nvars
         kind, value, offset = tokens[i]
         if kind == "num":
-            coeff = int(value)
+            coeff = _integer(text, value, offset)
             i += 1
         elif kind != "name":
             raise PolyParseError("expected a term", *_position(text, offset))
@@ -103,7 +113,7 @@ def parse_polynomial(ring: PolyRing, text: str, start: int = 0, end: int | None 
                 kind, value, offset = tokens[i + 2]
                 if kind != "num":
                     raise PolyParseError("expected an integer exponent after '^'", *_position(text, offset))
-                exp = int(value)
+                exp = _integer(text, value, offset)
                 i += 2
             i += 1
             for var in parts[:-1]:

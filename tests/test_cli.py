@@ -192,6 +192,17 @@ def test_comma_list_positions_count_in_the_whole_argument(ring_file, capsys):
     assert capsys.readouterr().err == "error: --template: 1:11: unknown variable 'w'\n"
 
 
+def test_overlong_numerals_name_their_position(ring_file, tmp_path, capsys):
+    big = tmp_path / "big.ring"
+    big.write_text("char 2;\nvars x y;\nideal I = x^" + "9" * 5000 + ";\n", encoding="utf-8")
+    assert main(["gb", "--ring", str(big), "--ideal", "I"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: --ring {big}:3:13: numeral of 5000 digits is too long\n"
+    )
+    assert main(["regseq", "--ring", ring_file, "--elems", "x, " + "7" * 5000 + "y"]) == 1
+    assert capsys.readouterr().err == "error: --elems: 1:4: numeral of 5000 digits is too long\n"
+
+
 def test_unstabilized_census_and_eta_lines(ring_file, tmp_path, capsys):
     out_json = tmp_path / "census.json"
     assert main(["census", "--ring", ring_file, "--template", "x, y, z^{c}",
@@ -747,3 +758,23 @@ def test_module_entry_point():
                           capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert proc.stdout == f"charp {charp.__version__}\n"
+
+
+def test_degree_cap_reaches_spawned_workers(ring_file, tmp_path):
+    # spawned workers import charp afresh, so the cap must be handed to them
+    script = tmp_path / "spawn_eta.py"
+    script.write_text(
+        "import multiprocessing, sys\n"
+        "from charp.cli import main\n"
+        "if __name__ == '__main__':\n"
+        "    multiprocessing.set_start_method('spawn')\n"
+        f"    sys.exit(main(['eta', '--ring', {ring_file!r}, '--sop', 'x, y',\n"
+        "                   '--nmax', '1', '--jobs', '2']))\n",
+        encoding="utf-8",
+    )
+    src = os.path.dirname(os.path.dirname(charp.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, FROB_MAX_DEGREE="3")
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert "FROB_MAX_DEGREE" in proc.stderr

@@ -650,15 +650,18 @@ def test_census_rows_parallel_matches_serial():
 
 
 def test_worker_pool_capped_at_row_count(monkeypatch):
-    # a stand-in executor records the pool size and maps the rows in this
-    # process, so no worker process is started
+    # a stand-in executor records the pool size, runs the worker
+    # initializer and maps the rows in this process, so no worker process
+    # is started
     import concurrent.futures
 
     sizes = []
 
     class RecordingExecutor:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer=None, initargs=()):
             sizes.append(max_workers)
+            if initializer is not None:
+                initializer(*initargs)
 
         def __enter__(self):
             return self

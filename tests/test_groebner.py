@@ -16,6 +16,7 @@ from charp import (
     reduce_with_quotients,
 )
 from charp.groebner import _standard_monomials
+from charp.poly import mono_divides
 from support import (
     assert_spolys_reduce_to_zero,
     random_ideal,
@@ -39,8 +40,11 @@ def test_normal_form_examples(f2xyz):
     assert normal_form(y, [x]) == y
 
 
-def test_normal_form_idempotent_and_sound():
-    ring = PolyRing(3, ["x", "y"])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_normal_form_idempotent_and_sound(p):
+    # random coefficients make the reducers non-monic, so the quotients
+    # are scaled back by their inverse leading coefficients
+    ring = PolyRing(p, ["x", "y"])
     rng = random.Random(42)
     for _ in range(20):
         f = random_poly(rng, ring)
@@ -48,6 +52,8 @@ def test_normal_form_idempotent_and_sound():
         G = [g for g in G if not g.is_zero] or [ring.one()]
         r = normal_form(f, G)
         assert normal_form(r, G) == r
+        leads = [g.leading_monomial() for g in G]
+        assert not any(mono_divides(lm, m) for m in r.terms for lm in leads)
         quots, r2 = reduce_with_quotients(f, G)
         assert r2 == r
         assert sum((q * g for q, g in zip(quots, G)), r) == f

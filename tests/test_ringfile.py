@@ -115,3 +115,12 @@ def test_unknown_ideal_lookup():
     with pytest.raises(KeyError):
         rf.ideal("missing")
     assert rf.ideal("I").gens == rf.ideals["I"]
+
+
+def test_overlong_numeral_is_a_positioned_error():
+    # longer than Python's default limit on integer string conversion
+    text = "char 2;\nvars x y;\nideal I = x^" + "9" * 5000 + ";"
+    with pytest.raises(RingFileError) as err:
+        parse_ring_file(text)
+    assert (err.value.line, err.value.column) == (3, 13)
+    assert err.value.message == "numeral of 5000 digits is too long"
