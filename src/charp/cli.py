@@ -280,7 +280,7 @@ def _cmd_eta(args, rf, R):
     try:
         report = eta_estimate(R, sop, n_max=args.nmax, e_max=args.emax,
                               window=args.window, jobs=args.jobs)
-    except ValueError as err:  # not a system of parameters, or not homogeneous
+    except ValueError as err:  # not a regular system of parameters, or not homogeneous
         raise CliInputError(f"--sop: {err}") from None
     for n, q in report.per_n:
         q_text = "-" if q is None else q
@@ -382,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("eta", help="HSL-number scan via parameter-ideal closures")
     common(sp, bounds=True)
-    sp.add_argument("--sop", required=True, help="comma-separated system of parameters")
+    sp.add_argument("--sop", required=True, help="comma-separated regular system of parameters")
     sp.add_argument("--nmax", type=int, default=1, help="scan bound (default 1)")
     sp.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
     sp.set_defaults(func=_cmd_eta)

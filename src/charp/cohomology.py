@@ -6,6 +6,12 @@ sequence, valid because the sequence is a regular sequence), the
 semilinear action that raises numerators to p-th powers while scaling the
 level, torsion orders, and a finite scan estimating the HSL number of the
 top local cohomology module through its ideal-theoretic characterization.
+
+Classes and scans share one check, :func:`_regular_sop`: the sequence must
+be a homogeneous system of parameters that is a poor regular sequence.
+Such a sequence exists exactly when R is Cohen-Macaulay at the irrelevant
+ideal, which is what both the zero test and the scan's lower bound need;
+nothing declares it.
 """
 
 from __future__ import annotations
@@ -13,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .frobenius import (
-    Ideal,
     NotStabilizedError,
     _map_rows,
     bracket_powers_agree,
@@ -27,33 +32,18 @@ class InvalidSequenceError(ValueError):
     pass
 
 
-def _validated_sequence(R: QuotientRing, sequence) -> tuple:
+def _regular_sop(R: QuotientRing, sequence) -> tuple:
+    """The sequence as a tuple, after checking that it is a homogeneous
+    system of parameters of R and a poor regular sequence; the empty
+    system of parameters of a dimension-0 ring counts as regular."""
     sequence = tuple(sequence)
-    cached = R._cache.get(("cech_seq", sequence))
-    if cached is None:
-        if R.dimension <= 0:
-            cached = f"quotient ring has dimension {R.dimension}; need dimension > 0"
-        elif not R.is_system_of_parameters(sequence):
-            cached = "sequence is not a system of parameters"
-        else:
-            check = R.is_poor_regular_sequence(sequence)
-            if not check:
-                cached = f"sequence is not regular (fails at index {check.failure_index})"
-            else:
-                cached = True
-        R._cache[("cech_seq", sequence)] = cached
-    if cached is not True:
-        raise InvalidSequenceError(cached)
+    if not R.is_system_of_parameters(sequence):
+        raise InvalidSequenceError("sequence is not a system of parameters")
+    if sequence and not (check := R.is_poor_regular_sequence(sequence)):
+        raise InvalidSequenceError(
+            f"sequence is not regular (fails at index {check.failure_index})"
+        )
     return sequence
-
-
-def _power_ideal(R: QuotientRing, sequence, level: int) -> Ideal:
-    key = ("cech_pow", sequence, level)
-    ideal = R._cache.get(key)
-    if ideal is None:
-        ideal = R.lift([b ** level for b in sequence])
-        R._cache[key] = ideal
-    return ideal
 
 
 @dataclass(frozen=True)
@@ -72,17 +62,20 @@ class CechClass:
 
 def cech_class(R: QuotientRing, sequence, numerator: Polynomial, level: int = 1) -> CechClass:
     """Build a class after validating the sequence (a regular system of
-    parameters) and the level (>= 1)."""
+    parameters of a ring of positive dimension) and the level (>= 1)."""
     if level < 1:
         raise ValueError(f"level must be >= 1, got {level}")
-    sequence = _validated_sequence(R, sequence)
-    return CechClass(R, sequence, numerator, level)
+    if R.dimension <= 0:
+        raise InvalidSequenceError(
+            f"quotient ring has dimension {R.dimension}; need dimension > 0"
+        )
+    return CechClass(R, _regular_sop(R, sequence), numerator, level)
 
 
 def cech_is_zero(z: CechClass) -> bool:
     """Zero iff the numerator lies in (b_1^n, ..., b_d^n) + J; exact for
     regular sequences."""
-    return _power_ideal(z.ring, z.sequence, z.level).contains(z.numerator)
+    return z.ring.lift([b ** z.level for b in z.sequence]).contains(z.numerator)
 
 
 def x_act(z: CechClass, k: int = 1) -> CechClass:
@@ -111,7 +104,7 @@ def cech_equal(z1: CechClass, z2: CechClass) -> bool:
     for f in z1.sequence:
         b = b * f
     lhs = (b ** (k - z1.level)) * z1.numerator - (b ** (k - z2.level)) * z2.numerator
-    return _power_ideal(z1.ring, z1.sequence, k).contains(lhs)
+    return z1.ring.lift([b ** k for b in z1.sequence]).contains(lhs)
 
 
 def torsion_order(z: CechClass, j_max: int) -> int | None:
@@ -134,10 +127,12 @@ def torsion_order(z: CechClass, j_max: int) -> int | None:
 @dataclass
 class EtaReport:
     """Finite scan of Q-exponents of the bracket powers of one parameter
-    ideal.  ``eta_hat`` is a certified lower bound for the HSL number of
-    the top local cohomology module and the best finite-scan estimate;
-    ``complete`` is False when some row failed to stabilize, which forces
-    lower-bound labeling."""
+    ideal.  The scanned sop is checked to be a regular sequence, so R is
+    Cohen-Macaulay and R/q embeds in the top local cohomology module for
+    each scanned q; that makes ``eta_hat`` a certified lower bound for the
+    module's HSL number, and the best finite-scan estimate.  ``complete``
+    is False when some row failed to stabilize, which forces lower-bound
+    labeling."""
 
     sop: tuple
     n_max: int
@@ -162,14 +157,13 @@ def _eta_row(R, gens, e_max, window):
 def eta_estimate(R: QuotientRing, sop, n_max: int = 1, e_max: int = 8,
                  window: int = 2, jobs: int = 1) -> EtaReport:
     """Q-exponents of s^[p^n] for n = 0..n_max, where s is generated by the
-    given system of parameters; eta_hat is their maximum.  Rows are
-    independent and fan out to a process pool when jobs > 1; the report
-    order is by n either way."""
+    given system of parameters, which must also be a regular sequence
+    (:class:`InvalidSequenceError` otherwise); eta_hat is their maximum.
+    Rows are independent and fan out to a process pool when jobs > 1; the
+    report order is by n either way."""
     if n_max < 0:
         raise ValueError(f"n_max must be non-negative, got {n_max}")
-    sop = tuple(sop)
-    if not R.is_system_of_parameters(sop):
-        raise InvalidSequenceError("the given elements are not a system of parameters")
+    sop = _regular_sop(R, sop)
     tasks = [
         (R, [frobenius_power(b, n) for b in sop], e_max, window)
         for n in range(n_max + 1)
@@ -186,8 +180,10 @@ def eta_estimate(R: QuotientRing, sop, n_max: int = 1, e_max: int = 8,
 
 def f_injective_flag(report: EtaReport) -> bool:
     """True iff the scan certifies trivial closure for parameter ideals
-    (eta_hat = 0); one system of parameters with trivial closure suffices
-    for the positive direction."""
+    (eta_hat = 0).  Since the scanned sop is a regular sequence, R is
+    Cohen-Macaulay, so one system of parameters with trivial closure
+    suffices for the positive direction, and eta_hat > 0 is a lower bound
+    that rules it out."""
     if not report.complete:
         raise NotStabilizedError("F-injectivity flag needs a complete eta scan")
     return report.eta_hat == 0

@@ -355,6 +355,10 @@ class Polynomial:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError(f"exponent must be a non-negative integer, got {n!r}")
+        if len(self.terms) == 1:  # a term's power is read off its exponents
+            (m, c), = self.terms.items()
+            return Polynomial(self.ring, {tuple(e * n for e in m): pow(c, n, self.ring.p)},
+                              _canonical=True)
         result = self.ring.one()
         base = self
         while n:

@@ -12,6 +12,12 @@ height is the number of its generators.  The regular-sequence check runs
 it on each prefix when J itself passes it; for any other J it takes the
 colon (prefix : a) of every element, which the tests also use as the
 height test's oracle.
+
+No flag declares R Cohen-Macaulay.  ``cm_hint`` is the height test of J
+itself, and where Cohen-Macaulayness at the irrelevant ideal matters
+(Cech classes, eta scans) it is checked: a homogeneous system of
+parameters that is a regular sequence exists exactly when R is
+Cohen-Macaulay there.
 """
 
 from __future__ import annotations
@@ -36,17 +42,11 @@ class RegularSequenceCheck:
 
 
 class QuotientRing:
-    """R = S/J for a polynomial ring S and ideal J (with cached data).
+    """R = S/J for a polynomial ring S and ideal J (with cached data)."""
 
-    ``cm_hint`` marks R as Cohen-Macaulay; it defaults to the height test
-    of J (see :attr:`cm_hint`) and can be overridden by the caller.  The
-    override only changes what ``cm_hint`` reports: no computation relies
-    on it.
-    """
+    __slots__ = ("ambient", "defining", "_cache")
 
-    __slots__ = ("ambient", "defining", "_cm_override", "_cache")
-
-    def __init__(self, ambient: PolyRing, defining, cm_hint: bool | None = None):
+    def __init__(self, ambient: PolyRing, defining):
         if isinstance(defining, Ideal):
             if defining.ring != ambient:
                 raise RingMismatchError("defining ideal lives in a different ring")
@@ -54,7 +54,6 @@ class QuotientRing:
             defining = Ideal(ambient, list(defining))
         self.ambient = ambient
         self.defining = defining
-        self._cm_override = cm_hint
         self._cache: dict = {}
 
     def __repr__(self):
@@ -82,11 +81,9 @@ class QuotientRing:
 
     @property
     def cm_hint(self) -> bool:
-        """The override if one was given, else whether J passes the height
-        test: then R is the zero ring or locally a quotient of S by a
-        regular sequence, a complete intersection and so Cohen-Macaulay."""
-        if self._cm_override is not None:
-            return self._cm_override
+        """Whether J passes the height test.  True means R is the zero ring
+        or J is locally a complete intersection, so R is Cohen-Macaulay;
+        False means "not decided", since R may be Cohen-Macaulay anyway."""
         return self._height_test(())
 
     def _height_test(self, gens) -> bool:
@@ -132,8 +129,7 @@ class QuotientRing:
         """Check that each element is a nonzerodivisor on R modulo its
         predecessors (properness is not required).
 
-        When J passes :meth:`_height_test` (decided from J's dimension,
-        never from a ``cm_hint`` override), a_i passes exactly when
+        When J passes :meth:`_height_test`, a_i passes exactly when
         J + a_1..a_i does.  By induction the prefix P = J + a_1..a_{i-1}
         passes.  If P is the unit ideal, a_i is a nonzerodivisor on the
         zero module.  Otherwise every associated prime of S/P is minimal of

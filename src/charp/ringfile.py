@@ -5,12 +5,11 @@
     vars x y z;
     quotient x^3 + y^3 + z^3;
     ideal I = x, y;
-    assert cm;
 
 ``char`` and ``vars`` are mandatory and come first, ``quotient`` is
-optional, any number of named ideals may follow, and ``assert cm;`` sets
-the quotient ring's reported ``cm_hint``; no computation reads it.
-Statements end with ``;`` and may span lines.  Parsing the canonical
+optional, and any number of named ideals may follow.  No statement
+declares the ring Cohen-Macaulay: the library checks that where it needs
+it.  Statements end with ``;`` and may span lines.  Parsing the canonical
 printout yields an identical file.
 
 Comments are blanked in place and each statement is found by one regex,
@@ -46,11 +45,9 @@ class RingFile:
     ring: PolyRing
     quotient: tuple = ()
     ideals: dict = field(default_factory=dict)
-    assert_cm: bool = False
 
     def quotient_ring(self) -> QuotientRing:
-        cm = True if self.assert_cm else None
-        return QuotientRing(self.ring, Ideal(self.ring, list(self.quotient)), cm_hint=cm)
+        return QuotientRing(self.ring, Ideal(self.ring, list(self.quotient)))
 
     def ideal(self, name: str) -> Ideal:
         if name not in self.ideals:
@@ -66,8 +63,6 @@ def print_ring_file(rf: RingFile) -> str:
         lines.append("quotient " + ", ".join(map(str, rf.quotient)) + ";")
     for name, gens in rf.ideals.items():
         lines.append(f"ideal {name} = " + ", ".join(map(str, gens)) + ";")
-    if rf.assert_cm:
-        lines.append("assert cm;")
     return "\n".join(lines) + "\n"
 
 
@@ -100,7 +95,6 @@ def parse_ring_file(text: str) -> RingFile:
     p = ring = None
     quotient: tuple = ()
     ideals: dict = {}
-    assert_cm = False
 
     for stmt in statements:
         head, body = stmt.group("head", "body")
@@ -143,10 +137,6 @@ def parse_ring_file(text: str) -> RingFile:
                 raise error(f"duplicate ideal name {name!r}", stmt)
             gens_start = stmt.start("body") + body.index("=") + 1
             ideals[name] = _generators(ring, clean, gens_start, stmt.end())
-        elif head == "assert":
-            if body.strip() != "cm":
-                raise error(f"unknown assertion {body.strip()!r}", stmt)
-            assert_cm = True
         else:
             raise error(f"unknown statement {head!r}", stmt)
 
@@ -154,4 +144,4 @@ def parse_ring_file(text: str) -> RingFile:
         raise RingFileError("missing 'char' statement", 1, 1)
     if ring is None:
         raise RingFileError("missing 'vars' statement", 1, 1)
-    return RingFile(ring=ring, quotient=quotient, ideals=ideals, assert_cm=assert_cm)
+    return RingFile(ring=ring, quotient=quotient, ideals=ideals)

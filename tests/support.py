@@ -30,6 +30,14 @@ def random_poly(rng: random.Random, ring: PolyRing, max_degree=3, max_terms=3):
     return ring.poly(terms)
 
 
+def random_form(rng: random.Random, ring: PolyRing, degree: int, max_terms=3):
+    """A nonzero homogeneous polynomial of the given degree."""
+    monos = [m for m in itertools.product(range(degree + 1), repeat=ring.nvars)
+             if sum(m) == degree]
+    terms = {m: rng.randint(1, ring.p - 1) for m in rng.sample(monos, rng.randint(1, max_terms))}
+    return ring.poly(terms)
+
+
 def random_ideal(rng: random.Random, ring: PolyRing, max_gens=3, max_degree=3) -> Ideal:
     gens = [random_poly(rng, ring, max_degree) for _ in range(rng.randint(1, max_gens))]
     return Ideal(ring, gens)

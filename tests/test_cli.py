@@ -134,6 +134,22 @@ def test_eta_bad_sop(ring_file, capsys):
     assert "--sop" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text,sop,index", [
+    ("char 2; vars x y; quotient x^2, x*y;", "y", 0),
+    ("char 2; vars a b c d; quotient a*d + b*c, b^3 + a^2*c, c^3 + b*d^2, a*c^2 + b^2*d;",
+     "a, d", 1),
+])
+def test_eta_rejects_a_sop_of_a_ring_that_is_not_cohen_macaulay(text, sop, index, tmp_path, capsys):
+    ring = tmp_path / "noncm.ring"
+    ring.write_text(text, encoding="utf-8")
+    out_json = tmp_path / "eta.json"
+    assert main(["eta", "--ring", str(ring), "--sop", sop, "--json", str(out_json)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: --sop: sequence is not regular (fails at index {index})\n"
+    )
+    assert not out_json.exists()
+
+
 def test_paramcheck(ring_file, capsys):
     assert main(["paramcheck", "--ring", ring_file, "--ideal", "P",
                  "--extend", "y", "--e", "1"]) == 0

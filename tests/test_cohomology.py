@@ -3,6 +3,7 @@ import random
 import pytest
 
 from charp import (
+    Ideal,
     InvalidSequenceError,
     NotStabilizedError,
     PolyRing,
@@ -18,7 +19,8 @@ from charp import (
     torsion_order,
     x_act,
 )
-from support import fermat_ring, monomials_of_degree_at_most, random_poly
+from charp.frobenius import frobenius_target
+from support import fermat_ring, monomials_of_degree_at_most, random_form, random_poly
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +138,106 @@ def test_eta_rejects_non_sop(R2):
     x, _, _ = R2.ambient.gens()
     with pytest.raises(InvalidSequenceError):
         eta_estimate(R2, [x, x], n_max=1)
+
+
+def _quartic():
+    """The rational quartic F_2[s^4, s^3 t, s t^3, t^4]: dimension 2, depth 1."""
+    S = PolyRing(2, ["a", "b", "c", "d"])
+    a, b, c, d = S.gens()
+    return QuotientRing(S, [a * d - b * c, b**3 - a**2 * c, c**3 - b * d**2, a * c**2 - b**2 * d])
+
+
+def _non_cm_scans():
+    """(ring, sop, failing index): sops of rings that are not Cohen-Macaulay,
+    so no sop of theirs is a regular sequence; both have HSL number 0."""
+    T = PolyRing(2, ["x", "y"])
+    x, y = T.gens()
+    Q = _quartic()
+    a, _, _, d = Q.ambient.gens()
+    return [(QuotientRing(T, [x**2, x * y]), [y], 0), (Q, [a, d], 1)]
+
+
+def test_eta_rejects_a_sop_that_is_not_regular():
+    for R, sop, index in _non_cm_scans():
+        assert R.is_system_of_parameters(sop)
+        with pytest.raises(InvalidSequenceError, match=f"not regular \\(fails at index {index}\\)"):
+            eta_estimate(R, sop, n_max=1)
+
+
+def test_eta_on_a_dimension_zero_ring_scans_the_empty_sop():
+    S = PolyRing(2, ["x", "y"])
+    x, y = S.gens()
+    report = eta_estimate(QuotientRing(S, [x**2, y**3]), [], n_max=1)
+    assert report.per_n == ((0, 2), (1, 2))
+    assert report.eta_hat == 2 and report.complete
+
+
+def _validator_rings():
+    """(ring, Cohen-Macaulay?) for the differential check of the sop test."""
+    S2 = PolyRing(2, ["x", "y", "z"])
+    x, y, z = S2.gens()
+    S3 = PolyRing(3, ["x", "y", "z", "w"])
+    u, v, s, t = S3.gens()
+    return [
+        (QuotientRing(PolyRing(3, ["x", "y", "z"]), []), True),
+        (fermat_ring(2), True),
+        (QuotientRing(S3, [u * v - s * t, u**2 + v**2 + s**2 + t**2]), True),
+        (QuotientRing(S2, [x * y, x * z]), False),
+        (QuotientRing(S2, [x**2, x * y]), False),
+        (_quartic(), False),
+    ]
+
+
+def test_cech_and_eta_accept_exactly_the_regular_sops():
+    # one check guards both: a homogeneous sequence passes iff it is a
+    # system of parameters and a poor regular sequence
+    rng = random.Random(16)
+    for R, cohen_macaulay in _validator_rings():
+        verdicts = []
+        for trial in range(12):
+            length = R.dimension + (0 if trial % 4 else rng.choice([-1, 1]))
+            seq = [random_form(rng, R.ambient, rng.choice([1, 1, 2])) for _ in range(max(length, 1))]
+            is_sop = R.is_system_of_parameters(seq)
+            expected = is_sop and R.is_poor_regular_sequence(seq).ok
+            for build in (
+                lambda: cech_class(R, seq, R.ambient.one()),
+                lambda: eta_estimate(R, seq, n_max=0, e_max=1),
+            ):
+                try:
+                    build()
+                    accepted = True
+                except InvalidSequenceError:
+                    accepted = False
+                assert accepted == expected, (R, seq)
+            verdicts.append((is_sop, expected))
+        # every ring drew a sop; on a Cohen-Macaulay ring each sop is regular,
+        # on the others none is, so the regularity test is what rejects it
+        assert any(is_sop for is_sop, _ in verdicts), R
+        assert all(ok == (is_sop and cohen_macaulay) for is_sop, ok in verdicts), R
+
+
+def test_cech_ideals_are_plain_lifts(monkeypatch):
+    R = fermat_ring(2)
+    x, y, _ = R.ambient.gens()
+    read = []
+    original = Ideal.contains
+
+    def recording(ideal, f):
+        read.append(ideal)
+        return original(ideal, f)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Ideal, "contains", recording)
+        for n in (1, 2):
+            assert torsion_order(cech_class(R, [x, y], R.ambient.one(), n), 3) is None
+            base = R.lift([x**n, y**n])
+            # the zero test at level n * p^j reads the target of (b^n) at e = j
+            assert len(read) == 4
+            for j, ideal in enumerate(read):
+                assert ideal is frobenius_target(R, base, j)
+            read.clear()
+    eta_estimate(R, [x, y], n_max=1)
+    assert {key[0] for key in R._cache} == {"lift", "frob_root", "root_colon"}
 
 
 def test_eta_rejects_negative_scan_bound(R2):

@@ -71,6 +71,18 @@ def test_frobenius_identities_random(p):
             assert frobenius_substitute(f, e) == frobenius_power(f, e)
 
 
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_power_of_a_term_is_repeated_multiplication(p):
+    ring = PolyRing(p, ["x", "y", "z"])
+    rng = random.Random(16)
+    for _ in range(12):
+        term = ring.poly({random_monomial(rng, 3, 3): rng.randint(1, p - 1)})
+        product = ring.one()
+        for n in range(10):
+            assert term**n == product
+            product = product * term
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_frobenius_power_is_a_true_power(p):
     # small cases only: the termwise map must agree with repeated multiplication

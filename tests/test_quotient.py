@@ -4,7 +4,7 @@ import random
 import pytest
 
 from charp import Ideal, MonomialOrder, PolyRing, QuotientRing
-from support import count_buchberger_runs, fermat_ring, random_poly
+from support import count_buchberger_runs, fermat_ring, random_form, random_poly
 
 
 def test_lift_includes_defining_ideal():
@@ -101,33 +101,24 @@ def test_cm_hint_rules():
     assert QuotientRing(S, [x * y]).cm_hint  # principal
     assert QuotientRing(S, [x, y]).cm_hint  # complete intersection
     assert not QuotientRing(S, [x * y, x * z]).cm_hint  # not a regular sequence
-    assert QuotientRing(S, [x * y, x * z], cm_hint=True).cm_hint  # user override
 
 
-def test_cm_hint_override_does_not_enable_the_height_test():
+def test_colon_route_catches_a_zerodivisor_the_height_drop_misses():
     """x*y = 0 in S/(xy, xz), so y is a zerodivisor although dim S/J = 2
     drops to dim S/(J + y) = 1: a height test would pass it.  J is not a
-    complete intersection, so the override must leave the colon route on."""
+    complete intersection, so the colon route must decide."""
     S = PolyRing(2, ["x", "y", "z"])
     x, y, z = S.gens()
-    R = QuotientRing(S, [x * y, x * z], cm_hint=True)
-    assert R.cm_hint
+    R = QuotientRing(S, [x * y, x * z])
+    assert not R.cm_hint
     assert R.dimension == 2 and R.lift([y]).krull_dimension() == 1
     check = R.is_poor_regular_sequence([y])
     assert not check.ok and check.failure_index == 0
 
 
-def _random_form(rng, ring, degree, max_terms=3):
-    """A nonzero homogeneous polynomial of the given degree."""
-    monos = [m for m in itertools.product(range(degree + 1), repeat=ring.nvars)
-             if sum(m) == degree]
-    terms = {m: rng.randint(1, ring.p - 1) for m in rng.sample(monos, rng.randint(1, max_terms))}
-    return ring.poly(terms)
-
-
 def _random_element(rng, ring, homogeneous):
     if homogeneous:
-        return _random_form(rng, ring, rng.randint(1, 2))
+        return random_form(rng, ring, rng.randint(1, 2))
     return random_poly(rng, ring, max_degree=2, max_terms=3)
 
 

@@ -19,7 +19,6 @@ def test_parse_fermat_file():
     x, y, z = rf.ring.gens()
     assert rf.quotient == (x**3 + y**3 + z**3,)
     assert rf.ideals["I"] == (x, y)
-    assert not rf.assert_cm
     R = rf.quotient_ring()
     assert R.dimension == 2
 
@@ -28,7 +27,7 @@ def test_roundtrip_canonical_print():
     for text in [
         FERMAT,
         "char 5; vars a b; ideal J = a^2+3b, b;",
-        "char 3; vars x y; quotient x^2; ideal A = x; ideal B = y; assert cm;",
+        "char 3; vars x y; quotient x^2; ideal A = x; ideal B = y;",
         "char 2; vars x;",
     ]:
         rf = parse_ring_file(text)
@@ -38,12 +37,14 @@ def test_roundtrip_canonical_print():
         assert print_ring_file(rf2) == canonical
 
 
-def test_assert_cm_sets_hint():
-    rf = parse_ring_file("char 2; vars x y z; quotient x*y, x*z; assert cm;")
-    assert rf.assert_cm
-    assert rf.quotient_ring().cm_hint
-    rf2 = parse_ring_file("char 2; vars x y z; quotient x*y, x*z;")
-    assert not rf2.quotient_ring().cm_hint
+def test_assert_cm_is_an_unknown_statement():
+    # Cohen-Macaulayness is checked where it is needed, never declared
+    with pytest.raises(RingFileError) as info:
+        parse_ring_file("char 2; vars x y z;\nquotient x*y, x*z;\n  assert cm;")
+    assert (info.value.line, info.value.column) == (3, 3)
+    assert "unknown statement 'assert'" in str(info.value)
+    rf = parse_ring_file("char 2; vars x y z; quotient x*y, x*z;")
+    assert not rf.quotient_ring().cm_hint
 
 
 @pytest.mark.parametrize("text,line,col,fragment", [
@@ -58,7 +59,7 @@ def test_assert_cm_sets_hint():
     ("char 2; quotient x;", 1, 9, "before 'vars'"),
     ("char 2; vars x; frobnicate;", 1, 17, "unknown statement"),
     ("char 2; vars x; ideal I = x; ideal I = x;", 1, 30, "duplicate ideal"),
-    ("char 2; vars x; assert flat;", 1, 17, "unknown assertion"),
+    ("char 2; vars x; assert flat;", 1, 17, "unknown statement"),
     ("", 1, 1, "empty"),
     ("char 2; vars x; ideal 2bad = x;", 1, 17, "invalid ideal name"),
     # a generator list whose statement prefix holds a newline
