@@ -276,7 +276,7 @@ def _cmd_census(args, rf, R):
 
 
 def _cmd_eta(args, rf, R):
-    sop = _parse_polys(rf, args.sop, "--sop")
+    sop = _parse_polys(rf, args.sop, "--sop") if args.sop else []
     try:
         report = eta_estimate(R, sop, n_max=args.nmax, e_max=args.emax,
                               window=args.window, jobs=args.jobs)

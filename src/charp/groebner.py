@@ -13,9 +13,11 @@ highest pending term is cancelled or moved to a remainder table kept
 apart from the pending ones.
 
 A colon (I : A) with S/I finite dimensional is the kernel of r -> r*A
-on the standard monomials of S/I (the linear algebra of FGLM), whose
-reduced basis is read off that kernel with no Buchberger run; otherwise,
-and as the kernel route's oracle, it is taken by intersections.
+on the standard monomials of S/I (the linear algebra of FGLM): the
+kernel vectors and I's basis form a Groebner basis of the colon, which
+is interreduced with no Buchberger run by the routine every Buchberger
+run ends with; otherwise, and as the kernel route's oracle, the colon
+is taken by intersections.
 :meth:`Ideal.eliminate` is the only elimination: intersections (and so
 those colons) and the Frobenius preimage fallback of
 :mod:`charp.frobenius` adjoin one fresh variable
@@ -147,6 +149,32 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     return f * ring.monomial(mono_div(lcm, lmf), cf) - g * ring.monomial(mono_div(lcm, lmg), cg)
 
 
+def _reduced_basis(gb, keycache: dict) -> tuple[Polynomial, ...]:
+    """The reduced Groebner basis of the ideal generated by the nonempty
+    monic Groebner basis ``gb``, sorted by descending leading monomial.
+
+    The elements are walked by ascending lead (a divisor of a monomial
+    comes before it in every term order), and each one whose lead is
+    divisible by a lead already kept is dropped; each kept element's tail
+    is then reduced by the other kept elements.  The kept leads form an
+    antichain and every reducer is monic, so no lead is cancelled or
+    rescaled.  ``keycache`` is as in :func:`_reduce_terms`."""
+    ring = gb[0].ring
+    key = ring.order.key
+    kept: list[Polynomial] = []
+    for g in sorted(gb, key=lambda h: key(h.leading_monomial())):
+        if not any(mono_divides(h.leading_monomial(), g.leading_monomial()) for h in kept):
+            kept.append(g)
+    reduced = []
+    for i, g in enumerate(kept):
+        others = kept[:i] + kept[i + 1:]
+        if others:
+            table = _reduce_terms(dict(g.terms), others, ring.p, key, keycache)
+            g = Polynomial(ring, table, _canonical=True)
+        reduced.append(g)
+    return tuple(reversed(reduced))
+
+
 def buchberger(generators) -> tuple[Polynomial, ...]:
     """The unique reduced Groebner basis of the given generators.
 
@@ -248,24 +276,7 @@ def buchberger(generators) -> tuple[Polynomial, ...]:
             continue
         add_element(Polynomial(ring, table, _canonical=True).monic())
 
-    # minimalize: drop elements whose lead is divisible by another's lead
-    minimal: list[int] = []
-    for i in sorted((i for i in range(len(reds)) if alive[i]), key=lambda i: key(lms[i])):
-        if not any(mono_divides(lms[k], lms[i]) for k in minimal):
-            minimal.append(i)
-    basis = [reds[i] for i in minimal]
-
-    # tail-reduce each element against the others
-    reduced = []
-    for i, g in enumerate(basis):
-        others = [reds[k] for k in minimal[:i] + minimal[i + 1:]]
-        if others:
-            table = _reduce_terms(dict(g.terms), others, p, key, keycache)
-            g = Polynomial(ring, table, _canonical=True)
-        reduced.append(g.monic())
-    reduced = [h for h in reduced if not h.is_zero]
-    reduced.sort(key=lambda h: key(h.leading_monomial()), reverse=True)
-    return tuple(reduced)
+    return _reduced_basis([h for h, a in zip(reds, alive) if a], keycache)
 
 
 def _standard_monomials(lms, nvars: int) -> list:
@@ -390,10 +401,10 @@ class Ideal:
 
         When ``krull_dimension() == 0``, self plus the kernel of
         r -> (r*a_1, ..., r*a_m) on S/self: one sparse elimination over F_p,
-        whose kernel vectors give the reduced basis with no Buchberger run
-        (see :meth:`_colon_by_kernel`).  Otherwise the intersection of
-        (self : g) over the generators g of ``other``, which is also the
-        kernel route's oracle in the tests."""
+        whose kernel vectors are interreduced with self's basis, with no
+        Buchberger run (see :meth:`_colon_by_kernel`).  Otherwise the
+        intersection of (self : g) over the generators g of ``other``, which
+        is also the kernel route's oracle in the tests."""
         if other.ring != self.ring:
             raise RingMismatchError("colon across different rings")
         if not other.gens:  # colon by the zero ideal is the unit ideal
@@ -424,10 +435,10 @@ class Ideal:
         the standard monomials of the colon: the vector has lead s and is
         already reduced.
 
-        The reduced basis is read off: the vector of each new lead that no
-        other new lead divides, and each basis element of self whose lead
-        no new lead divides, with every new lead in its tail replaced by
-        minus that lead's tail."""
+        The leads of the kernel vectors and of self's basis generate the
+        colon's initial ideal, so the kernel vectors and I's basis form a
+        Groebner basis of the colon, and :func:`_reduced_basis` interreduces
+        it."""
         ring = self.ring
         key = ring.order.key
         p = ring.p
@@ -490,26 +501,8 @@ class Ideal:
                     else:
                         vec.pop(c, None)
 
-        minimal: list = []  # ascending, so a divisor of s is met before s
-        for s in tails:
-            if not any(mono_divides(t, s) for t in minimal):
-                minimal.append(s)
-        basis = [Polynomial(ring, {s: 1, **tails[s]}, _canonical=True) for s in minimal]
-        for g in gb:
-            if any(mono_divides(t, g.leading_monomial()) for t in minimal):
-                continue
-            terms = dict(g.terms)
-            for s in [m for m in terms if m in tails]:  # s = -tails[s] in the colon
-                c = terms.pop(s)
-                for m, v in tails[s].items():
-                    t = (terms.get(m, 0) - c * v) % p
-                    if t:
-                        terms[m] = t
-                    else:
-                        del terms[m]
-            basis.append(Polynomial(ring, terms, _canonical=True))
-        basis.sort(key=lambda h: key(h.leading_monomial()), reverse=True)
-        result = Ideal(ring, basis)
+        kernel = [Polynomial(ring, {s: 1, **tails[s]}, _canonical=True) for s in tails]
+        result = Ideal(ring, _reduced_basis(kernel + list(gb), keycache))
         result._gb = result.gens
         return result
 

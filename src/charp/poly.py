@@ -227,14 +227,13 @@ class PolyRing:
 class Polynomial:
     """Immutable sparse polynomial; construct via :class:`PolyRing` methods."""
 
-    __slots__ = ("ring", "terms", "_sorted", "_lm", "_hash")
+    __slots__ = ("ring", "terms", "_lm", "_hash")
 
     def __init__(self, ring: PolyRing, terms: dict, _canonical: bool = False):
         if not _canonical:
             terms = dict(ring.poly(terms).terms)
         self.ring = ring
         self.terms = terms
-        self._sorted = None
         self._lm = None
         self._hash = None
         cap = _DEGREE_CAP
@@ -265,10 +264,8 @@ class Polynomial:
 
     def sorted_terms(self):
         """Terms as (monomial, coefficient) pairs, descending in the ring's order."""
-        if self._sorted is None:
-            key = self.ring.order.key
-            self._sorted = tuple(sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True))
-        return self._sorted
+        key = self.ring.order.key
+        return tuple(sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True))
 
     def leading_monomial(self) -> Monomial:
         """The largest monomial in the ring's order, computed once."""

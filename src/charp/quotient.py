@@ -108,15 +108,15 @@ class QuotientRing:
 
         Cached on R by generator tuple, so equal lifts are one object for
         the ring's lifetime and share one Groebner basis; the empty tuple
-        lifts to J itself."""
+        lifts to J itself.  A generator of another ring raises
+        RingMismatchError: :class:`Ideal` checks it on a cache miss, and a
+        cached key holds only S's polynomials, whose equality compares
+        rings."""
         if isinstance(gens, Ideal):
             gens = gens.gens
         gens = tuple(gens)
         if not gens:
             return self.defining
-        for g in gens:
-            if g.ring != self.ambient:
-                raise RingMismatchError(f"{g} does not live in the ambient ring")
         key = ("lift", gens)
         lifted = self._cache.get(key)
         if lifted is None:

@@ -134,6 +134,17 @@ def test_eta_bad_sop(ring_file, capsys):
     assert "--sop" in capsys.readouterr().err
 
 
+def test_eta_blank_sop_scans_the_empty_sop(ring_file, tmp_path, capsys):
+    ring = tmp_path / "artinian.ring"
+    ring.write_text("char 2; vars x y; quotient x^2, y^3;", encoding="utf-8")
+    assert main(["eta", "--ring", str(ring), "--sop", ""]) == 0
+    assert "η̂ (scan n ≤ 1) = 2" in capsys.readouterr().out
+    out_json = tmp_path / "eta.json"
+    assert main(["eta", "--ring", ring_file, "--sop", "", "--json", str(out_json)]) == 1
+    assert capsys.readouterr().err == "error: --sop: sequence is not a system of parameters\n"
+    assert not out_json.exists()
+
+
 @pytest.mark.parametrize("text,sop,index", [
     ("char 2; vars x y; quotient x^2, x*y;", "y", 0),
     ("char 2; vars a b c d; quotient a*d + b*c, b^3 + a^2*c, c^3 + b*d^2, a*c^2 + b^2*d;",

@@ -32,6 +32,7 @@ from support import (
     count_buchberger_runs,
     fermat_ring,
     monomials_of_degree_at_most,
+    random_form,
     random_ideal,
     random_poly,
 )
@@ -290,6 +291,30 @@ def test_closure_step_over_a_polynomial_ring_is_the_identity(p, monkeypatch):
             assert closure_step(R, I, e).equals(I)
     assert calls == []
     assert eliminations == []
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("variables,faces", [
+    ("xyz", ["xy", "yz", "xz"]),
+    ("xyzw", ["xy", "yz", "zw"]),
+    ("xyzw", ["xyz", "zw"]),
+])
+def test_closure_on_a_stanley_reisner_ring_is_the_lift(p, variables, faces, monkeypatch):
+    # Stanley-Reisner rings are F-pure, so every ideal is Frobenius closed:
+    # the chain stays at I's lift and Q = p^0.  None of these J is a
+    # complete intersection and the ideals are homogeneous, so every step's
+    # height test fails and the elimination preimage runs
+    _, calls = _count_preimages(monkeypatch)
+    S = PolyRing(p, list(variables))
+    R = QuotientRing(S, [S.parse("*".join(face)) for face in faces])
+    rng = random.Random(1000 * p + len(faces))
+    for _ in range(10):
+        gens = [random_form(rng, S, rng.randint(1, 2)) for _ in range(rng.randint(1, 2))]
+        calls.clear()
+        report = frobenius_closure(R, gens)
+        assert report.chain[-1][1] == R.lift(gens).groebner_basis()
+        assert report.q_exponent == 0
+        assert calls
 
 
 @pytest.mark.parametrize("p", [2, 5, 7])
@@ -630,6 +655,25 @@ def test_census_flags_non_regular_rows():
     report = run_census(R, [((("k", 0),), [x, x])])
     assert not report.rows[0].regular_sequence_ok
     assert report.rows[0].stabilized  # the closure itself still runs
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_census_on_the_rational_quartic(p):
+    # k[s^4, s^3t, st^3, t^4] is not Cohen-Macaulay, so (a^i, d^j) is a
+    # system of parameters but not a regular sequence.  s^2t^2 is the one
+    # hole of the semigroup, and b^2 = s^4 * s^2t^2, c^2 = t^4 * s^2t^2, so
+    # the closure is (a^i, d^j, a^(i-1)*b^2, c^2*d^(j-1))
+    S = PolyRing(p, ["a", "b", "c", "d"])
+    R = QuotientRing(S, [S.parse(f) for f in
+                         ("a*d - b*c", "b^3 - a^2*c", "c^3 - b*d^2", "a*c^2 - b^2*d")])
+    report = uniform_census(R, "a^{i}, d^{j}", {"i": [1, 2], "j": [1, 2]})
+    assert report.uniform_e == 1 and report.recheck_ok is True
+    for row in report.rows:
+        i, j = (value for _, value in row.parameters)
+        assert not row.regular_sequence_ok
+        closed = [f"a^{i}", f"d^{j}", f"a^{i - 1}*b^2", f"c^2*d^{j - 1}"]
+        expected = R.lift([S.parse(f) for f in closed]).groebner_basis()
+        assert row.ideal_digest == tuple(str(g) for g in expected)
 
 
 def test_census_not_stabilized_row_is_lower_bound():

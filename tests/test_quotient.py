@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from charp import Ideal, MonomialOrder, PolyRing, QuotientRing
+from charp import Ideal, MonomialOrder, PolyRing, QuotientRing, RingMismatchError
 from support import count_buchberger_runs, fermat_ring, random_form, random_poly
 
 
@@ -270,3 +270,13 @@ def test_dimension_and_leading_monomial_are_computed_once(monkeypatch):
     monkeypatch.setattr(MonomialOrder, "key", no_work)
     assert I.krull_dimension() == 1 and R.dimension == 2 and R._height_test(())
     assert f.leading_monomial() == (2, 1, 0)
+
+
+def test_lift_rejects_a_generator_of_another_ring():
+    R = fermat_ring(2)
+    x, y, _ = R.ambient.gens()
+    R.lift([x, y])
+    (u,) = PolyRing(2, ["u"]).gens()
+    for gens in ([u], [x, u]):
+        with pytest.raises(RingMismatchError, match=r"generator u does not live in F_2\[x, y, z"):
+            R.lift(gens)
