@@ -84,9 +84,12 @@ def _write_report(args, rf, fields):
     if not args.json:
         return
     payload = {"schema": SCHEMA, "command": args.command, "ring": _ring_info(rf), **fields}
-    with open(args.json, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True))
-        fh.write("\n")
+    try:
+        with open(args.json, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(payload, indent=2, sort_keys=True))
+            fh.write("\n")
+    except OSError as err:
+        raise CliInputError(f"--json {args.json}: {err.strerror or err}") from None
 
 
 # -- subcommand handlers: (args, ring file, quotient ring) -> (exit code, report fields)
@@ -191,17 +194,20 @@ def _params_str(parameters):
 def _write_census_csv(path, report):
     if not path:
         return
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["params", "regseq_ok", "stabilized", "q_exponent", "closure_gens"])
-        for row in report.rows:
-            writer.writerow([
-                _params_str(row.parameters),
-                "true" if row.regular_sequence_ok else "false",
-                "true" if row.stabilized else "false",
-                "" if row.q_exponent is None else row.q_exponent,
-                "; ".join(row.ideal_digest),
-            ])
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["params", "regseq_ok", "stabilized", "q_exponent", "closure_gens"])
+            for row in report.rows:
+                writer.writerow([
+                    _params_str(row.parameters),
+                    "true" if row.regular_sequence_ok else "false",
+                    "true" if row.stabilized else "false",
+                    "" if row.q_exponent is None else row.q_exponent,
+                    "; ".join(row.ideal_digest),
+                ])
+    except OSError as err:
+        raise CliInputError(f"--csv {path}: {err.strerror or err}") from None
 
 
 def _cmd_census(args, rf, R):
@@ -276,7 +282,7 @@ def _cmd_census(args, rf, R):
 
 
 def _cmd_eta(args, rf, R):
-    sop = _parse_polys(rf, args.sop, "--sop") if args.sop else []
+    sop = _parse_polys(rf, args.sop, "--sop") if args.sop.strip() else []
     try:
         report = eta_estimate(R, sop, n_max=args.nmax, e_max=args.emax,
                               window=args.window, jobs=args.jobs)
@@ -307,7 +313,7 @@ def _cmd_eta(args, rf, R):
 
 def _cmd_paramcheck(args, rf, R):
     ideal = _named_ideal(rf, args.ideal, args.ring)
-    extension = _parse_polys(rf, args.extend, "--extend") if args.extend else []
+    extension = _parse_polys(rf, args.extend, "--extend") if args.extend.strip() else []
     try:
         holds = parameter_ideal_check(R, ideal.gens, extension, args.e,
                                       e_max=args.emax, window=args.window)

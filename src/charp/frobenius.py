@@ -125,8 +125,7 @@ def _contract_one_variable(K: Ideal, i: int) -> Ideal:
     gens = [emb(g) for g in K.gens] + [u - ext.var(x_i) ** ring.p]
     kept = Ideal(ext, gens).eliminate([x_i]).gens
     return Ideal(ring, [
-        Polynomial(ring, {m[:i] + m[-1:] + m[i + 1:-1]: c for m, c in h.terms.items()},
-                   _canonical=True)
+        Polynomial(ring, {m[:i] + m[-1:] + m[i + 1:-1]: c for m, c in h.terms.items()})
         for h in kept
     ])
 

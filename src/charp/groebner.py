@@ -35,7 +35,7 @@ import itertools
 from .poly import (
     Polynomial,
     PolyRing,
-    RingMismatchError,
+    _check_ring,
     block_order,
     divide_exact,
     mono_div,
@@ -43,13 +43,6 @@ from .poly import (
     mono_lcm,
     mono_mul,
 )
-
-
-def _check_ring(ring: PolyRing, polys) -> None:
-    """Raise RingMismatchError unless every polynomial lives in ``ring``."""
-    for g in polys:
-        if g.ring != ring:
-            raise RingMismatchError(f"generator {g} does not live in {ring!r}")
 
 
 def _reduce_terms(terms: dict, reds, p: int, key, keycache: dict, quots=None) -> dict:
@@ -106,7 +99,7 @@ def _divide(f: Polynomial, reducers, quotients: bool):
     each table is scaled back by its reducer's inverse leading
     coefficient."""
     reducers = list(reducers)
-    _check_ring(f.ring, reducers)
+    _check_ring(f.ring, *reducers)
     if any(g.is_zero for g in reducers):
         raise ValueError("zero polynomial among reducers")
     if not reducers:
@@ -120,7 +113,7 @@ def _divide(f: Polynomial, reducers, quotients: bool):
         inv = pow(g.leading_coefficient(), -1, p)
         for m in q:
             q[m] = q[m] * inv % p
-    return quots, Polynomial(f.ring, out, _canonical=True)
+    return quots, Polynomial(f.ring, out)
 
 
 def normal_form(f: Polynomial, reducers) -> Polynomial:
@@ -136,7 +129,7 @@ def reduce_with_quotients(f: Polynomial, reducers):
     """Division with record: returns (quotients, remainder) with
     f == sum(q_i * g_i) + remainder."""
     quots, rem = _divide(f, reducers, True)
-    return [Polynomial(f.ring, q, _canonical=True) for q in quots], rem
+    return [Polynomial(f.ring, q) for q in quots], rem
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -170,7 +163,7 @@ def _reduced_basis(gb, keycache: dict) -> tuple[Polynomial, ...]:
         others = kept[:i] + kept[i + 1:]
         if others:
             table = _reduce_terms(dict(g.terms), others, ring.p, key, keycache)
-            g = Polynomial(ring, table, _canonical=True)
+            g = Polynomial(ring, table)
         reduced.append(g)
     return tuple(reversed(reduced))
 
@@ -189,7 +182,7 @@ def buchberger(generators) -> tuple[Polynomial, ...]:
     if not gens:
         return ()
     ring = gens[0].ring
-    _check_ring(ring, gens)
+    _check_ring(ring, *gens)
     p = ring.p
     key = ring.order.key
     keycache: dict = {}
@@ -260,7 +253,7 @@ def buchberger(generators) -> tuple[Polynomial, ...]:
     for g in sorted(gens, key=lambda h: key(h.leading_monomial())):
         if reds:
             table = _reduce_terms(dict(g.terms), reds, p, key, keycache)
-            h = Polynomial(ring, table, _canonical=True)
+            h = Polynomial(ring, table)
         else:
             h = g
         if not h.is_zero:
@@ -274,7 +267,7 @@ def buchberger(generators) -> tuple[Polynomial, ...]:
         table = _reduce_terms(dict(s.terms), reds, p, key, keycache)
         if not table:
             continue
-        add_element(Polynomial(ring, table, _canonical=True).monic())
+        add_element(Polynomial(ring, table).monic())
 
     return _reduced_basis([h for h, a in zip(reds, alive) if a], keycache)
 
@@ -333,7 +326,7 @@ def adjoin_variable(ring: PolyRing, stem: str):
     ext = PolyRing(ring.p, ring.variables + (name,), ring.order, internal=True)
 
     def emb(g: Polynomial) -> Polynomial:
-        return Polynomial(ext, {m + (0,): c for m, c in g.terms.items()}, _canonical=True)
+        return Polynomial(ext, {m + (0,): c for m, c in g.terms.items()})
 
     return ext, ext.var(name), emb
 
@@ -345,7 +338,7 @@ class Ideal:
 
     def __init__(self, ring: PolyRing, gens):
         gens = tuple(g for g in gens if not g.is_zero)
-        _check_ring(ring, gens)
+        _check_ring(ring, *gens)
         self.ring = ring
         self.gens = gens
         self._gb: tuple[Polynomial, ...] | None = None
@@ -362,8 +355,7 @@ class Ideal:
     # -- membership ----------------------------------------------------------
 
     def contains(self, f: Polynomial) -> bool:
-        if f.ring != self.ring:
-            raise RingMismatchError("membership test across different rings")
+        _check_ring(self.ring, f)
         gb = self.groebner_basis()
         if not gb:
             return f.is_zero
@@ -373,18 +365,15 @@ class Ideal:
         return self.contains(f)
 
     def is_subset_of(self, other: "Ideal") -> bool:
-        if other.ring != self.ring:
-            raise RingMismatchError("subset test across different rings")
+        _check_ring(self.ring, other)
         return all(other.contains(g) for g in self.gens)
 
     def equals(self, other: "Ideal") -> bool:
-        if other.ring != self.ring:
-            raise RingMismatchError("equality test across different rings")
+        _check_ring(self.ring, other)
         return self.groebner_basis() == other.groebner_basis()
 
     def __add__(self, other: "Ideal") -> "Ideal":
-        if other.ring != self.ring:
-            raise RingMismatchError("sum of ideals across different rings")
+        _check_ring(self.ring, other)
         return Ideal(self.ring, self.gens + other.gens)
 
     # -- colon, intersection, elimination -------------------------------------
@@ -405,8 +394,7 @@ class Ideal:
         Buchberger run (see :meth:`_colon_by_kernel`).  Otherwise the
         intersection of (self : g) over the generators g of ``other``, which
         is also the kernel route's oracle in the tests."""
-        if other.ring != self.ring:
-            raise RingMismatchError("colon across different rings")
+        _check_ring(self.ring, other)
         if not other.gens:  # colon by the zero ideal is the unit ideal
             return Ideal(self.ring, [self.ring.one()])
         if any(g.total_degree() == 0 for g in other.gens):  # colon by (1)
@@ -501,25 +489,22 @@ class Ideal:
                     else:
                         vec.pop(c, None)
 
-        kernel = [Polynomial(ring, {s: 1, **tails[s]}, _canonical=True) for s in tails]
+        kernel = [Polynomial(ring, {s: 1, **tails[s]}) for s in tails]
         result = Ideal(ring, _reduced_basis(kernel + list(gb), keycache))
         result._gb = result.gens
         return result
 
     def intersect(self, other: "Ideal") -> "Ideal":
         """Tag-variable intersection: eliminate a fresh t from t*I + (1-t)*K."""
-        if other.ring != self.ring:
-            raise RingMismatchError("intersection across different rings")
+        _check_ring(self.ring, other)
         ring = self.ring
         ext, t, emb = adjoin_variable(ring, "_t")
         one = ext.one()
         gens = [t * emb(g) for g in self.gens]
         gens += [(one - t) * emb(g) for g in other.gens]
         kept = Ideal(ext, gens).eliminate(ext.variables[-1:]).gens
-        return Ideal(ring, [
-            Polynomial(ring, {m[:-1]: c for m, c in h.terms.items()}, _canonical=True)
-            for h in kept
-        ])
+        return Ideal(ring, [Polynomial(ring, {m[:-1]: c for m, c in h.terms.items()})
+                            for h in kept])
 
     def eliminate(self, front_vars) -> "Ideal":
         """self ∩ F_p[variables not in front_vars], as an ideal of the same ring.
@@ -539,9 +524,7 @@ class Ideal:
         ext = PolyRing(ring.p, front + rest, block_order(len(front)), internal=True)
 
         def fwd(g):
-            return Polynomial(
-                ext, {tuple(m[i] for i in perm): c for m, c in g.terms.items()}, _canonical=True
-            )
+            return Polynomial(ext, {tuple(m[i] for i in perm): c for m, c in g.terms.items()})
 
         k = len(front)
         kept = [
@@ -552,11 +535,8 @@ class Ideal:
         n = ring.nvars
 
         def back(h):
-            return Polynomial(
-                ring,
-                {tuple(m[inv[i]] for i in range(n)): c for m, c in h.terms.items()},
-                _canonical=True,
-            )
+            return Polynomial(ring, {tuple(m[inv[i]] for i in range(n)): c
+                                     for m, c in h.terms.items()})
 
         return Ideal(ring, [back(h) for h in kept])
 

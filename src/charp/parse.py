@@ -126,7 +126,7 @@ def parse_polynomial(ring: PolyRing, text: str, start: int = 0, end: int | None 
         else:
             terms.pop(mono, None)
         if kind is None:
-            return Polynomial(ring, terms, _canonical=True)
+            return Polynomial(ring, terms)
 
 
 def parse_polynomials(ring: PolyRing, text: str, start: int = 0, end: int | None = None) -> list:

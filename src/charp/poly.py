@@ -8,7 +8,9 @@ the rest), which are elimination orders for the front block.
 
 Everything here is immutable after construction: operations return fresh
 objects and never mutate their inputs, so values can be shared freely
-between threads or worker processes.
+between threads or worker processes.  A ring is one object per (p,
+variables, order), and it unpickles to the receiving process's registered
+ring, so every ring check is an identity test (:func:`_check_ring`).
 """
 
 from __future__ import annotations
@@ -23,6 +25,15 @@ Monomial = tuple  # tuple[int, ...], one exponent per ring variable
 
 class RingMismatchError(ValueError):
     pass
+
+
+def _check_ring(ring, *items) -> None:
+    """Raise RingMismatchError unless every polynomial or ideal in ``items``
+    lives in ``ring``; rings are interned, so this is an identity test."""
+    for item in items:
+        if item.ring is not ring:
+            what = f"generator {item}" if isinstance(item, Polynomial) else repr(item)
+            raise RingMismatchError(f"{what} does not live in {ring!r}")
 
 
 class DegreeCapExceeded(RuntimeError):
@@ -124,6 +135,9 @@ def compare_monomials(m1: Monomial, m2: Monomial, order: MonomialOrder = GREVLEX
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
+# The one ring per (p, variables, order): rings are compared by identity.
+_RINGS: dict = {}
+
 
 class PolyRing:
     """F_p[x_1, ..., x_n] with one fixed monomial order, the only order its
@@ -131,11 +145,16 @@ class PolyRing:
 
     Variable names starting with an underscore are reserved for internal
     elimination variables and rejected unless ``internal=True``.
+
+    Rings are interned: once the arguments are validated, ``PolyRing(p,
+    variables, order)`` returns the one ring registered for those values,
+    so two rings are equal exactly when they are the same object.  A ring
+    unpickles (in a worker process, say) and copies to the registered ring.
     """
 
     __slots__ = ("p", "variables", "order", "_index")
 
-    def __init__(self, p, variables, order: MonomialOrder = GREVLEX, internal: bool = False):
+    def __new__(cls, p, variables, order: MonomialOrder = GREVLEX, internal: bool = False):
         check_characteristic(p)
         variables = tuple(variables)
         if not variables:
@@ -149,25 +168,23 @@ class PolyRing:
             if name in seen:
                 raise ValueError(f"duplicate variable name {name!r}")
             seen.add(name)
-        self.p = p
-        self.variables = variables
-        self.order = order
-        self._index = {name: i for i, name in enumerate(variables)}
+        key = (p, variables, order)
+        ring = _RINGS.get(key)
+        if ring is None:
+            ring = super().__new__(cls)
+            ring.p = p
+            ring.variables = variables
+            ring.order = order
+            ring._index = {name: i for i, name in enumerate(variables)}
+            ring = _RINGS.setdefault(key, ring)  # a racing twin yields to the first
+        return ring
+
+    def __reduce__(self):
+        return (PolyRing, (self.p, self.variables, self.order, True))
 
     @property
     def nvars(self) -> int:
         return len(self.variables)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PolyRing)
-            and self.p == other.p
-            and self.variables == other.variables
-            and self.order == other.order
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.variables, self.order))
 
     def __repr__(self):
         return f"F_{self.p}[{', '.join(self.variables)}; {self.order}]"
@@ -190,10 +207,10 @@ class PolyRing:
                 table[m] = c if c0 is None else (c0 + c) % self.p
                 if not table[m]:
                     del table[m]
-        return Polynomial(self, table, _canonical=True)
+        return Polynomial(self, table)
 
     def zero(self) -> "Polynomial":
-        return Polynomial(self, {}, _canonical=True)
+        return Polynomial(self, {})
 
     def one(self) -> "Polynomial":
         return self.const(1)
@@ -204,7 +221,7 @@ class PolyRing:
         c %= self.p
         if not c:
             return self.zero()
-        return Polynomial(self, {(0,) * self.nvars: c}, _canonical=True)
+        return Polynomial(self, {(0,) * self.nvars: c})
 
     def var(self, name: str) -> "Polynomial":
         i = self._index.get(name)
@@ -225,13 +242,15 @@ class PolyRing:
 
 
 class Polynomial:
-    """Immutable sparse polynomial; construct via :class:`PolyRing` methods."""
+    """Immutable sparse polynomial; construct via :class:`PolyRing` methods.
+
+    The constructor trusts its table: monomials of the ring's length and
+    nonzero residues mod p, which the library's own operations produce.
+    :meth:`PolyRing.poly` is the validating constructor."""
 
     __slots__ = ("ring", "terms", "_lm", "_hash")
 
-    def __init__(self, ring: PolyRing, terms: dict, _canonical: bool = False):
-        if not _canonical:
-            terms = dict(ring.poly(terms).terms)
+    def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
         self.terms = terms
         self._lm = None
@@ -285,22 +304,16 @@ class Polynomial:
         if lc == 1:
             return self
         inv = pow(lc, -1, self.ring.p)
-        out = Polynomial(
-            self.ring, {m: c * inv % self.ring.p for m, c in self.terms.items()}, _canonical=True
-        )
+        out = Polynomial(self.ring, {m: c * inv % self.ring.p for m, c in self.terms.items()})
         out._lm = self._lm
         return out
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _check_ring(self, other: "Polynomial") -> None:
-        if self.ring != other.ring:
-            raise RingMismatchError(f"ring mismatch: {self.ring!r} vs {other.ring!r}")
-
     def __add__(self, other):
         if isinstance(other, int):
             other = self.ring.const(other)
-        self._check_ring(other)
+        _check_ring(self.ring, other)
         p = self.ring.p
         out = dict(self.terms)
         for m, c in other.terms.items():
@@ -309,13 +322,13 @@ class Polynomial:
                 out[m] = s
             else:
                 out.pop(m, None)
-        return Polynomial(self.ring, out, _canonical=True)
+        return Polynomial(self.ring, out)
 
     __radd__ = __add__
 
     def __neg__(self):
         p = self.ring.p
-        return Polynomial(self.ring, {m: (-c) % p for m, c in self.terms.items()}, _canonical=True)
+        return Polynomial(self.ring, {m: (-c) % p for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -331,10 +344,8 @@ class Polynomial:
             if not c:
                 return self.ring.zero()
             p = self.ring.p
-            return Polynomial(
-                self.ring, {m: a * c % p for m, a in self.terms.items()}, _canonical=True
-            )
-        self._check_ring(other)
+            return Polynomial(self.ring, {m: a * c % p for m, a in self.terms.items()})
+        _check_ring(self.ring, other)
         p = self.ring.p
         out: dict = {}
         for m1, c1 in self.terms.items():
@@ -345,7 +356,7 @@ class Polynomial:
                     out[m] = s
                 else:
                     out.pop(m, None)
-        return Polynomial(self.ring, out, _canonical=True)
+        return Polynomial(self.ring, out)
 
     __rmul__ = __mul__
 
@@ -354,8 +365,7 @@ class Polynomial:
             raise ValueError(f"exponent must be a non-negative integer, got {n!r}")
         if len(self.terms) == 1:  # a term's power is read off its exponents
             (m, c), = self.terms.items()
-            return Polynomial(self.ring, {tuple(e * n for e in m): pow(c, n, self.ring.p)},
-                              _canonical=True)
+            return Polynomial(self.ring, {tuple(e * n for e in m): pow(c, n, self.ring.p)})
         result = self.ring.one()
         base = self
         while n:
@@ -372,13 +382,13 @@ class Polynomial:
     def __eq__(self, other):
         return (
             isinstance(other, Polynomial)
-            and self.ring == other.ring
+            and self.ring is other.ring
             and self.terms == other.terms
         )
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.ring, frozenset(self.terms.items())))
+            self._hash = hash(frozenset(self.terms.items()))  # ints: equal in every process
         return self._hash
 
     def __str__(self):
@@ -418,9 +428,7 @@ def frobenius_power(f: Polynomial, e: int) -> Polynomial:
     if e == 0:
         return f
     q = f.ring.p ** e
-    return Polynomial(
-        f.ring, {tuple(x * q for x in m): c for m, c in f.terms.items()}, _canonical=True
-    )
+    return Polynomial(f.ring, {tuple(x * q for x in m): c for m, c in f.terms.items()})
 
 
 def frobenius_root(f: Polynomial, e: int) -> dict:
@@ -439,9 +447,7 @@ def frobenius_root(f: Polynomial, e: int) -> dict:
     for m, c in f.terms.items():
         alpha = tuple(x % q for x in m)
         tables.setdefault(alpha, {})[tuple(x // q for x in m)] = c
-    return {
-        alpha: Polynomial(f.ring, tables[alpha], _canonical=True) for alpha in sorted(tables)
-    }
+    return {alpha: Polynomial(f.ring, tables[alpha]) for alpha in sorted(tables)}
 
 
 def frobenius_substitute(f: Polynomial, e: int) -> Polynomial:
@@ -454,7 +460,7 @@ def divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
     """The quotient f/g when g divides f exactly; raises ValueError otherwise."""
     from .groebner import reduce_with_quotients
 
-    f._check_ring(g)
+    _check_ring(f.ring, g)
     if g.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     (quot,), rem = reduce_with_quotients(f, [g])

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groebner import Ideal
-from .poly import PolyRing, RingMismatchError
+from .poly import PolyRing, _check_ring
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,7 @@ class QuotientRing:
 
     def __init__(self, ambient: PolyRing, defining):
         if isinstance(defining, Ideal):
-            if defining.ring != ambient:
-                raise RingMismatchError("defining ideal lives in a different ring")
+            _check_ring(ambient, defining)
         else:
             defining = Ideal(ambient, list(defining))
         self.ambient = ambient
@@ -63,7 +62,7 @@ class QuotientRing:
     def __eq__(self, other):
         return (
             isinstance(other, QuotientRing)
-            and self.ambient == other.ambient
+            and self.ambient is other.ambient
             and self.defining.gens == other.defining.gens
         )
 

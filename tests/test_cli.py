@@ -137,8 +137,9 @@ def test_eta_bad_sop(ring_file, capsys):
 def test_eta_blank_sop_scans_the_empty_sop(ring_file, tmp_path, capsys):
     ring = tmp_path / "artinian.ring"
     ring.write_text("char 2; vars x y; quotient x^2, y^3;", encoding="utf-8")
-    assert main(["eta", "--ring", str(ring), "--sop", ""]) == 0
-    assert "η̂ (scan n ≤ 1) = 2" in capsys.readouterr().out
+    for blank in ("", " "):
+        assert main(["eta", "--ring", str(ring), "--sop", blank]) == 0
+        assert "η̂ (scan n ≤ 1) = 2" in capsys.readouterr().out
     out_json = tmp_path / "eta.json"
     assert main(["eta", "--ring", ring_file, "--sop", "", "--json", str(out_json)]) == 1
     assert capsys.readouterr().err == "error: --sop: sequence is not a system of parameters\n"
@@ -159,6 +160,15 @@ def test_eta_rejects_a_sop_of_a_ring_that_is_not_cohen_macaulay(text, sop, index
         f"error: --sop: sequence is not regular (fails at index {index})\n"
     )
     assert not out_json.exists()
+
+
+def test_paramcheck_reads_a_blank_extension_as_the_empty_list(ring_file, capsys):
+    outs = []
+    for blank in ("", " "):
+        assert main(["paramcheck", "--ring", ring_file, "--ideal", "I", "--e", "1",
+                     "--extend", blank]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] == "(closure)^[p^1] = (ideal)^[p^1] in R: true\n"
 
 
 def test_paramcheck(ring_file, capsys):
@@ -206,6 +216,14 @@ def test_input_errors_name_the_flag(ring_file, tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {flag}: "), captured.err
         assert captured.out == ""
+    # an unwritable report path is named after the run has printed its result
+    missing = tmp_path / "no-such-dir"
+    for argv, flag, path in (
+        (["gb", "--ideal", "I", "--json"], "--json", missing / "out.json"),
+        (["census", "--ideal", "I", "--frobenius-family", "--csv"], "--csv", missing / "rows.csv"),
+    ):
+        assert main(argv[:1] + ["--ring", ring_file] + argv[1:] + [str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {flag} {path}: "), flag
 
 
 def test_comma_list_positions_count_in_the_whole_argument(ring_file, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from charp import (
     Ideal,
     InvalidSequenceError,
     NotStabilizedError,
+    Polynomial,
     PolyRing,
     QuotientRing,
     cech_class,
@@ -277,3 +279,42 @@ def test_torsion_of_certified_closure_generators(R2):
     for g in rep.chain[-1][1]:
         t = torsion_order(cech_class(R2, [x, y], g), E)
         assert t is not None and t <= E
+
+
+def _fedder_f_injective(f: Polynomial) -> bool:
+    """Fedder's criterion for the Gorenstein ring S/(f): F-injective (here
+    the same as F-pure) exactly when f^(p-1) has a monomial with every
+    exponent below p."""
+    p = f.ring.p
+    return any(all(e < p for e in m) for m in (f ** (p - 1)).terms)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_eta_scan_matches_fedders_criterion_on_plane_cubics(p):
+    rng = random.Random(1000 + p)
+    S = PolyRing(p, ["x", "y", "z"])
+    x, y, _ = S.gens()
+    cubics = [m for m in itertools.product(range(4), repeat=3) if sum(m) == 3]
+    verdicts = []
+    while len(verdicts) < 8:
+        f = S.poly({m: rng.randrange(p) for m in cubics})
+        if f.is_zero:
+            continue
+        try:
+            report = eta_estimate(QuotientRing(S, [f]), [x, y], n_max=1)
+        except InvalidSequenceError:  # (x, y) is no sop: f has no z^3 term
+            continue
+        assert report.complete
+        assert f_injective_flag(report) == _fedder_f_injective(f), f
+        verdicts.append(_fedder_f_injective(f))
+    assert set(verdicts) == {True, False}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_eta_scan_of_the_fermat_cubic_vanishes_exactly_when_p_is_1_mod_3(p):
+    R = fermat_ring(p)
+    x, y, _ = R.ambient.gens()
+    report = eta_estimate(R, [x, y], n_max=1)
+    assert report.complete
+    assert (report.eta_hat == 0) == (p % 3 == 1)
+    assert f_injective_flag(report) == _fedder_f_injective(R.defining.gens[0])

@@ -1,5 +1,9 @@
+import copy
+import multiprocessing
+import pickle
 import random
 import re
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -209,3 +213,41 @@ def test_degree_cap_guard(f2xyz):
         assert (x + y) * (x + y) == x**2 + y**2  # under the cap
     finally:
         set_degree_cap(None)
+
+
+# -- interned rings ------------------------------------------------------------
+
+def test_a_ring_is_one_object_per_characteristic_variables_and_order():
+    S = PolyRing(5, ["x", "y"], block_order(1))
+    assert PolyRing(5, ("x", "y"), block_order(1)) is S
+    assert pickle.loads(pickle.dumps(S)) is S
+    assert copy.copy(S) is S and copy.deepcopy(S) is S
+    assert PolyRing(5, ["x", "y"]) is not S
+    f = S.var("x") + 2
+    assert pickle.loads(pickle.dumps(f)).ring is S
+
+
+def test_ring_arguments_are_validated_before_the_lookup():
+    with pytest.raises(ValueError, match="characteristic"):
+        PolyRing(2.0, ["x"])
+    PolyRing(2, ["x", "_t0"], internal=True)
+    with pytest.raises(ValueError, match="reserved"):
+        PolyRing(2, ["x", "_t0"])
+
+
+def _square_plus_y():
+    x, y = PolyRing(3, ["x", "y"]).gens()
+    f = x**2 + y
+    hash(f)  # cached in the worker, then shipped back with the polynomial
+    return f
+
+
+def test_a_hash_cached_in_a_spawned_worker_agrees_with_the_parent():
+    x, y = PolyRing(3, ["x", "y"]).gens()
+    f = x**2 + y
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
+        g = pool.submit(_square_plus_y).result()
+    assert g == f
+    assert hash(g) == hash(f)
+    assert {f: 1}.get(g) == 1
+    assert g.ring is f.ring
