@@ -7,10 +7,15 @@ generator order.  Everything is taken in the ring's own monomial order,
 and each Ideal caches its reduced basis and its Krull dimension (cache
 writes are idempotent and therefore safe under concurrent population).
 
-Every division is one loop over a term table, by monic polynomials (a
-reduced basis as it stands, other reducers made monic first): the
-highest pending term is cancelled or moved to a remainder table kept
-apart from the pending ones.
+Every division (normal forms, Buchberger's reductions, interreduction
+and the kernel colon's border reductions) is one loop on packed
+monomials, by the monic forms of the divisors: each monomial is one
+integer holding the order's weight rows above its exponents, so products
+are additions and the order is integer comparison, and the pending terms
+sit in a heap, whose highest term is cancelled by the first divisor
+whose lead divides it or else moved to the remainder.  The field width
+comes from the data (the degrees in play, doubled when a lex or block
+reduction outgrows it), and a divisor caches its pack on itself.
 
 A colon (I : A) with S/I finite dimensional is the kernel of r -> r*A
 on the standard monomials of S/I (the linear algebra of FGLM): the
@@ -31,6 +36,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import struct
+from functools import cache
+from operator import mul
 
 from .poly import (
     Polynomial,
@@ -45,59 +53,211 @@ from .poly import (
 )
 
 
-def _reduce_terms(terms: dict, reds, p: int, key, keycache: dict, quots=None) -> dict:
-    """Remainder of the term table ``terms`` (consumed) on division by the
-    monic polynomials ``reds``.
+_MIN_WIDTH = 32  # bits per packed field, guard bit included
 
-    The highest pending term is cancelled by the first reducer whose
-    leading monomial divides it, or else moved to the remainder.  Every
-    term a step adds lies below the term it cancels, so a remainder term
-    is never touched again and the cancelled terms strictly decrease.
-    With ``quots``, each step therefore sets a new term of ``quots[i]``,
-    the multiple of ``reds[i]`` it took.  ``keycache`` maps monomials to
-    their order keys and may be shared across calls on the same ring.
-    """
-    leads = [g.leading_monomial() for g in reds]
-    work = terms
+
+def _width(degree: int) -> int:
+    """The packed field width that holds every exponent and every weight
+    of a monomial of total degree <= ``degree`` below its guard bit."""
+    width = _MIN_WIDTH
+    while degree >> (width - 1):
+        width *= 2
+    return width
+
+
+@cache
+def _layout(ring: PolyRing, width: int):
+    """(units, guards, unpack) for the monomials of ``ring`` packed into
+    ``width``-bit fields.
+
+    A monomial packs into n weight fields, the ring order's non-negative
+    weight rows from most to least significant, then its n exponents:
+    grevlex weighs (deg, deg - x_n, ..., x_1), lex the exponents, and a
+    block order the grevlex rows of its front block, then those of the
+    rest.  Every weight is a sum of exponents, so packing is linear: a
+    monomial is the sum of its exponents times ``units``, a product is an
+    addition, and the order is integer comparison.  The top bit of each
+    field is a guard: a | b exactly when ``((b | guards) - a) & guards ==
+    guards``, and a sum whose field outgrows the width sets its guard.
+    ``unpack`` reads the exponent tuple back off the low fields."""
+    n, order = ring.nvars, ring.order
+    # grevlex on each block [lo, hi) of variables (lex: blocks of one): its
+    # r-th row is field lo + r and sums x_lo, ..., x_(hi-1-r)
+    k = min(order.block or 0, n)
+    blocks = [(i, i + 1) for i in range(n)] if order.kind == "lex" else [(0, k), (k, n)]
+    one = [1 << (2 * n - 1 - f) * width for f in range(2 * n)]  # a 1 in each field
+    units = tuple(sum(one[lo:lo + hi - i]) + one[n + i] for lo, hi in blocks for i in range(lo, hi))
+    guards = sum(one) << (width - 1)
+    low = (1 << n * width) - 1
+    if width <= 64:
+        fmt = struct.Struct(f">{n}{'I' if width == 32 else 'Q'}")
+        size = n * width // 8
+
+        def unpack(t: int) -> tuple:
+            return fmt.unpack((t & low).to_bytes(size, "big"))
+    else:
+        mask = (1 << width) - 1
+        shifts = [(n - 1 - i) * width for i in range(n)]
+
+        def unpack(t: int) -> tuple:
+            return tuple(t >> s & mask for s in shifts)
+    return units, guards, unpack
+
+
+class _Divisors:
+    """Nonzero polynomials in list order, the divisors of
+    :func:`_reduce_terms` (which divides by their monic forms), packed in
+    one field width that holds each of them; Buchberger appends its basis
+    elements as it finds them.
+
+    Each polynomial caches its pack in its ``_pk`` slot as (width, entry),
+    where the entry is (packed lead, packed tail, the monic form's negated
+    tail coefficients, None); a divisor packed wider once keeps the wider
+    width.  ``top`` is the highest packed lead."""
+
+    __slots__ = ("ring", "polys", "width", "units", "guards", "unpack", "entries", "top")
+
+    def __init__(self, ring: PolyRing, polys=()):
+        self.ring = ring
+        self.polys = list(polys)
+        self.widen(max(
+            [pk[0] if (pk := g._pk) is not None else _width(g.total_degree()) for g in self.polys],
+            default=_MIN_WIDTH,
+        ))
+
+    def _entry(self, g: Polynomial) -> tuple:
+        pk = g._pk
+        if pk is None or pk[0] != self.width:
+            units, p, terms = self.units, self.ring.p, g.terms
+            lm = g.leading_monomial()
+            inv = 1 if terms[lm] == 1 else pow(terms[lm], -1, p)
+            pk = g._pk = (self.width, (
+                sum(map(mul, lm, units)),
+                tuple([sum(map(mul, m, units)) for m in terms if m != lm]),
+                tuple([-c * inv % p for m, c in terms.items() if m != lm]),
+                None,
+            ))
+        return pk[1]
+
+    def append(self, g: Polynomial) -> None:
+        self.polys.append(g)
+        pk = g._pk
+        width = pk[0] if pk is not None else _width(g.total_degree())
+        if width > self.width:
+            self.widen(width)
+        else:
+            entry = self._entry(g)
+            self.entries.append(entry)
+            self.top = max(self.top, entry[0])
+
+    def widen(self, width: int) -> None:
+        """(Re)pack every divisor in ``width``-bit fields."""
+        self.width = width
+        self.units, self.guards, self.unpack = _layout(self.ring, width)
+        self.entries = [
+            pk[1] if (pk := g._pk) is not None and pk[0] == width else self._entry(g)
+            for g in self.polys
+        ]
+        self.top = max([e[0] for e in self.entries], default=-1)
+
+
+def _reduce_terms(terms: dict, divs: _Divisors, quots=None) -> dict:
+    """Remainder of the term table ``terms`` on division by the monic forms
+    of the polynomials ``divs``, as a new table in descending order.
+
+    The terms are packed (see :func:`_layout`) in the divisors' field
+    width, widened first to hold the table's degree.  Pending terms live
+    in a table keyed by packed monomial and in a heap of negated keys, so
+    the highest pending term is popped next; it is cancelled by the first
+    divisor in list order whose lead divides it, or else moved to the
+    remainder.  Every term a step adds lies below the term it cancels, so
+    each key enters the heap once, a remainder term is never touched
+    again, and a divisor whose lead lies above the popped term never
+    divides a later one.  With ``quots``, each step sets a new term of
+    ``quots[i]``, the multiple of divisor i it took, and the tables are
+    replaced by their unpacked forms.
+
+    Under grevlex no new term outgrows the input's degree, but under lex
+    and block orders one can (x^N by x - y^2 gives y^(2N)): a new key
+    with a guard bit set stops the division, which restarts in fields
+    twice as wide."""
+    if not terms:
+        return {}
+    degree = max(map(sum, terms))
+    if degree >> (divs.width - 1):
+        divs.widen(_width(degree))
+    while True:
+        entries = divs.entries
+        if quots is not None:
+            for q in quots:
+                q.clear()
+            entries = [(lead, ms, ncs, q) for (lead, ms, ncs, _), q in zip(entries, quots)]
+        units = divs.units
+        work = {sum(map(mul, m, units)): c for m, c in terms.items()}
+        out = _divide_packed(work, entries, divs.top, divs.guards, divs.ring.p)
+        if out is not None:
+            break
+        divs.widen(2 * divs.width)
+    unpack = divs.unpack
+    if quots is not None:
+        quots[:] = [{unpack(s): c for s, c in q.items()} for q in quots]
+    return {unpack(t): c for t, c in out.items()}
+
+
+def _divide_packed(work: dict, entries: list, floor: int, guards: int, p: int):
+    """The loop of :func:`_reduce_terms` on the packed table ``work``
+    (consumed), by the divisor entries (packed lead, packed tail, negated
+    tail coefficients, quotient table or None) whose highest lead is
+    ``floor``; None when a new term outgrows the field width."""
+    heap = [-t for t in work]
+    heapq.heapify(heap)
+    pop, push, get = heapq.heappop, heapq.heappush, work.get
     out: dict = {}
-    while work:
-        target = None
-        for m in work:
-            k = keycache.get(m)
-            if k is None:
-                k = keycache[m] = key(m)
-            if target is None or k > target_key:
-                target, target_key = m, k
-        for i, lm in enumerate(leads):
-            for a, b in zip(lm, target):
-                if a > b:
-                    break
-            else:
+    while heap:
+        t = -pop(heap)
+        c = work.pop(t)
+        if not c:
+            continue
+        if t < floor:
+            entries = [e for e in entries if e[0] <= t]
+            floor = max([e[0] for e in entries], default=-1)
+        tg = t | guards
+        for lead, ms, ncs, q in entries:
+            if (tg - lead) & guards == guards:
                 break
         else:
-            out[target] = work.pop(target)
+            out[t] = c
             continue
-        factor = work[target]
-        shift = tuple(b - a for a, b in zip(lm, target))
-        if quots is not None:
-            quots[i][shift] = factor
-        for mg, cg in reds[i].terms.items():
-            mm = tuple(a + b for a, b in zip(mg, shift))
-            s = (work.get(mm, 0) - factor * cg) % p
-            if s:
-                work[mm] = s
+        shift = t - lead
+        if q is not None:
+            q[shift] = c
+        for m, nc in zip(ms, ncs):
+            m += shift
+            old = get(m)
+            if old is None:
+                if m & guards:
+                    return None
+                work[m] = c * nc % p
+                push(heap, -m)
             else:
-                work.pop(mm, None)
+                work[m] = (old + c * nc) % p
     return out
+
+
+def _descending(ring: PolyRing, table: dict) -> Polynomial:
+    """The polynomial of a term table in descending order (a remainder of
+    :func:`_reduce_terms`), its first monomial cached as its lead."""
+    h = Polynomial(ring, table)
+    h._lm = next(iter(table), None)
+    return h
 
 
 def _divide(f: Polynomial, reducers, quotients: bool):
     """(quotient tables, remainder) of f on division by ``reducers``, with
     no tables (None) kept unless ``quotients`` is set: the shared body of
     :func:`normal_form` and :func:`reduce_with_quotients`.  The division
-    runs by the monic reducers (a reduced basis is its own monic form), so
-    each table is scaled back by its reducer's inverse leading
-    coefficient."""
+    runs by the monic forms of the reducers, so each table is scaled back
+    by its reducer's inverse leading coefficient."""
     reducers = list(reducers)
     _check_ring(f.ring, *reducers)
     if any(g.is_zero for g in reducers):
@@ -106,9 +266,7 @@ def _divide(f: Polynomial, reducers, quotients: bool):
         return [], f
     p = f.ring.p
     quots = [{} for _ in reducers] if quotients else None
-    out = _reduce_terms(
-        dict(f.terms), [g.monic() for g in reducers], p, f.ring.order.key, {}, quots=quots
-    )
+    out = _reduce_terms(f.terms, _Divisors(f.ring, reducers), quots)
     for g, q in zip(reducers, quots or ()):
         inv = pow(g.leading_coefficient(), -1, p)
         for m in q:
@@ -142,29 +300,31 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     return f * ring.monomial(mono_div(lcm, lmf), cf) - g * ring.monomial(mono_div(lcm, lmg), cg)
 
 
-def _reduced_basis(gb, keycache: dict) -> tuple[Polynomial, ...]:
+def _reduced_basis(gb) -> tuple[Polynomial, ...]:
     """The reduced Groebner basis of the ideal generated by the nonempty
     monic Groebner basis ``gb``, sorted by descending leading monomial.
 
     The elements are walked by ascending lead (a divisor of a monomial
     comes before it in every term order), and each one whose lead is
     divisible by a lead already kept is dropped; each kept element's tail
-    is then reduced by the other kept elements.  The kept leads form an
-    antichain and every reducer is monic, so no lead is cancelled or
-    rescaled.  ``keycache`` is as in :func:`_reduce_terms`."""
+    is then reduced by the kept elements.  Every pending term lies below
+    the element's own lead, which therefore divides none of them, so the
+    tail is reduced by the other kept elements; their leads form an
+    antichain and they are monic, so no lead is cancelled or rescaled."""
     ring = gb[0].ring
     key = ring.order.key
     kept: list[Polynomial] = []
     for g in sorted(gb, key=lambda h: key(h.leading_monomial())):
         if not any(mono_divides(h.leading_monomial(), g.leading_monomial()) for h in kept):
             kept.append(g)
+    if len(kept) == 1:
+        return tuple(kept)
+    divs = _Divisors(ring, kept)
     reduced = []
-    for i, g in enumerate(kept):
-        others = kept[:i] + kept[i + 1:]
-        if others:
-            table = _reduce_terms(dict(g.terms), others, ring.p, key, keycache)
-            g = Polynomial(ring, table)
-        reduced.append(g)
+    for g in kept:
+        lm = g.leading_monomial()
+        tail = _reduce_terms({m: c for m, c in g.terms.items() if m != lm}, divs)
+        reduced.append(_descending(ring, {lm: 1, **tail}))
     return tuple(reversed(reduced))
 
 
@@ -183,11 +343,10 @@ def buchberger(generators) -> tuple[Polynomial, ...]:
         return ()
     ring = gens[0].ring
     _check_ring(ring, *gens)
-    p = ring.p
     key = ring.order.key
-    keycache: dict = {}
 
-    reds: list[Polynomial] = []  # the monic basis elements, in order found
+    divs = _Divisors(ring)  # the monic basis elements, in order found
+    reds = divs.polys
     lms: list = []
     alive: list[bool] = []
     pending: dict = {}  # (i, j) -> lcm of the leading monomials
@@ -243,7 +402,7 @@ def buchberger(generators) -> tuple[Polynomial, ...]:
                 alive[i] = False
 
     def add_element(h):
-        reds.append(h)
+        divs.append(h)
         lms.append(h.leading_monomial())
         alive.append(True)
         update(len(reds) - 1)
@@ -251,11 +410,7 @@ def buchberger(generators) -> tuple[Polynomial, ...]:
     # seed with the interreduced input: redundant generators (common in
     # bracket-power lists) reduce to zero here and never enter the queue
     for g in sorted(gens, key=lambda h: key(h.leading_monomial())):
-        if reds:
-            table = _reduce_terms(dict(g.terms), reds, p, key, keycache)
-            h = Polynomial(ring, table)
-        else:
-            h = g
+        h = _descending(ring, _reduce_terms(g.terms, divs)) if reds else g
         if not h.is_zero:
             add_element(h.monic())
 
@@ -264,12 +419,12 @@ def buchberger(generators) -> tuple[Polynomial, ...]:
         if pending.pop((i, j), None) is None:
             continue  # pruned by a later update
         s = s_polynomial(reds[i], reds[j])
-        table = _reduce_terms(dict(s.terms), reds, p, key, keycache)
+        table = _reduce_terms(s.terms, divs)
         if not table:
             continue
-        add_element(Polynomial(ring, table).monic())
+        add_element(_descending(ring, table).monic())
 
-    return _reduced_basis([h for h, a in zip(reds, alive) if a], keycache)
+    return _reduced_basis([h for h, a in zip(reds, alive) if a])
 
 
 def _standard_monomials(lms, nvars: int) -> list:
@@ -434,11 +589,11 @@ class Ideal:
         lms = [g.leading_monomial() for g in gb]
         staircase = sorted(_standard_monomials(lms, ring.nvars), key=key)
         index = {s: k for k, s in enumerate(staircase)}
-        keycache: dict = {}
+        divs = _Divisors(ring, gb)
         nfs = {s: ((s, 1),) for s in staircase}  # monomial -> its normal form
 
         def reduce(terms: dict) -> dict:
-            return _reduce_terms(terms, gb, p, key, keycache)
+            return _reduce_terms(terms, divs)
 
         def times_var(vec: dict, j: int) -> dict:
             out: dict = {}
@@ -455,7 +610,7 @@ class Ideal:
                         del out[mm]
             return out
 
-        rows = [[reduce(dict(a.terms)) for a in other.gens]]  # staircase[0] is 1
+        rows = [[reduce(a.terms) for a in other.gens]]  # staircase[0] is 1
         for s in staircase[1:]:
             j = max(i for i, x in enumerate(s) if x)
             parent = index[s[:j] + (s[j] - 1,) + s[j + 1:]]
@@ -490,7 +645,7 @@ class Ideal:
                         vec.pop(c, None)
 
         kernel = [Polynomial(ring, {s: 1, **tails[s]}) for s in tails]
-        result = Ideal(ring, _reduced_basis(kernel + list(gb), keycache))
+        result = Ideal(ring, _reduced_basis(kernel + list(gb)))
         result._gb = result.gens
         return result
 

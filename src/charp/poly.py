@@ -248,13 +248,14 @@ class Polynomial:
     nonzero residues mod p, which the library's own operations produce.
     :meth:`PolyRing.poly` is the validating constructor."""
 
-    __slots__ = ("ring", "terms", "_lm", "_hash")
+    __slots__ = ("ring", "terms", "_lm", "_hash", "_pk")
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
         self.terms = terms
         self._lm = None
         self._hash = None
+        self._pk = None  # packed terms, cached by the Groebner division kernel
         cap = _DEGREE_CAP
         if cap is not None and terms:
             d = max(map(sum, terms))

@@ -6,7 +6,8 @@ from __future__ import annotations
 import itertools
 import random
 
-from charp import Ideal, PolyRing, QuotientRing, normal_form, s_polynomial
+from charp import Ideal, PolyRing, Polynomial, QuotientRing, normal_form, s_polynomial
+from charp.poly import mono_divides
 
 
 def fermat_ring(p: int) -> QuotientRing:
@@ -98,3 +99,86 @@ def count_buchberger_runs(monkeypatch) -> list:
 
     monkeypatch.setattr(charp.groebner, "buchberger", counting)
     return runs
+
+
+# -- the tuple division kernel, the packed kernel's oracle -----------------------
+
+def _reduce_terms(terms: dict, reds, p: int, key, keycache: dict, quots=None) -> dict:
+    """Remainder of the term table ``terms`` (consumed) on division by the
+    monic polynomials ``reds``.
+
+    The highest pending term is cancelled by the first reducer whose
+    leading monomial divides it, or else moved to the remainder.  Every
+    term a step adds lies below the term it cancels, so a remainder term
+    is never touched again and the cancelled terms strictly decrease.
+    With ``quots``, each step therefore sets a new term of ``quots[i]``,
+    the multiple of ``reds[i]`` it took.  ``keycache`` maps monomials to
+    their order keys and may be shared across calls on the same ring.
+    """
+    leads = [g.leading_monomial() for g in reds]
+    work = terms
+    out: dict = {}
+    while work:
+        target = None
+        for m in work:
+            k = keycache.get(m)
+            if k is None:
+                k = keycache[m] = key(m)
+            if target is None or k > target_key:
+                target, target_key = m, k
+        for i, lm in enumerate(leads):
+            for a, b in zip(lm, target):
+                if a > b:
+                    break
+            else:
+                break
+        else:
+            out[target] = work.pop(target)
+            continue
+        factor = work[target]
+        shift = tuple(b - a for a, b in zip(lm, target))
+        if quots is not None:
+            quots[i][shift] = factor
+        for mg, cg in reds[i].terms.items():
+            mm = tuple(a + b for a, b in zip(mg, shift))
+            s = (work.get(mm, 0) - factor * cg) % p
+            if s:
+                work[mm] = s
+            else:
+                work.pop(mm, None)
+    return out
+
+
+def oracle_divide(f, reducers):
+    """(quotient tables, remainder table) of f on division by the nonzero
+    ``reducers`` through the tuple kernel, each table in the order the
+    division wrote it."""
+    p = f.ring.p
+    quots = [{} for _ in reducers]
+    out = _reduce_terms(
+        dict(f.terms), [g.monic() for g in reducers], p, f.ring.order.key, {}, quots=quots
+    )
+    for g, q in zip(reducers, quots):
+        inv = pow(g.leading_coefficient(), -1, p)
+        for m in q:
+            q[m] = q[m] * inv % p
+    return quots, out
+
+
+def oracle_reduced_basis(gb):
+    """The reduced basis of the nonempty monic Groebner basis ``gb``, each
+    element's tail reduced by the other kept elements through the tuple
+    kernel."""
+    ring = gb[0].ring
+    key = ring.order.key
+    kept = []
+    for g in sorted(gb, key=lambda h: key(h.leading_monomial())):
+        if not any(mono_divides(h.leading_monomial(), g.leading_monomial()) for h in kept):
+            kept.append(g)
+    reduced = []
+    for i, g in enumerate(kept):
+        others = kept[:i] + kept[i + 1:]
+        if others:
+            g = Polynomial(ring, _reduce_terms(dict(g.terms), others, ring.p, key, {}))
+        reduced.append(g)
+    return tuple(reversed(reduced))

@@ -1,0 +1,149 @@
+"""The packed division kernel against the tuple kernel it replaced.
+
+Remainders, quotient tables and reduced bases must equal the oracle's in
+``support`` term for term, in the order the division writes them."""
+
+import itertools
+import random
+from operator import mul
+
+import pytest
+
+from charp import (
+    GREVLEX,
+    LEX,
+    DegreeCapExceeded,
+    Ideal,
+    PolyRing,
+    block_order,
+    buchberger,
+    frobenius_power,
+    normal_form,
+    reduce_with_quotients,
+    set_degree_cap,
+)
+from charp.groebner import _layout, _reduced_basis
+from support import oracle_divide, oracle_reduced_basis, random_form, random_poly
+
+ORDERS = (GREVLEX, LEX, block_order(1), block_order(2))
+
+
+def _items(terms) -> list:
+    return list(terms.items())
+
+
+def assert_division_matches_oracle(f, reducers):
+    quots, rem = reduce_with_quotients(f, reducers)
+    oracle_quots, oracle_rem = oracle_divide(f, reducers)
+    assert _items(rem.terms) == _items(oracle_rem)
+    assert [_items(q.terms) for q in quots] == [_items(q) for q in oracle_quots]
+    assert _items(normal_form(f, reducers).terms) == _items(oracle_rem)
+
+
+def _non_reduced_basis(rng, basis):
+    """``basis`` made monic and padded with monic ideal members (variable
+    multiples and sums of its elements): still a Groebner basis, but not
+    reduced."""
+    ring = basis[0].ring
+    extra = []
+    for _ in range(rng.randint(0, 3)):
+        g = rng.choice(basis) * rng.choice(ring.gens())
+        if rng.random() < 0.5:
+            g = g + rng.choice(basis)
+        if not g.is_zero:
+            extra.append(g.monic())
+    gb = [g.monic() for g in basis] + extra
+    rng.shuffle(gb)
+    return gb
+
+
+def test_division_and_reduced_bases_match_the_tuple_kernel():
+    rng = random.Random(20260419)
+    for _ in range(400):
+        p = rng.choice([2, 3, 5, 7])
+        order = rng.choice(ORDERS)
+        ring = PolyRing(p, "xyzw"[:rng.randint(1, 4)], order)
+        reducers = [g for g in (random_poly(rng, ring, 3, 4) for _ in range(rng.randint(1, 3)))
+                    if not g.is_zero] or [ring.gens()[0]]
+        f = random_poly(rng, ring, max_degree=6, max_terms=6)
+        assert_division_matches_oracle(f, reducers)
+        basis = buchberger(random_poly(rng, ring, 2, 3) for _ in range(rng.randint(1, 3)))
+        assert_division_matches_oracle(f, basis)
+        gb = _non_reduced_basis(rng, basis)
+        assert [_items(g.terms) for g in _reduced_basis(gb)] == [
+            _items(g.terms) for g in oracle_reduced_basis(gb)
+        ]
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=str)
+def test_exponents_beyond_two_to_the_64(order):
+    ring = PolyRing(3, ["x", "y", "z"], order)
+    x, y, z = ring.gens()
+    f = x ** (2**70) * y + 2 * z ** (2**65)
+    reducers = [x ** (2**69) - y, z ** (2**64) * y - x]
+    assert_division_matches_oracle(f, reducers)
+    assert normal_form(x ** (2**70) * y, [x ** (2**69) - y]) == y**3
+
+
+@pytest.mark.parametrize("order", [LEX, block_order(1)], ids=str)
+def test_output_exponents_outgrow_the_input(order):
+    ring = PolyRing(5, ["x", "y", "z"], order)
+    x, y, z = ring.gens()
+    # x^N by x - y^2 gives y^(2N): every exponent of the remainder
+    # exceeds every exponent of the input
+    assert_division_matches_oracle(x**40, [x - y**2])
+    assert normal_form(x**40, [x - y**2]) == y**80
+    # remainders past twice the 32-bit and the 64-bit fields the input fits in
+    for k in (30, 62):
+        assert_division_matches_oracle(x**5 + z, [x - 2 * y ** (2**k) * z, y ** (3 * 2**k) - z])
+        assert normal_form(x**5, [x - y ** (2**k)]) == y ** (5 * 2**k)
+
+
+def test_degree_cap_fires_on_the_remainder():
+    ring = PolyRing(5, ["x", "y"], LEX)
+    x, y = ring.gens()
+    f, g = x**3, x - y**4  # degrees 3 and 4, remainder y^12
+    set_degree_cap(10)
+    try:
+        with pytest.raises(DegreeCapExceeded):
+            normal_form(f, [g])
+        with pytest.raises(DegreeCapExceeded):
+            reduce_with_quotients(f, [g])
+        with pytest.raises(DegreeCapExceeded):  # Buchberger's seeding remainder
+            buchberger([g, f])
+        with pytest.raises(DegreeCapExceeded):
+            Ideal(ring, [g]).contains(f)
+        assert normal_form(x**2, [g]) == y**8
+    finally:
+        set_degree_cap(None)
+
+
+def test_sparse_high_degree_frobenius_power():
+    """On the Fermat cubic at p = 5, with I = (l_1, l_2) + J for two
+    random linear forms, h^25 for a 6-term degree-5 multiple h of l_1
+    against the basis of I^[25] + J: the membership test of a closure
+    certificate, once quadratic in the pending terms."""
+    rng = random.Random(0)
+    ring = PolyRing(5, ["x", "y", "z"])
+    x, y, z = ring.gens()
+    J = x**3 + y**3 + z**3
+    l1, l2 = (sum((rng.randint(1, 4) * v for v in ring.gens()), ring.zero()) for _ in range(2))
+    h = l1 * random_form(rng, ring, 4, 2)
+    while len(h.terms) != 6:
+        h = l1 * random_form(rng, ring, 4, 2)
+    basis = buchberger([frobenius_power(g, 2) for g in buchberger([l1, l2, J])] + [J])
+    h25 = frobenius_power(h, 2)
+    assert normal_form(h25, basis).is_zero
+    assert_division_matches_oracle(h25, basis)
+
+
+@pytest.mark.parametrize("order", ORDERS + (block_order(0), block_order(5)), ids=str)
+def test_packed_monomials_follow_the_order(order):
+    for n in (1, 2, 3, 4):
+        ring = PolyRing(3, "abcd"[:n], order)
+        monos = list(itertools.product(range(4), repeat=n))
+        for width in (32, 64, 128):
+            units, _, unpack = _layout(ring, width)
+            packs = {m: sum(map(mul, m, units)) for m in monos}
+            assert sorted(monos, key=order.key) == sorted(monos, key=packs.get)
+            assert all(unpack(packs[m]) == m for m in monos)
