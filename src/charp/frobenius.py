@@ -264,9 +264,10 @@ def frobenius_closure(R: QuotientRing, I, e_max: int = 8, window: int = 2) -> Cl
     for e in range(1, e_max + 1):
         C = closure_step(R, lift, e)
         prev = chain_ideals[-1]
-        if not prev.is_subset_of(C):
+        # a step that hands back the previous member itself needs no test
+        if C is not prev and not prev.is_subset_of(C):
             raise RuntimeError("closure chain failed to ascend; closure-step bug")
-        equal = C.groebner_basis() == prev.groebner_basis()
+        equal = C is prev or C.groebner_basis() == prev.groebner_basis()
         chain_ideals.append(C)
         run = run + 1 if equal else 0
         if run == needed:

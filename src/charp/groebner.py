@@ -4,8 +4,10 @@ Normal forms, Buchberger completion to the unique reduced basis, ideal
 membership, colon ideals, intersections, elimination and dimension.  The
 reduced basis for a fixed order is unique, so results do not depend on
 generator order.  Everything is taken in the ring's own monomial order,
-and each Ideal caches its reduced basis and its Krull dimension (cache
-writes are idempotent and therefore safe under concurrent population).
+and each Ideal caches its reduced basis, its Krull dimension and its
+basis packed for membership tests (cache writes are idempotent and
+therefore safe under concurrent population; a pickle carries the
+generators and the basis alone).
 
 Every division (normal forms, Buchberger's reductions, interreduction
 and the kernel colon's border reductions) is one loop on packed
@@ -18,11 +20,13 @@ comes from the data (the degrees in play, doubled when a lex or block
 reduction outgrows it), and a divisor caches its pack on itself.
 
 A colon (I : A) with S/I finite dimensional is the kernel of r -> r*A
-on the standard monomials of S/I (the linear algebra of FGLM): the
-kernel vectors and I's basis form a Groebner basis of the colon, which
-is interreduced with no Buchberger run by the routine every Buchberger
-run ends with; otherwise, and as the kernel route's oracle, the colon
-is taken by intersections.
+on the standard monomials of S/I (the linear algebra of FGLM), taken on
+packed monomials too: the staircase sorts as integers, each row is its
+parent's row shifted by one variable's unit, and each row is eliminated
+from a heap of its pending columns.  The kernel vectors and I's basis
+form a Groebner basis of the colon, which is interreduced with no
+Buchberger run by the routine every Buchberger run ends with; otherwise,
+and as the kernel route's oracle, the colon is taken by intersections.
 :meth:`Ideal.eliminate` is the only elimination: intersections (and so
 those colons) and the Frobenius preimage fallback of
 :mod:`charp.frobenius` adjoin one fresh variable
@@ -89,7 +93,7 @@ def _layout(ring: PolyRing, width: int):
     units = tuple(sum(one[lo:lo + hi - i]) + one[n + i] for lo, hi in blocks for i in range(lo, hi))
     guards = sum(one) << (width - 1)
     low = (1 << n * width) - 1
-    if width <= 64:
+    if width in (32, 64):
         fmt = struct.Struct(f">{n}{'I' if width == 32 else 'Q'}")
         size = n * width // 8
 
@@ -107,31 +111,36 @@ def _layout(ring: PolyRing, width: int):
 class _Divisors:
     """Nonzero polynomials in list order, the divisors of
     :func:`_reduce_terms` (which divides by their monic forms), packed in
-    one field width that holds each of them; Buchberger appends its basis
-    elements as it finds them.
+    one field width that holds each of them and every monomial of total
+    degree ``degree``; Buchberger appends its basis elements as it finds
+    them.
 
     Each polynomial caches its pack in its ``_pk`` slot as (width, entry),
     where the entry is (packed lead, packed tail, the monic form's negated
     tail coefficients, None); a divisor packed wider once keeps the wider
-    width.  ``top`` is the highest packed lead."""
+    width.  The packing is one snapshot, ``pack`` = (width, units, guards,
+    unpack, entries, top), where ``top`` is the highest packed lead: a
+    widening swaps in a whole new one, so a reader that took the snapshot
+    never sees half of a widening, and an :class:`Ideal` can share its
+    basis' divisors between concurrent membership tests."""
 
-    __slots__ = ("ring", "polys", "width", "units", "guards", "unpack", "entries", "top")
+    __slots__ = ("ring", "polys", "pack")
 
-    def __init__(self, ring: PolyRing, polys=()):
+    def __init__(self, ring: PolyRing, polys=(), degree: int = 0):
         self.ring = ring
         self.polys = list(polys)
         self.widen(max(
-            [pk[0] if (pk := g._pk) is not None else _width(g.total_degree()) for g in self.polys],
-            default=_MIN_WIDTH,
+            [pk[0] if (pk := g._pk) is not None else _width(g.total_degree()) for g in self.polys]
+            + [_width(degree)]
         ))
 
-    def _entry(self, g: Polynomial) -> tuple:
+    def _entry(self, g: Polynomial, width: int, units: tuple) -> tuple:
         pk = g._pk
-        if pk is None or pk[0] != self.width:
-            units, p, terms = self.units, self.ring.p, g.terms
+        if pk is None or pk[0] != width:
+            p, terms = self.ring.p, g.terms
             lm = g.leading_monomial()
             inv = 1 if terms[lm] == 1 else pow(terms[lm], -1, p)
-            pk = g._pk = (self.width, (
+            pk = g._pk = (width, (
                 sum(map(mul, lm, units)),
                 tuple([sum(map(mul, m, units)) for m in terms if m != lm]),
                 tuple([-c * inv % p for m, c in terms.items() if m != lm]),
@@ -140,25 +149,23 @@ class _Divisors:
         return pk[1]
 
     def append(self, g: Polynomial) -> None:
+        """Add g after the others; for a list no other reader holds."""
         self.polys.append(g)
+        width, units, guards, unpack, entries, top = self.pack
         pk = g._pk
-        width = pk[0] if pk is not None else _width(g.total_degree())
-        if width > self.width:
-            self.widen(width)
+        need = pk[0] if pk is not None else _width(g.total_degree())
+        if need > width:
+            self.widen(need)
         else:
-            entry = self._entry(g)
-            self.entries.append(entry)
-            self.top = max(self.top, entry[0])
+            entry = self._entry(g, width, units)
+            entries.append(entry)
+            self.pack = (width, units, guards, unpack, entries, max(top, entry[0]))
 
     def widen(self, width: int) -> None:
         """(Re)pack every divisor in ``width``-bit fields."""
-        self.width = width
-        self.units, self.guards, self.unpack = _layout(self.ring, width)
-        self.entries = [
-            pk[1] if (pk := g._pk) is not None and pk[0] == width else self._entry(g)
-            for g in self.polys
-        ]
-        self.top = max([e[0] for e in self.entries], default=-1)
+        units, guards, unpack = _layout(self.ring, width)
+        entries = [self._entry(g, width, units) for g in self.polys]
+        self.pack = (width, units, guards, unpack, entries, max([e[0] for e in entries], default=-1))
 
 
 def _reduce_terms(terms: dict, divs: _Divisors, quots=None) -> dict:
@@ -184,21 +191,19 @@ def _reduce_terms(terms: dict, divs: _Divisors, quots=None) -> dict:
     if not terms:
         return {}
     degree = max(map(sum, terms))
-    if degree >> (divs.width - 1):
+    if degree >> (divs.pack[0] - 1):
         divs.widen(_width(degree))
     while True:
-        entries = divs.entries
+        width, units, guards, unpack, entries, top = divs.pack
         if quots is not None:
             for q in quots:
                 q.clear()
             entries = [(lead, ms, ncs, q) for (lead, ms, ncs, _), q in zip(entries, quots)]
-        units = divs.units
         work = {sum(map(mul, m, units)): c for m, c in terms.items()}
-        out = _divide_packed(work, entries, divs.top, divs.guards, divs.ring.p)
+        out = _divide_packed(work, entries, top, guards, divs.ring.p)
         if out is not None:
             break
-        divs.widen(2 * divs.width)
-    unpack = divs.unpack
+        divs.widen(2 * width)
     if quots is not None:
         quots[:] = [{unpack(s): c for s, c in q.items()} for q in quots]
     return {unpack(t): c for t, c in out.items()}
@@ -253,21 +258,27 @@ def _descending(ring: PolyRing, table: dict) -> Polynomial:
 
 
 def _divide(f: Polynomial, reducers, quotients: bool):
-    """(quotient tables, remainder) of f on division by ``reducers``, with
-    no tables (None) kept unless ``quotients`` is set: the shared body of
-    :func:`normal_form` and :func:`reduce_with_quotients`.  The division
-    runs by the monic forms of the reducers, so each table is scaled back
-    by its reducer's inverse leading coefficient."""
-    reducers = list(reducers)
-    _check_ring(f.ring, *reducers)
-    if any(g.is_zero for g in reducers):
-        raise ValueError("zero polynomial among reducers")
-    if not reducers:
-        return [], f
+    """(quotient tables, remainder) of f on division by ``reducers`` (a
+    list of polynomials, or the divisors an :class:`Ideal` caches for its
+    basis), with no tables (None) kept unless ``quotients`` is set: the
+    shared body of :func:`normal_form` and :func:`reduce_with_quotients`.
+    The division runs by the monic forms of the reducers, so each table is
+    scaled back by its reducer's inverse leading coefficient."""
+    if isinstance(reducers, _Divisors):
+        divs = reducers
+        _check_ring(divs.ring, f)
+    else:
+        reducers = list(reducers)
+        _check_ring(f.ring, *reducers)
+        if any(g.is_zero for g in reducers):
+            raise ValueError("zero polynomial among reducers")
+        if not reducers:
+            return [], f
+        divs = _Divisors(f.ring, reducers)
     p = f.ring.p
-    quots = [{} for _ in reducers] if quotients else None
-    out = _reduce_terms(f.terms, _Divisors(f.ring, reducers), quots)
-    for g, q in zip(reducers, quots or ()):
+    quots = [{} for _ in divs.polys] if quotients else None
+    out = _reduce_terms(f.terms, divs, quots)
+    for g, q in zip(divs.polys, quots or ()):
         inv = pow(g.leading_coefficient(), -1, p)
         for m in q:
             q[m] = q[m] * inv % p
@@ -279,7 +290,8 @@ def normal_form(f: Polynomial, reducers) -> Polynomial:
     divisible by any reducer's leading monomial, and f - result lies in the
     ideal the reducers generate.  Deterministic: the highest pending term
     is cancelled first, by the first divisor in list order, or else set
-    aside as a remainder term."""
+    aside as a remainder term.  :meth:`Ideal.contains` passes the packed
+    divisors it caches for its basis in place of the list."""
     return _divide(f, reducers, False)[1]
 
 
@@ -427,6 +439,46 @@ def buchberger(generators) -> tuple[Polynomial, ...]:
     return _reduced_basis([h for h, a in zip(reds, alive) if a])
 
 
+def _staircase_rows(index, gens, pack, p: int):
+    """The rows of :meth:`Ideal._colon_by_kernel`: for each packed standard
+    monomial s, the keys of ``index`` in ascending order, the packed normal
+    forms of s*a for the generators a in ``gens``, by the divisors'
+    snapshot ``pack``; None when a reduction outgrows the field width."""
+    width, units, guards, _, entries, top = pack
+    last = len(units) - 1
+    nfs = {t: ((t, 1),) for t in index}  # packed monomial -> its normal form
+    first = [
+        _divide_packed({sum(map(mul, m, units)): c for m, c in a.terms.items()}, entries, top, guards, p)
+        for a in gens
+    ]
+    if any(vec is None for vec in first):
+        return None
+    rows = [first]  # the first standard monomial is 1
+    for t in itertools.islice(index, 1, None):
+        # x_j, the last variable of t, owns t's lowest set bit
+        u = units[last - ((t & -t).bit_length() - 1) // width]
+        row = []
+        for vec in rows[index[t - u]]:
+            out: dict = {}
+            for b, c in vec.items():
+                m = b + u
+                nf = nfs.get(m)
+                if nf is None:
+                    nf = _divide_packed({m: 1}, entries, top, guards, p)
+                    if nf is None:
+                        return None
+                    nf = nfs[m] = tuple(nf.items())
+                for mm, cc in nf:
+                    v = (out.get(mm, 0) + c * cc) % p
+                    if v:
+                        out[mm] = v
+                    else:
+                        del out[mm]
+            row.append(out)
+        rows.append(row)
+    return rows
+
+
 def _standard_monomials(lms, nvars: int) -> list:
     """The monomials in ``nvars`` variables divisible by none of ``lms``,
     in ascending lex order.  Raises ValueError unless ``lms`` generate a
@@ -489,7 +541,7 @@ def adjoin_variable(ring: PolyRing, stem: str):
 class Ideal:
     """An ideal of a PolyRing, given by generators (zero generators dropped)."""
 
-    __slots__ = ("ring", "gens", "_gb", "_dim")
+    __slots__ = ("ring", "gens", "_gb", "_dim", "_divs")
 
     def __init__(self, ring: PolyRing, gens):
         gens = tuple(g for g in gens if not g.is_zero)
@@ -498,6 +550,14 @@ class Ideal:
         self.gens = gens
         self._gb: tuple[Polynomial, ...] | None = None
         self._dim: int | None = None
+        self._divs: _Divisors | None = None  # the basis' packed divisors
+
+    def __getstate__(self):
+        return self.ring, self.gens, self._gb  # the other caches are rebuilt on use
+
+    def __setstate__(self, state):
+        self.ring, self.gens, self._gb = state
+        self._dim = self._divs = None
 
     def __repr__(self):
         return f"Ideal({', '.join(map(str, self.gens)) or '0'})"
@@ -514,7 +574,9 @@ class Ideal:
         gb = self.groebner_basis()
         if not gb:
             return f.is_zero
-        return normal_form(f, gb).is_zero
+        if self._divs is None:
+            self._divs = _Divisors(self.ring, gb)  # idempotent, as the basis is
+        return normal_form(f, self._divs).is_zero
 
     def __contains__(self, f: Polynomial) -> bool:
         return self.contains(f)
@@ -567,12 +629,20 @@ class Ideal:
         S/self (the FGLM linear algebra), with no Buchberger run.
 
         The rows are the normal forms of s*a_1, ..., s*a_m side by side, one
-        row per standard monomial s, visited in ascending ring order.  A
-        parent s/x_j is smaller than s, so it comes first, and s's row is
-        its parent's row times x_j, where a product outside the staircase
-        is a border monomial reduced once per call.  Each row is
-        top-reduced against the earlier rows that stayed independent; a row
-        that reduces to zero gives s + (a combination of earlier
+        row per standard monomial s, on packed monomials (see
+        :func:`_layout`) in fields that hold the staircase's products and
+        A's generators: the staircase is visited in ascending order, which
+        for packed monomials is integer order.  A parent s/x_j (packed,
+        s - units[j]) is smaller than s, so it comes first, and s's row is
+        its parent's row times x_j, an addition of ``units[j]`` per term,
+        where a product outside the staircase is a border monomial reduced
+        once per call.  A reduction that outgrows the fields (under lex or
+        block orders) restarts the rows in fields twice as wide.
+
+        Each row, augmented by its unit vector in the negative columns, is
+        top-reduced against the earlier rows that stayed independent, its
+        pending columns popped highest first from a heap; a row left with
+        only negative columns gives s + (a combination of earlier
         independent monomials) in the colon.  Dependent rows never become
         pivots, so that tail holds only independent monomials, which are
         the standard monomials of the colon: the vector has lead s and is
@@ -582,69 +652,54 @@ class Ideal:
         colon's initial ideal, so the kernel vectors and I's basis form a
         Groebner basis of the colon, and :func:`_reduced_basis` interreduces
         it."""
-        ring = self.ring
-        key = ring.order.key
-        p = ring.p
+        ring, p = self.ring, self.ring.p
         gb = self.groebner_basis()
-        lms = [g.leading_monomial() for g in gb]
-        staircase = sorted(_standard_monomials(lms, ring.nvars), key=key)
-        index = {s: k for k, s in enumerate(staircase)}
-        divs = _Divisors(ring, gb)
-        nfs = {s: ((s, 1),) for s in staircase}  # monomial -> its normal form
+        staircase = _standard_monomials([g.leading_monomial() for g in gb], ring.nvars)
+        degree = max(map(sum, staircase)) + 1 + max(a.total_degree() for a in other.gens)
+        divs = _Divisors(ring, gb, degree)
+        while True:
+            width, units = divs.pack[:2]
+            stairs = sorted((sum(map(mul, s, units)), s) for s in staircase)
+            index = {t: k for k, (t, _) in enumerate(stairs)}
+            rows = _staircase_rows(index, other.gens, divs.pack, p)
+            if rows is not None:
+                break
+            divs.widen(2 * width)
 
-        def reduce(terms: dict) -> dict:
-            return _reduce_terms(terms, divs)
-
-        def times_var(vec: dict, j: int) -> dict:
-            out: dict = {}
-            for b, c in vec.items():
-                m = b[:j] + (b[j] + 1,) + b[j + 1:]
-                nf = nfs.get(m)
-                if nf is None:
-                    nf = nfs[m] = tuple(reduce({m: 1}).items())
-                for mm, cc in nf:
-                    t = (out.get(mm, 0) + c * cc) % p
-                    if t:
-                        out[mm] = t
-                    else:
-                        del out[mm]
-            return out
-
-        rows = [[reduce(a.terms) for a in other.gens]]  # staircase[0] is 1
-        for s in staircase[1:]:
-            j = max(i for i, x in enumerate(s) if x)
-            parent = index[s[:j] + (s[j] - 1,) + s[j + 1:]]
-            rows.append([times_var(vec, j) for vec in rows[parent]])
-
-        # Top-reduce each row, augmented by its unit vector in the negative
-        # columns -1-k, against the earlier pivots; a row left with only
-        # negative columns is a kernel vector s + tail.
-        width = len(staircase)
-        pivots: dict = {}  # leading column -> row scaled to lead with 1
-        tails: dict = {}  # new lead s -> the tail of its kernel vector
+        # column i*n + k holds staircase monomial k of part i, column -1-k
+        # the unit vector of row k
+        n = len(stairs)
+        pivots: dict = {}  # leading column -> the rest of its row, scaled to lead 1
+        kernel = []
         for k, row in enumerate(rows):
-            vec = {i * width + index[b]: c for i, part in enumerate(row) for b, c in part.items()}
+            vec = {i * n + index[b]: c for i, part in enumerate(row) for b, c in part.items()}
+            heap = [-c for c in vec]
+            heapq.heapify(heap)
             vec[-1 - k] = 1
-            while True:
-                col = max(vec)
-                if col < 0:
-                    del vec[-1 - k]
-                    tails[staircase[k]] = {staircase[-1 - c]: v for c, v in vec.items()}
-                    break
+            while heap:
+                col = -heapq.heappop(heap)
+                factor = vec[col]
+                if not factor:
+                    continue
                 pivot = pivots.get(col)
                 if pivot is None:
-                    inv = pow(vec[col], -1, p)
-                    pivots[col] = {c: v * inv % p for c, v in vec.items()}
+                    inv = pow(factor, -1, p)
+                    pivots[col] = [(c, v * inv % p) for c, v in vec.items() if v and c != col]
                     break
-                factor = vec[col]
-                for c, v in pivot.items():
-                    t = (vec.get(c, 0) - factor * v) % p
-                    if t:
-                        vec[c] = t
+                del vec[col]
+                for c, v in pivot:
+                    old = vec.get(c)
+                    if old is None:
+                        vec[c] = -factor * v % p
+                        if c >= 0:
+                            heapq.heappush(heap, -c)
                     else:
-                        vec.pop(c, None)
+                        vec[c] = (old - factor * v) % p
+            else:
+                h = Polynomial(ring, {stairs[-1 - c][1]: v for c, v in vec.items() if c < 0 and v})
+                h._lm = stairs[k][1]
+                kernel.append(h)
 
-        kernel = [Polynomial(ring, {s: 1, **tails[s]}) for s in tails]
         result = Ideal(ring, _reduced_basis(kernel + list(gb)))
         result._gb = result.gens
         return result

@@ -264,6 +264,13 @@ class Polynomial:
                     f"intermediate polynomial degree {d} exceeds FROB_MAX_DEGREE={cap}"
                 )
 
+    def __getstate__(self):
+        return self.ring, self.terms  # the caches are rebuilt on use
+
+    def __setstate__(self, state):
+        self.ring, self.terms = state
+        self._lm = self._hash = self._pk = None
+
     # -- basic structure ----------------------------------------------------
 
     @property
@@ -367,6 +374,12 @@ class Polynomial:
         if len(self.terms) == 1:  # a term's power is read off its exponents
             (m, c), = self.terms.items()
             return Polynomial(self.ring, {tuple(e * n for e in m): pow(c, n, self.ring.p)})
+        p, k = self.ring.p, 0
+        while n and n % p == 0:  # h**(m * p**k) is the Frobenius power of h**m
+            n //= p
+            k += 1
+        if k:
+            return frobenius_power(self ** n, k)
         result = self.ring.one()
         base = self
         while n:

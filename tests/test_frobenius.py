@@ -529,6 +529,26 @@ def test_chain_is_monotone():
             assert all(R.defining.is_subset_of(R.lift(gb)) for _ in [0])
 
 
+def test_ascent_test_skips_only_the_previous_member_itself(monkeypatch):
+    """X ⊆ X needs no test: a closure step that hands back the previous
+    chain member itself runs no ascent test, while one that returns a new,
+    smaller ideal still fails it."""
+    import charp.frobenius
+
+    R = fermat_ring(2)
+    x, y, _ = R.ambient.gens()
+    tested = []
+    subset = Ideal.is_subset_of
+    monkeypatch.setattr(Ideal, "is_subset_of", lambda I, K: tested.append(K) or subset(I, K))
+    monkeypatch.setattr(charp.frobenius, "closure_step", lambda R, I, e: I)
+    assert frobenius_closure(R, [x, y]).stabilization_index == 0
+    assert tested == []
+    monkeypatch.setattr(charp.frobenius, "closure_step", lambda R, I, e: R.lift([x**2, y]))
+    with pytest.raises(RuntimeError, match="failed to ascend"):
+        frobenius_closure(R, [x, y])
+    assert len(tested) == 1
+
+
 def test_certificate_is_checked_on_every_run():
     R = fermat_ring(2)
     x, y, _ = R.ambient.gens()

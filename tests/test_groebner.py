@@ -1,5 +1,8 @@
 import itertools
+import pickle
 import random
+import sys
+import threading
 
 import pytest
 
@@ -15,7 +18,8 @@ from charp import (
     normal_form,
     reduce_with_quotients,
 )
-from charp.groebner import _standard_monomials
+from charp import groebner
+from charp.groebner import _Divisors, _standard_monomials
 from charp.poly import mono_divides
 from support import (
     assert_spolys_reduce_to_zero,
@@ -311,6 +315,38 @@ def test_zero_dimensional_colon_edge_cases(monkeypatch):
     assert _colon_by_kernel(monkeypatch, J, Ideal(ring, [x, y])) == expected
 
 
+def test_kernel_colon_restarts_in_wider_fields(monkeypatch):
+    """In 4-bit fields (values up to 7) reductions outgrow the colon's
+    packing under lex and block orders: the colon widens its divisors,
+    restarts its rows and still matches the intersection route."""
+    monkeypatch.setattr(groebner, "_MIN_WIDTH", 4)
+    restarts = []
+    widen = _Divisors.widen
+
+    def counting(self, width):
+        if sys._getframe(1).f_code.co_name == "_colon_by_kernel":
+            restarts.append(width)
+        widen(self, width)
+
+    monkeypatch.setattr(_Divisors, "widen", counting)
+    # the border x^2*y^2 = x*(x*y^2) leaves x*y^5 = y^3*(x*y^2), then y^8
+    ring = PolyRing(3, ["x", "y"], LEX)
+    x, y = ring.gens()
+    I, A = Ideal(ring, [x**3, x * y**2 - y**5, y**6]), Ideal(ring, [y])
+    assert _colon_by_kernel(monkeypatch, I, A) == _colon_by_intersection(I, A)
+    assert restarts == [8]
+    # the seeded draws: here A's own generators outgrow the fields
+    rng = random.Random(1300)
+    for p in (2, 3, 5, 7):
+        for order in (GREVLEX, LEX, block_order(1)):
+            for variables in (["x", "y"], ["x", "y", "z"]):
+                ring = PolyRing(p, variables, order)
+                for _ in range(17):
+                    I, A = random_zero_dimensional_colon(rng, ring)
+                    assert _colon_by_kernel(monkeypatch, I, A) == _colon_by_intersection(I, A)
+    assert len(restarts) > 1
+
+
 def test_intersect_examples(f2xyz):
     x, y, _ = f2xyz.gens()
     meet = Ideal(f2xyz, [x]).intersect(Ideal(f2xyz, [y]))
@@ -401,6 +437,86 @@ def test_groebner_cache_is_used(f2xyz):
     lex = PolyRing(2, f2xyz.variables, LEX)
     x, y, _ = lex.gens()
     assert Ideal(lex, [x, y]).groebner_basis() == (x, y)
+
+
+def test_membership_packs_the_basis_once(monkeypatch):
+    ring = PolyRing(2, ["x", "y", "z"])
+    x, y, z = ring.gens()
+    I = Ideal(ring, [x**4, y**5, x**3 + y**3 + z**3])
+    gb = I.groebner_basis()
+    built = []
+    init = _Divisors.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(_Divisors, "__init__", counting)
+    members = [g * m for g in gb for m in (x, y * z, z**5)]
+    assert all(I.contains(f) for f in members)
+    assert not any(I.contains(f) for f in (x * y * z, z**5, x**3 + y))
+    assert len(built) == 1
+
+
+def test_membership_is_safe_under_concurrent_widening():
+    """Threads share one ideal's cached divisors while some reductions
+    outgrow 32-bit fields (x^2 leaves y^(2^31) modulo x - y^(2^30) under
+    lex) and widen them: every answer matches the serial one."""
+    ring = PolyRing(3, ["x", "y"], LEX)
+    x, y = ring.gens()
+    d = 2**30
+    cases = [(x**2, False), (x**2 - y ** (2 * d), True), (x * y - y ** (d + 1), True), (x + y, False)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            I = Ideal(ring, [x - y**d])
+            I.groebner_basis()
+            barrier = threading.Barrier(6)
+            wrong = []
+
+            def check(k):
+                try:
+                    barrier.wait(timeout=10)
+                    for f, member in cases[k % 4:] + cases[:k % 4]:
+                        if I.contains(f) != member:
+                            wrong.append(f)
+                except Exception as exc:  # reported by the assertion below
+                    wrong.append(exc)
+
+            threads = [threading.Thread(target=check, args=(k,)) for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert wrong == []
+            assert I._divs.pack[0] == 64
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_pickles_carry_no_pack_caches():
+    """An ideal pickles as its generators and basis, its basis elements as
+    ring and terms: after membership tests, a dimension and a colon it
+    pickles to the same bytes as before them, and unpickles with empty
+    caches."""
+    ring = PolyRing(3, ["x", "y", "z"])
+    x, y, z = ring.gens()
+    I = Ideal(ring, [x**2 + y * z, y**3, z**2 - x * y])
+    gb = I.groebner_basis()
+    cold = pickle.dumps(I)
+    assert I.contains(x**2 * z + y * z**2)
+    assert not I.contains(x * y)
+    I.krull_dimension()
+    I.colon_ideal(Ideal(ring, [x]))
+    assert I._divs is not None and all(g._pk is not None for g in gb)
+    assert pickle.dumps(I) == cold
+    J = pickle.loads(cold)
+    assert (J._dim, J._divs) == (None, None)
+    assert all(g._pk is None and g._lm is None for g in J.groebner_basis())
+    assert J.groebner_basis() == gb
+    assert J.contains(x**2 * z + y * z**2) and not J.contains(x * y)
 
 
 def test_lex_vs_grevlex():

@@ -98,6 +98,22 @@ def test_frobenius_power_is_a_true_power(p):
             assert frobenius_power(f, e) == f ** (p**e)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_power_through_frobenius_matches_repeated_multiplication(p):
+    # h**(m * p**k) is taken as the Frobenius power of h**m; n = p**3 + 1
+    # has no factor p and takes repeated squaring alone
+    ring = PolyRing(p, ["x", "y"])
+    rng = random.Random(20 + p)
+    for n in (p, p**2, 3 * p**2, p**3 + 1):
+        h = ring.zero()
+        while len(h.terms) < 2:
+            h = random_poly(rng, ring, max_degree=2, max_terms=3)
+        product = ring.one()
+        for _ in range(n):
+            product = product * h
+        assert h**n == product
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_frobenius_root_random(p):
     ring = PolyRing(p, ["x", "y", "z"])
@@ -225,6 +241,23 @@ def test_a_ring_is_one_object_per_characteristic_variables_and_order():
     assert PolyRing(5, ["x", "y"]) is not S
     f = S.var("x") + 2
     assert pickle.loads(pickle.dumps(f)).ring is S
+
+
+def test_a_pickled_polynomial_carries_no_caches():
+    from charp import normal_form
+
+    x, y = PolyRing(3, ["x", "y"]).gens()
+    f = x**2 * y + 2 * y + 1
+    cold = pickle.dumps(f)
+    hash(f)
+    f.leading_monomial()
+    normal_form(x**3 * y**2, [f])  # packs f as a divisor
+    assert f._pk is not None
+    assert pickle.dumps(f) == cold
+    g = pickle.loads(cold)
+    assert g == f
+    assert (g._lm, g._hash, g._pk) == (None, None, None)
+    assert g.leading_monomial() == f.leading_monomial()
 
 
 def test_ring_arguments_are_validated_before_the_lookup():
