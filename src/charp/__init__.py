@@ -9,7 +9,6 @@ Frobenius skew action.
 
 __version__ = "0.1.0"
 
-from .field import FieldElement, field_inv, is_prime
 from .poly import (
     GREVLEX,
     LEX,
@@ -19,11 +18,11 @@ from .poly import (
     PolyRing,
     RingMismatchError,
     block_order,
-    compare_monomials,
     divide_exact,
     frobenius_power,
     frobenius_root,
     frobenius_substitute,
+    is_prime,
     set_degree_cap,
 )
 from .parse import PolyParseError, parse_polynomial
@@ -70,8 +69,7 @@ from .cohomology import (
 from .ringfile import RingFile, RingFileError, parse_ring_file, print_ring_file
 
 __all__ = [
-    "FieldElement", "field_inv", "is_prime",
-    "GREVLEX", "LEX", "MonomialOrder", "block_order", "compare_monomials",
+    "GREVLEX", "LEX", "MonomialOrder", "block_order", "is_prime",
     "PolyRing", "Polynomial", "RingMismatchError", "DegreeCapExceeded",
     "divide_exact", "frobenius_power", "frobenius_root", "frobenius_substitute",
     "set_degree_cap",

@@ -30,6 +30,7 @@ from .frobenius import (
 )
 from .parse import PolyParseError, parse_polynomials
 from .poly import DegreeCapExceeded, degree_cap, set_degree_cap
+from .quotient import _check_homogeneous
 from .ringfile import RingFileError, parse_ring_file
 
 EXIT_OK = 0
@@ -313,11 +314,15 @@ def _cmd_eta(args, rf, R):
 
 def _cmd_paramcheck(args, rf, R):
     ideal = _named_ideal(rf, args.ideal, args.ring)
+    try:
+        _check_homogeneous(ideal.gens)
+    except ValueError as err:
+        raise CliInputError(f"--ideal: {err}") from None
     extension = _parse_polys(rf, args.extend, "--extend") if args.extend.strip() else []
     try:
         holds = parameter_ideal_check(R, ideal.gens, extension, args.e,
                                       e_max=args.emax, window=args.window)
-    except ValueError as err:  # not a system of parameters, or not homogeneous
+    except ValueError as err:  # not homogeneous, or not completing a system of parameters
         raise CliInputError(f"--extend: {err}") from None
     print(f"(closure)^[p^{args.e}] = (ideal)^[p^{args.e}] in R: {'true' if holds else 'false'}")
     return EXIT_OK, {

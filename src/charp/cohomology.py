@@ -16,6 +16,7 @@ nothing declares it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .frobenius import (
@@ -100,10 +101,8 @@ def cech_equal(z1: CechClass, z2: CechClass) -> bool:
     if z1.ring != z2.ring or z1.sequence != z2.sequence:
         raise ValueError("classes over different rings or sequences")
     k = max(z1.level, z2.level)
-    b = z1.sequence[0].ring.one()
-    for f in z1.sequence:
-        b = b * f
-    lhs = (b ** (k - z1.level)) * z1.numerator - (b ** (k - z2.level)) * z2.numerator
+    u = math.prod(z1.sequence, start=z1.ring.ambient.one())
+    lhs = (u ** (k - z1.level)) * z1.numerator - (u ** (k - z2.level)) * z2.numerator
     return z1.ring.lift([b ** k for b in z1.sequence]).contains(lhs)
 
 

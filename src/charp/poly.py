@@ -18,8 +18,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .field import check_characteristic
-
 Monomial = tuple  # tuple[int, ...], one exponent per ring variable
 
 
@@ -123,15 +121,35 @@ def block_order(front: int) -> MonomialOrder:
     return MonomialOrder("block", front)
 
 
-def compare_monomials(m1: Monomial, m2: Monomial, order: MonomialOrder = GREVLEX) -> int:
-    """-1, 0 or +1 according to m1 <, =, > m2 under ``order``."""
-    if len(m1) != len(m2):
-        raise ValueError(f"monomial length mismatch: {len(m1)} vs {len(m2)}")
-    k1, k2 = order.key(m1), order.key(m2)
-    return (k1 > k2) - (k1 < k2)
-
-
 # ---------------------------------------------------------------------------
+# rings
+
+# Residues are plain ints; 2 <= p < 2**16 keeps their products machine-sized.
+MAX_CHARACTERISTIC = 1 << 16
+
+
+def is_prime(n: int) -> bool:
+    """Trial-division primality test, adequate for n < 2**16."""
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
+
+
+def check_characteristic(p: int) -> int:
+    """Return ``p`` if it is a prime in [2, 2**16), else raise ValueError."""
+    if not isinstance(p, int) or not 2 <= p < MAX_CHARACTERISTIC or not is_prime(p):
+        raise ValueError(f"characteristic {p!r} is not a prime in [2, 2^16)")
+    return p
+
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 

@@ -28,6 +28,17 @@ from .groebner import Ideal
 from .poly import PolyRing, _check_ring
 
 
+def _check_homogeneous(elems) -> None:
+    """Raise ValueError unless every element is homogeneous of positive
+    degree, as a system of parameters must be."""
+    for a in elems:
+        if a.is_zero or not a.is_homogeneous() or a.total_degree() < 1:
+            raise ValueError(
+                f"system-of-parameters check needs homogeneous elements of "
+                f"positive degree, got {a}"
+            )
+
+
 @dataclass(frozen=True)
 class RegularSequenceCheck:
     """Outcome of a poor-regular-sequence test; ``failure_index`` is the
@@ -161,12 +172,7 @@ class QuotientRing:
         """d = dim R homogeneous elements of positive degree cutting R down
         to dimension zero."""
         elems = list(elems)
-        for a in elems:
-            if a.is_zero or not a.is_homogeneous() or a.total_degree() < 1:
-                raise ValueError(
-                    f"system-of-parameters check needs homogeneous elements of "
-                    f"positive degree, got {a}"
-                )
+        _check_homogeneous(elems)
         if len(elems) != self.dimension:
             return False
         return self.lift(elems).krull_dimension() == 0

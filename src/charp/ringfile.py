@@ -23,10 +23,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .field import MAX_CHARACTERISTIC, is_prime
 from .groebner import Ideal
 from .parse import PolyParseError, _position, parse_polynomials
-from .poly import GREVLEX, PolyRing
+from .poly import GREVLEX, PolyRing, check_characteristic
 from .quotient import QuotientRing
 
 
@@ -105,8 +104,10 @@ def parse_ring_file(text: str) -> RingFile:
                 p = int(body.strip())
             except ValueError:
                 raise error(f"invalid characteristic {body.strip()!r}", stmt) from None
-            if not 2 <= p < MAX_CHARACTERISTIC or not is_prime(p):
-                raise error(f"characteristic {p} is not a prime in [2, 2^16)", stmt)
+            try:
+                check_characteristic(p)
+            except ValueError as err:
+                raise error(str(err), stmt) from None
         elif head == "vars":
             if p is None:
                 raise error("'vars' before 'char'", stmt)

@@ -190,6 +190,15 @@ def test_input_errors_name_the_flag(ring_file, tmp_path, capsys):
     bad.write_text("char 4;\nvars x;\n")
     assert main(["gb", "--ring", str(bad), "--ideal", "I"]) == 1
     assert "1:1" in capsys.readouterr().err
+    # a generator of the ideal that is not homogeneous is the ideal's fault
+    inhomogeneous = tmp_path / "inhomogeneous.ring"
+    inhomogeneous.write_text(FERMAT.replace("ideal P = x;", "ideal P = x + y^2;"))
+    assert main(["paramcheck", "--ring", str(inhomogeneous), "--ideal", "P",
+                 "--extend", "z", "--e", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: --ideal: system-of-parameters check needs homogeneous "
+                            "elements of positive degree, got y^2 + x\n")
+    assert captured.out == ""
     for argv, flag in (
         (["closure", "--ideal", "I", "--emax", "0"], "--emax"),
         (["qnumber", "--ideal", "I", "--window", "0"], "--window"),

@@ -1,56 +1,16 @@
-import itertools
-
 import pytest
 
-from charp import FieldElement, field_inv, is_prime
-
-
-def test_inverse_examples():
-    assert field_inv(FieldElement(1, 2)) == FieldElement(1, 2)
-    assert field_inv(FieldElement(2, 5)) == FieldElement(3, 5)
-    with pytest.raises(ZeroDivisionError):
-        field_inv(FieldElement(0, 3))
-
-
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_field_axioms_exhaustive(p):
-    elems = [FieldElement(r, p) for r in range(p)]
-    zero, one = elems[0], elems[1]
-    for a, b in itertools.product(elems, repeat=2):
-        assert a + b == b + a
-        assert a * b == b * a
-        assert a + zero == a
-        assert a * one == a
-        assert a + (-a) == zero
-        if a:
-            assert a * field_inv(a) == one
-    for a, b, c in itertools.product(elems, repeat=3):
-        assert (a + b) + c == a + (b + c)
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
-
-
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
-def test_fermat_little(p):
-    for r in range(p):
-        a = FieldElement(r, p)
-        power = a
-        for _ in range(p - 1):
-            power = power * a
-        assert power == a
-
-
-def test_field_mismatch_rejected():
-    with pytest.raises(ValueError):
-        FieldElement(1, 2) + FieldElement(1, 3)
+from charp import PolyRing, is_prime
+from charp.poly import check_characteristic
 
 
 def test_characteristic_validation():
-    with pytest.raises(ValueError):
-        FieldElement(0, 4)
-    with pytest.raises(ValueError):
-        FieldElement(0, 1)
-    with pytest.raises(ValueError):
-        FieldElement(0, 1 << 16)
+    for p in (4, 1, 1 << 16):
+        with pytest.raises(ValueError, match="is not a prime in"):
+            check_characteristic(p)
+        with pytest.raises(ValueError, match="is not a prime in"):
+            PolyRing(p, ["x"])
+    assert check_characteristic(65521) == 65521
+    assert [n for n in range(30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert is_prime(65521)
     assert not is_prime(65535)
