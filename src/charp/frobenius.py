@@ -394,7 +394,16 @@ def run_census(R: QuotientRing, labeled_rows, e_max: int = 8, window: int = 2,
     """Closure/Q-exponent census over explicit labeled rows
     [(params, generators), ...].  Rows are independent; with jobs > 1 they
     are dispatched to a process pool, and output order follows input order
-    either way."""
+    either way.
+
+    ``recheck_ok`` tells whether every stabilized row's closure has the
+    bracket powers of its input at ``uniform_e``.  That is tested for the
+    rows whose Q-exponent is below ``uniform_e``.  For a row at
+    ``uniform_e`` the test would be the row's own certificate (the same
+    target, the same basis and the same e), which passed, so it only
+    checks that the basis handed back is the certified one its digest
+    records; a census whose rows share one Q-exponent therefore rebuilds
+    no target in the calling process."""
     outcomes = _map_rows(
         _census_row,
         [(R, params, gens, e_max, window) for params, gens in labeled_rows],
@@ -408,6 +417,8 @@ def run_census(R: QuotientRing, labeled_rows, e_max: int = 8, window: int = 2,
     if uniform_e is not None:
         recheck_ok = all(
             bracket_powers_agree(R, R.lift(gens), closure_gb, uniform_e)
+            if row.q_exponent < uniform_e
+            else tuple(map(str, closure_gb)) == row.ideal_digest
             for row, closure_gb, gens in outcomes
             if row.stabilized
         )

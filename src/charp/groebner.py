@@ -18,6 +18,12 @@ sit in a heap, whose highest term is cancelled by the first divisor
 whose lead divides it or else moved to the remainder.  The field width
 comes from the data (the degrees in play, doubled when a lex or block
 reduction outgrows it), and a divisor caches its pack on itself.
+Buchberger forms each pair's S-polynomial on packed monomials too: the
+two basis elements' packed tails, shifted by their packed lcm minus each
+packed lead, are summed into the table the division reduces, and only a
+nonzero remainder, a new basis element, is unpacked.  Its pair
+bookkeeping (the Gebauer-Moller update and the pair queue) stays on
+exponent tuples.
 
 A colon (I : A) with S/I finite dimensional is the kernel of r -> r*A
 on the standard monomials of S/I (the linear algebra of FGLM), taken on
@@ -49,6 +55,8 @@ from .poly import (
     PolyRing,
     _check_ring,
     block_order,
+    check_degree,
+    degree_cap,
     divide_exact,
     mono_div,
     mono_divides,
@@ -303,6 +311,10 @@ def reduce_with_quotients(f: Polynomial, reducers):
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
+    """The S-polynomial (l/lt(f))*f - (l/lt(g))*g, l the lcm of the leading
+    monomials: the public helper for Buchberger's criterion, and the oracle
+    of the packed S-polynomials :func:`buchberger` forms itself (see
+    :func:`_s_remainder`)."""
     ring = f.ring
     p = ring.p
     lmf, lmg = f.leading_monomial(), g.leading_monomial()
@@ -310,6 +322,45 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     cf = pow(f.terms[lmf], -1, p)
     cg = pow(g.terms[lmg], -1, p)
     return f * ring.monomial(mono_div(lcm, lmf), cf) - g * ring.monomial(mono_div(lcm, lmg), cg)
+
+
+def _s_remainder(divs: _Divisors, i: int, j: int, lcm: tuple) -> dict:
+    """``_reduce_terms(s_polynomial(f, g).terms, divs)`` for the monic
+    divisors f = ``divs.polys[i]`` and g = ``divs.polys[j]``, whose leads
+    have the lcm ``lcm``, formed on their packed entries.
+
+    The shifts are the packed lcm minus each packed lead, and the table is
+    the sum of the two shifted tails, f's with the negation of its stored
+    (negated) coefficients and g's with them as stored; terms that cancel
+    are dropped.  A guard bit set by the lcm or a shifted term restarts
+    the pair in fields twice as wide, as :func:`_reduce_terms` does.  The
+    multiples of f and g count against the degree cap, as the polynomials
+    of :func:`s_polynomial` do."""
+    if degree_cap() is not None:
+        check_degree(sum(lcm) + max(h.total_degree() - sum(h.leading_monomial())
+                                    for h in (divs.polys[i], divs.polys[j])))
+    p = divs.ring.p
+    while True:
+        width, units, guards, unpack, entries, top = divs.pack
+        over = packed = sum(map(mul, lcm, units))
+        (lf, msf, ncsf, _), (lg, msg, ncsg, _) = entries[i], entries[j]
+        shift = packed - lf
+        work = {m + shift: p - nc for m, nc in zip(msf, ncsf)}
+        shift = packed - lg
+        for m, nc in zip(msg, ncsg):
+            m += shift
+            c = (work.get(m, 0) + nc) % p
+            if c:
+                work[m] = c
+            else:
+                del work[m]
+        for m in work:
+            over |= m
+        if not over & guards:
+            out = _divide_packed(work, entries, top, guards, p)
+            if out is not None:
+                return {unpack(t): c for t, c in out.items()}
+        divs.widen(2 * width)
 
 
 def _reduced_basis(gb) -> tuple[Polynomial, ...]:
@@ -346,9 +397,11 @@ def buchberger(generators) -> tuple[Polynomial, ...]:
     Pair selection follows the normal strategy (smallest lcm in the order,
     ties by pair index); the pair queue is maintained with the
     Gebauer-Moller update, which subsumes the coprime and chain criteria
-    and retires basis elements whose lead becomes redundant.  The result is
-    monic, mutually reduced and sorted by descending leading monomial; the
-    zero ideal yields the empty basis.
+    and retires basis elements whose lead becomes redundant.  Each pair's
+    S-polynomial is formed on packed monomials from the basis' packed
+    divisors and reduced in the same table (see :func:`_s_remainder`).
+    The result is monic, mutually reduced and sorted by descending leading
+    monomial; the zero ideal yields the empty basis.
     """
     gens = [g for g in generators if not g.is_zero]
     if not gens:
@@ -428,13 +481,12 @@ def buchberger(generators) -> tuple[Polynomial, ...]:
 
     while heap:
         _, i, j = heapq.heappop(heap)
-        if pending.pop((i, j), None) is None:
+        lcm = pending.pop((i, j), None)
+        if lcm is None:
             continue  # pruned by a later update
-        s = s_polynomial(reds[i], reds[j])
-        table = _reduce_terms(s.terms, divs)
-        if not table:
-            continue
-        add_element(_descending(ring, table).monic())
+        table = _s_remainder(divs, i, j, lcm)
+        if table:
+            add_element(_descending(ring, table).monic())
 
     return _reduced_basis([h for h, a in zip(reds, alive) if a])
 

@@ -54,6 +54,15 @@ def degree_cap() -> int | None:
     return _DEGREE_CAP
 
 
+def check_degree(degree: int) -> None:
+    """Raise DegreeCapExceeded when an intermediate polynomial of total
+    degree ``degree`` exceeds the degree cap."""
+    if _DEGREE_CAP is not None and degree > _DEGREE_CAP:
+        raise DegreeCapExceeded(
+            f"intermediate polynomial degree {degree} exceeds FROB_MAX_DEGREE={_DEGREE_CAP}"
+        )
+
+
 # ---------------------------------------------------------------------------
 # monomial helpers (plain tuple arithmetic)
 
@@ -274,13 +283,8 @@ class Polynomial:
         self._lm = None
         self._hash = None
         self._pk = None  # packed terms, cached by the Groebner division kernel
-        cap = _DEGREE_CAP
-        if cap is not None and terms:
-            d = max(map(sum, terms))
-            if d > cap:
-                raise DegreeCapExceeded(
-                    f"intermediate polynomial degree {d} exceeds FROB_MAX_DEGREE={cap}"
-                )
+        if _DEGREE_CAP is not None and terms:
+            check_degree(max(map(sum, terms)))
 
     def __getstate__(self):
         return self.ring, self.terms  # the caches are rebuilt on use

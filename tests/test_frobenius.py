@@ -317,6 +317,41 @@ def test_closure_on_a_stanley_reisner_ring_is_the_lift(p, variables, faces, monk
         assert calls
 
 
+@pytest.mark.parametrize("p,defining,route", [
+    (2, ["x^3 + y^3 + z^3"], "colon"),
+    (3, ["x^4 + y^4 + z^4"], "colon"),
+    (2, ["x*y", "y*z", "x*z"], "preimage"),
+])
+def test_adjoining_a_variable_commutes_with_closure(p, defining, route, monkeypatch):
+    """R[t] is free over R, so C_e(I*R[t]) = C_e(I)*R[t] for every e: the
+    closure chain of I over R[t] is the chain over R with t adjoined, and
+    the Q-exponent is the same.  Each draw takes the same route over both
+    rings, and over each ring the named route runs."""
+    _, calls = _count_preimages(monkeypatch)
+    S = PolyRing(p, ["x", "y", "z"])
+    R = QuotientRing(S, [S.parse(f) for f in defining])
+    St = PolyRing(p, ["x", "y", "z", "t"])
+
+    def with_t(g):
+        return St.poly({m + (0,): c for m, c in g.terms.items()})
+
+    Rt = QuotientRing(St, [with_t(f) for f in R.defining.gens])
+    rng = random.Random(14 + p)
+    colon_draws = 0
+    for _ in range(4):
+        gens = [random_form(rng, S, rng.randint(1, 2)) for _ in range(2)]
+        calls.clear()
+        report = frobenius_closure(R, gens)
+        preimages = len(calls)
+        calls.clear()
+        extended = frobenius_closure(Rt, [with_t(g) for g in gens])
+        assert extended.chain == tuple((e, tuple(map(with_t, gb))) for e, gb in report.chain)
+        assert extended.q_exponent == report.q_exponent
+        assert len(calls) == preimages
+        colon_draws += not preimages
+    assert colon_draws > 0 if route == "colon" else colon_draws == 0
+
+
 @pytest.mark.parametrize("p", [2, 5, 7])
 def test_root_ideal_recursion_matches_direct_root(p):
     # A_e by Katzman's recursion against I_e(f**(p**e - 1)) formed directly
@@ -711,6 +746,45 @@ def test_census_rows_parallel_matches_serial():
     serial = run_census(R, rows, jobs=1)
     parallel = run_census(R, rows, jobs=2)
     assert serial == parallel
+
+
+def test_parallel_census_rebuilds_no_target_in_the_calling_process(monkeypatch):
+    """Every row of the 2x2 Fermat census at p = 2 has Q-exponent
+    uniform_e, so no row is rechecked and the calling process runs no
+    Buchberger run: the rows' bases stay in the workers."""
+    R = fermat_ring(2)
+    rows = instantiate_template(R.ambient, "x^{a}, y^{b}", {"a": [1, 2], "b": [1, 2]})
+    runs = count_buchberger_runs(monkeypatch)
+    parallel = run_census(R, rows, jobs=2)
+    assert runs[0] == 0
+    assert parallel == run_census(fermat_ring(2), rows, jobs=1)
+    assert parallel.recheck_ok is True
+
+
+def test_census_rechecks_the_rows_below_uniform_e(monkeypatch):
+    """(x, y, z) has Q-exponent 0 and (x, y) has 1 over the Fermat cubic at
+    p = 2: each row's certificate runs at its own Q-exponent, and only the
+    first row is rechecked at uniform_e = 1, which decides recheck_ok."""
+    import charp.frobenius
+
+    R = fermat_ring(2)
+    x, y, z = R.ambient.gens()
+    agree = charp.frobenius.bracket_powers_agree
+    calls, refuse = [], []
+
+    def recording(R, I, gens, e):
+        calls.append((I.gens, e))
+        return (I.gens, e) not in refuse and agree(R, I, gens, e)
+
+    monkeypatch.setattr(charp.frobenius, "bracket_powers_agree", recording)
+    rows = [((("k", 0),), [x, y, z]), ((("k", 1),), [x, y])]
+    report = run_census(R, rows)
+    assert [row.q_exponent for row in report.rows] == [0, 1]
+    assert report.uniform_e == 1 and report.recheck_ok is True
+    m, c = R.lift([x, y, z]).gens, R.lift([x, y]).gens
+    assert calls == [(m, 0), (c, 1), (m, 1)]
+    refuse.append((m, 1))  # a failed recheck of the row below shows
+    assert run_census(fermat_ring(2), rows).recheck_ok is False
 
 
 def test_worker_pool_capped_at_row_count(monkeypatch):

@@ -8,6 +8,7 @@ import pytest
 
 from charp import (
     GREVLEX,
+    DegreeCapExceeded,
     Ideal,
     LEX,
     PolyRing,
@@ -17,10 +18,12 @@ from charp import (
     membership_oracle,
     normal_form,
     reduce_with_quotients,
+    s_polynomial,
+    set_degree_cap,
 )
 from charp import groebner
 from charp.groebner import _Divisors, _standard_monomials
-from charp.poly import mono_divides
+from charp.poly import mono_divides, mono_lcm
 from support import (
     assert_spolys_reduce_to_zero,
     random_ideal,
@@ -118,6 +121,75 @@ def test_buchberger_already_reduced():
 
 def test_buchberger_zero_ideal(f2xyz):
     assert Ideal(f2xyz, []).groebner_basis() == ()
+
+
+def test_packed_s_polynomials_match_s_polynomial():
+    """Buchberger's S-polynomial remainders, formed on the divisors' packed
+    entries, against the public s_polynomial reduced through
+    _reduce_terms, term for term, for seeded monic pairs and divisor
+    lists (the pair's own elements among them, as in Buchberger)."""
+    rng = random.Random(2211)
+    seen_zero = seen_nonzero = False
+    for order in (GREVLEX, LEX, block_order(1)):
+        for _ in range(60):
+            p = rng.choice([2, 3, 5, 7])
+            ring = PolyRing(p, "xyz"[:rng.randint(2, 3)], order)
+            polys = [g.monic() for g in (random_poly(rng, ring, 4, 4) for _ in range(rng.randint(2, 5)))
+                     if not g.is_zero]
+            if len(polys) < 2:
+                continue
+            i, j = sorted(rng.sample(range(len(polys)), 2))
+            f, g = polys[i], polys[j]
+            lcm = mono_lcm(f.leading_monomial(), g.leading_monomial())
+            packed = groebner._s_remainder(_Divisors(ring, polys), i, j, lcm)
+            expected = groebner._reduce_terms(s_polynomial(f, g).terms, _Divisors(ring, polys))
+            assert list(packed.items()) == list(expected.items())
+            seen_zero |= not packed
+            seen_nonzero |= bool(packed)
+    assert seen_zero and seen_nonzero
+
+
+def test_packed_s_polynomials_restart_in_wider_fields(monkeypatch):
+    """Divisors that fit 32-bit fields whose pair outgrows them: under lex
+    a shifted tail term (z * z^(2^31 - 1)), under grevlex the lcm itself
+    (degree 2^31).  The pair restarts in 64-bit fields, and the bases pass
+    Buchberger's criterion."""
+    widths = []
+    widen = _Divisors.widen
+
+    def recording(self, width):
+        if sys._getframe(1).f_code.co_name == "_s_remainder":
+            widths.append(width)
+        widen(self, width)
+
+    monkeypatch.setattr(_Divisors, "widen", recording)
+    ring = PolyRing(3, ["x", "y", "z"], LEX)
+    x, y, z = ring.gens()
+    gb = buchberger([x * y - z ** (2**31 - 1), x * z - 1])
+    assert gb == (x * z - 1, y - z ** (2**31))
+    assert_spolys_reduce_to_zero(gb)
+    assert widths == [64]
+    ring = PolyRing(3, ["x", "y"])
+    x, y = ring.gens()
+    gb = buchberger([x ** (2**30) * y - 1, x * y ** (2**30) - 1])
+    assert_spolys_reduce_to_zero(gb)
+    assert widths == [64, 64]
+
+
+def test_degree_cap_counts_the_s_polynomial_multiples():
+    """The pair of x^3 + 1 and x^2*y^2 + 1 takes multiples of degree 5, and
+    every other polynomial of the run has degree 4 or less."""
+    ring = PolyRing(3, ["x", "y"])
+    x, y = ring.gens()
+    gens = [x**3 + 1, x**2 * y**2 + 1]
+    set_degree_cap(4)
+    try:
+        with pytest.raises(DegreeCapExceeded):
+            buchberger(gens)
+        set_degree_cap(5)
+        assert buchberger(gens)
+    finally:
+        set_degree_cap(None)
 
 
 def test_membership_examples(f2xyz):
