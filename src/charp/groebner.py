@@ -21,9 +21,9 @@ reduction outgrows it), and a divisor caches its pack on itself.
 Buchberger forms each pair's S-polynomial on packed monomials too: the
 two basis elements' packed tails, shifted by their packed lcm minus each
 packed lead, are summed into the table the division reduces, and only a
-nonzero remainder, a new basis element, is unpacked.  Its pair
-bookkeeping (the Gebauer-Moller update and the pair queue) stays on
-exponent tuples.
+nonzero remainder, a new basis element, is unpacked.  The pending
+pairs sit in one heap keyed by the order key of their lcm, which each new
+element updates in one Gebauer-Moller pass on exponent tuples.
 
 A colon (I : A) with S/I finite dimensional is the kernel of r -> r*A
 on the standard monomials of S/I (the linear algebra of FGLM), taken on
@@ -61,7 +61,6 @@ from .poly import (
     mono_div,
     mono_divides,
     mono_lcm,
-    mono_mul,
 )
 
 
@@ -395,8 +394,9 @@ def buchberger(generators) -> tuple[Polynomial, ...]:
     """The unique reduced Groebner basis of the given generators.
 
     Pair selection follows the normal strategy (smallest lcm in the order,
-    ties by pair index); the pair queue is maintained with the
-    Gebauer-Moller update, which subsumes the coprime and chain criteria
+    ties by pair index): the pending pairs are one heap of (order key of
+    the lcm, i, j, lcm), and each new element updates it in one
+    Gebauer-Moller pass, which subsumes the coprime and chain criteria
     and retires basis elements whose lead becomes redundant.  Each pair's
     S-polynomial is formed on packed monomials from the basis' packed
     divisors and reduced in the same table (see :func:`_s_remainder`).
@@ -414,63 +414,41 @@ def buchberger(generators) -> tuple[Polynomial, ...]:
     reds = divs.polys
     lms: list = []
     alive: list[bool] = []
-    pending: dict = {}  # (i, j) -> lcm of the leading monomials
-    heap: list = []  # (selection key of the lcm, i, j); stale entries skipped
-
-    def update(t):
-        """Gebauer-Moller pair update for the new basis element t.
-
-        Candidates are processed by ascending lcm, so a dominating lcm
-        (a proper divisor) can only sit among the already-kept survivors,
-        and an equal lcm only in the same key class; this keeps the filter
-        near-linear in the candidate count.
-        """
-        lt = lms[t]
-        candidates = []
-        for i in range(t):
-            if alive[i]:
-                li = mono_lcm(lms[i], lt)
-                candidates.append((key(li), i, li))
-        candidates.sort()
-        kept: list = []  # (index, lcm) survivors, ascending lcm
-        npos = len(candidates)
-        for pos, (k_li, i, li) in enumerate(candidates):
-            coprime = li == mono_mul(lms[i], lt)
-            if not coprime:
-                if pos + 1 < npos and candidates[pos + 1][0] == k_li:
-                    continue  # a later candidate carries the same lcm
-                dominated = False
-                for _, lj in kept:
-                    if mono_divides(lj, li):
-                        dominated = True
-                        break
-                if dominated:
-                    continue
-            kept.append((i, li))
-        # drop old pairs whose lcm factors through lt
-        for (i, j), l in list(pending.items()):
-            if (
-                mono_divides(lt, l)
-                and mono_lcm(lms[i], lt) != l
-                and mono_lcm(lms[j], lt) != l
-            ):
-                del pending[(i, j)]
-        # enqueue the non-coprime survivors
-        for i, li in kept:
-            if li == mono_mul(lms[i], lt):
-                continue
-            pending[(i, t)] = li
-            heapq.heappush(heap, (key(li), i, t))
-        # retire elements whose lead the new lead divides
-        for i in range(t):
-            if alive[i] and mono_divides(lt, lms[i]):
-                alive[i] = False
+    heap: list = []  # (order key of the lcm, i, j, lcm), one per pending pair
 
     def add_element(h):
+        """Append the monic h as element t with lead lt, and update the
+        pairs in one Gebauer-Moller pass over lcms[i] = lcm(lm_i, lt) for
+        every earlier i, retired ones included, as criterion B reads them:
+        B drops a pending pair (i, j, l) when lt divides l and l is
+        neither lcms[i] nor lcms[j].  The alive elements' pairs with t are
+        then walked by ascending lcm: coprime leads (their degrees add up
+        in the lcm) are never queued, and any other pair is skipped when
+        the next one has the same lcm or an lcm kept before divides its
+        own (criteria F and M).  Last, the elements whose lead lt divides
+        retire."""
+        t, lt = len(reds), h.leading_monomial()
         divs.append(h)
-        lms.append(h.leading_monomial())
+        lcms = [mono_lcm(lm, lt) for lm in lms]
+        heap[:] = [(k, i, j, l) for k, i, j, l in heap
+                   if l in (lcms[i], lcms[j]) or not mono_divides(lt, l)]
+        heapq.heapify(heap)
+        candidates = sorted((key(l), i, l) for i, l in enumerate(lcms) if alive[i])
+        kept: list = []  # the lcms kept so far, ascending
+        degree = sum(lt)
+        for pos, (k, i, l) in enumerate(candidates):
+            if sum(l) != sum(lms[i]) + degree:
+                if pos + 1 < len(candidates) and candidates[pos + 1][0] == k:
+                    continue
+                if any(mono_divides(m, l) for m in kept):
+                    continue
+                heapq.heappush(heap, (k, i, t, l))
+            kept.append(l)
+        for i, lm in enumerate(lms):
+            if alive[i] and mono_divides(lt, lm):
+                alive[i] = False
+        lms.append(lt)
         alive.append(True)
-        update(len(reds) - 1)
 
     # seed with the interreduced input: redundant generators (common in
     # bracket-power lists) reduce to zero here and never enter the queue
@@ -480,10 +458,7 @@ def buchberger(generators) -> tuple[Polynomial, ...]:
             add_element(h.monic())
 
     while heap:
-        _, i, j = heapq.heappop(heap)
-        lcm = pending.pop((i, j), None)
-        if lcm is None:
-            continue  # pruned by a later update
+        _, i, j, lcm = heapq.heappop(heap)
         table = _s_remainder(divs, i, j, lcm)
         if table:
             add_element(_descending(ring, table).monic())

@@ -66,10 +66,6 @@ def check_degree(degree: int) -> None:
 # ---------------------------------------------------------------------------
 # monomial helpers (plain tuple arithmetic)
 
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def mono_divides(a: Monomial, b: Monomial) -> bool:
     """True when a | b, i.e. every exponent of a is <= that of b."""
     for x, y in zip(a, b):
@@ -224,7 +220,7 @@ class PolyRing:
         n = self.nvars
         for m, c in terms.items():
             m = tuple(m)
-            if len(m) != n or any(e < 0 for e in m):
+            if len(m) != n or any(not isinstance(e, int) or e < 0 for e in m):
                 raise ValueError(f"bad monomial {m} for {self!r}")
             if not isinstance(c, int):
                 raise ValueError(f"coefficient {c!r} is not an integer")

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -350,6 +351,43 @@ def test_adjoining_a_variable_commutes_with_closure(p, defining, route, monkeypa
         assert len(calls) == preimages
         colon_draws += not preimages
     assert colon_draws > 0 if route == "colon" else colon_draws == 0
+
+
+@pytest.mark.parametrize("p,defining", [
+    (2, ["x^3 + y^3 + z^3"]),
+    (3, ["x^4 + y^4 + z^4"]),
+    (2, ["x*y", "y*z", "x*z"]),
+])
+def test_permuting_the_variables_commutes_with_closure(p, defining):
+    """A permutation s of the variables is a ring isomorphism S/J -> S/s(J),
+    so C_e(s(I)) = s(C_e(I)) for every e: the closure chain of s(I) over
+    S/s(J) is the chain of I with s applied, compared as reduced bases of
+    the images, with the same Q-exponent.  The order is not permuted, so
+    the images' bases may have other leads; some draw must show that, and
+    over the colon rings some closure must grow."""
+    S = PolyRing(p, ["x", "y", "z"])
+    R = QuotientRing(S, [S.parse(f) for f in defining])
+    rng = random.Random(23 + p)
+    moved_leads = grown = 0
+    for _ in range(4):
+        perm = rng.choice(list(itertools.permutations(range(3)))[1:])
+
+        def image(g):
+            return S.poly({tuple(m[perm[k]] for k in range(3)): c for m, c in g.terms.items()})
+
+        gens = [random_form(rng, S, rng.randint(1, 2)) for _ in range(2)]
+        report = frobenius_closure(R, gens)
+        permuted = frobenius_closure(QuotientRing(S, [image(f) for f in R.defining.gens]),
+                                     [image(g) for g in gens])
+        assert permuted.chain == tuple((e, Ideal(S, [image(g) for g in gb]).groebner_basis())
+                                       for e, gb in report.chain)
+        assert permuted.q_exponent == report.q_exponent
+        assert permuted.stabilization_index == report.stabilization_index
+        leads = {image(g).leading_monomial() for g in report.chain[-1][1]}
+        moved_leads += leads != {g.leading_monomial() for g in permuted.chain[-1][1]}
+        grown += report.chain[-1][1] != report.chain[0][1]
+    assert moved_leads > 0
+    assert grown > 0 if len(defining) == 1 else grown == 0
 
 
 @pytest.mark.parametrize("p", [2, 5, 7])

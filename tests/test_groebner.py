@@ -192,6 +192,38 @@ def test_degree_cap_counts_the_s_polynomial_multiples():
         set_degree_cap(None)
 
 
+def test_gebauer_moller_criteria_prune(monkeypatch):
+    """The pairs Buchberger reduces, for seeded ideals under grevlex, lex
+    and block(1) and for the targets (x^(ap), y^(bp)) + (x^3 + y^3 + z^3)
+    at p = 2 and 5: none has coprime leads, and their numbers are the
+    ones the pair criteria gave when they were recorded.  A lost
+    criterion leaves every basis right and only costs reductions, so
+    only these counts show it."""
+    pairs = []
+    s_remainder = groebner._s_remainder
+
+    def recording(divs, i, j, lcm):
+        pairs.append((divs.polys[i].leading_monomial(), divs.polys[j].leading_monomial()))
+        return s_remainder(divs, i, j, lcm)
+
+    monkeypatch.setattr(groebner, "_s_remainder", recording)
+    rng = random.Random(2323)
+    counts = []
+    for order in (GREVLEX, LEX, block_order(1)):
+        for _ in range(15):
+            ring = PolyRing(rng.choice([2, 3, 5]), ["x", "y", "z"], order)
+            buchberger([random_poly(rng, ring) for _ in range(rng.randint(2, 4))])
+        counts.append(len(pairs))
+    for p in (2, 5):
+        ring = PolyRing(p, ["x", "y", "z"])
+        x, y, z = ring.gens()
+        for a, b in ((1, 1), (1, 2), (2, 3)):
+            buchberger([x ** (a * p), y ** (b * p), x**3 + y**3 + z**3])
+        counts.append(len(pairs))
+    assert all(any(map(min, f, g)) for f, g in pairs)  # no coprime leads
+    assert counts == [57, 153, 195, 199, 229]
+
+
 def test_membership_examples(f2xyz):
     x, y, z = f2xyz.gens()
     assert (x**2 + y**2) in Ideal(f2xyz, [x + y])

@@ -213,6 +213,17 @@ def test_non_integer_coefficients_rejected(f2xyz):
             f2xyz.const(bad)
 
 
+def test_non_integer_exponents_rejected(f2xyz):
+    for bad in (1.5, 2.0, "1", None):
+        with pytest.raises(ValueError, match="bad monomial"):
+            f2xyz.poly({(bad, 0, 0): 1})
+        with pytest.raises(ValueError, match="bad monomial"):
+            f2xyz.monomial((1, bad, 1))
+    with pytest.raises(ValueError, match="bad monomial"):
+        f2xyz.monomial((1, -1, 0))
+    assert str(f2xyz.monomial((2, 1, 0))) == "x^2*y"
+
+
 def test_reserved_variable_names():
     with pytest.raises(ValueError):
         PolyRing(2, ["_x"])
