@@ -18,12 +18,14 @@ sit in a heap, whose highest term is cancelled by the first divisor
 whose lead divides it or else moved to the remainder.  The field width
 comes from the data (the degrees in play, doubled when a lex or block
 reduction outgrows it), and a divisor caches its pack on itself.
-Buchberger forms each pair's S-polynomial on packed monomials too: the
-two basis elements' packed tails, shifted by their packed lcm minus each
-packed lead, are summed into the table the division reduces, and only a
-nonzero remainder, a new basis element, is unpacked.  The pending
-pairs sit in one heap keyed by the order key of their lcm, which each new
-element updates in one Gebauer-Moller pass on exponent tuples.
+Buchberger runs on packed monomials from start to finish: each pair's
+S-polynomial is the two basis elements' packed tails, shifted by their
+packed lcm minus each packed lead, summed into the table the division
+reduces; a nonzero remainder becomes a basis element whose packed entry
+is that table, made monic.  The pending pairs sit in one heap keyed by
+their packed lcm, which each new element updates in one Gebauer-Moller
+pass of integer tests, and the run ends in one interreduction on the
+packed entries, which unpacks each element of the reduced basis once.
 
 A colon (I : A) with S/I finite dimensional is the kernel of r -> r*A
 on the standard monomials of S/I (the linear algebra of FGLM), taken on
@@ -48,7 +50,7 @@ import heapq
 import itertools
 import struct
 from functools import cache
-from operator import mul
+from operator import itemgetter, mul
 
 from .poly import (
     Polynomial,
@@ -59,7 +61,6 @@ from .poly import (
     degree_cap,
     divide_exact,
     mono_div,
-    mono_divides,
     mono_lcm,
 )
 
@@ -155,18 +156,31 @@ class _Divisors:
             ))
         return pk[1]
 
-    def append(self, g: Polynomial) -> None:
-        """Add g after the others; for a list no other reader holds."""
-        self.polys.append(g)
+    def append_remainder(self, table: dict) -> Polynomial:
+        """Add, after the others, the monic polynomial of ``table``, a
+        nonzero packed remainder in this packing's width and in descending
+        order (consumed), and return it; for a list no other reader holds.
+
+        Its entry is the table scaled to monic, with no packing; only its
+        polynomial is unpacked, once."""
         width, units, guards, unpack, entries, top = self.pack
-        pk = g._pk
-        need = pk[0] if pk is not None else _width(g.total_degree())
-        if need > width:
-            self.widen(need)
-        else:
-            entry = self._entry(g, width, units)
-            entries.append(entry)
-            self.pack = (width, units, guards, unpack, entries, max(top, entry[0]))
+        p = self.ring.p
+        lead = next(iter(table))
+        c = table.pop(lead)
+        inv = 1 if c == 1 else pow(c, -1, p)
+        ms = tuple(table)
+        ncs = tuple([-c * inv % p for c in table.values()])
+        lm = unpack(lead)
+        terms = {lm: 1}
+        terms.update(zip(map(unpack, ms), [p - nc for nc in ncs]))
+        g = Polynomial(self.ring, terms)
+        g._lm = lm
+        entry = (lead, ms, ncs, None)
+        g._pk = (width, entry)
+        self.polys.append(g)
+        entries.append(entry)
+        self.pack = (width, units, guards, unpack, entries, max(top, lead))
+        return g
 
     def widen(self, width: int) -> None:
         """(Re)pack every divisor in ``width``-bit fields."""
@@ -177,7 +191,8 @@ class _Divisors:
 
 def _reduce_terms(terms: dict, divs: _Divisors, quots=None) -> dict:
     """Remainder of the term table ``terms`` on division by the monic forms
-    of the polynomials ``divs``, as a new table in descending order.
+    of the polynomials ``divs``, as a new packed table in descending order,
+    in the width of the divisors' packing when it returns.
 
     The terms are packed (see :func:`_layout`) in the divisors' field
     width, widened first to hold the table's degree.  Pending terms live
@@ -187,9 +202,8 @@ def _reduce_terms(terms: dict, divs: _Divisors, quots=None) -> dict:
     remainder.  Every term a step adds lies below the term it cancels, so
     each key enters the heap once, a remainder term is never touched
     again, and a divisor whose lead lies above the popped term never
-    divides a later one.  With ``quots``, each step sets a new term of
-    ``quots[i]``, the multiple of divisor i it took, and the tables are
-    replaced by their unpacked forms.
+    divides a later one.  With ``quots``, each step sets a new packed term
+    of ``quots[i]``, the multiple of divisor i it took.
 
     Under grevlex no new term outgrows the input's degree, but under lex
     and block orders one can (x^N by x - y^2 gives y^(2N)): a new key
@@ -201,7 +215,7 @@ def _reduce_terms(terms: dict, divs: _Divisors, quots=None) -> dict:
     if degree >> (divs.pack[0] - 1):
         divs.widen(_width(degree))
     while True:
-        width, units, guards, unpack, entries, top = divs.pack
+        width, units, guards, _, entries, top = divs.pack
         if quots is not None:
             for q in quots:
                 q.clear()
@@ -211,9 +225,7 @@ def _reduce_terms(terms: dict, divs: _Divisors, quots=None) -> dict:
         if out is not None:
             break
         divs.widen(2 * width)
-    if quots is not None:
-        quots[:] = [{unpack(s): c for s, c in q.items()} for q in quots]
-    return {unpack(t): c for t, c in out.items()}
+    return out
 
 
 def _divide_packed(work: dict, entries: list, floor: int, guards: int, p: int):
@@ -256,14 +268,6 @@ def _divide_packed(work: dict, entries: list, floor: int, guards: int, p: int):
     return out
 
 
-def _descending(ring: PolyRing, table: dict) -> Polynomial:
-    """The polynomial of a term table in descending order (a remainder of
-    :func:`_reduce_terms`), its first monomial cached as its lead."""
-    h = Polynomial(ring, table)
-    h._lm = next(iter(table), None)
-    return h
-
-
 def _divide(f: Polynomial, reducers, quotients: bool):
     """(quotient tables, remainder) of f on division by ``reducers`` (a
     list of polynomials, or the divisors an :class:`Ideal` caches for its
@@ -285,11 +289,12 @@ def _divide(f: Polynomial, reducers, quotients: bool):
     p = f.ring.p
     quots = [{} for _ in divs.polys] if quotients else None
     out = _reduce_terms(f.terms, divs, quots)
-    for g, q in zip(divs.polys, quots or ()):
-        inv = pow(g.leading_coefficient(), -1, p)
-        for m in q:
-            q[m] = q[m] * inv % p
-    return quots, Polynomial(f.ring, out)
+    unpack = divs.pack[3]
+    if quots is not None:
+        for k, g in enumerate(divs.polys):
+            inv = pow(g.leading_coefficient(), -1, p)
+            quots[k] = {unpack(s): c * inv % p for s, c in quots[k].items()}
+    return quots, Polynomial(f.ring, {unpack(t): c for t, c in out.items()})
 
 
 def normal_form(f: Polynomial, reducers) -> Polynomial:
@@ -323,29 +328,31 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     return f * ring.monomial(mono_div(lcm, lmf), cf) - g * ring.monomial(mono_div(lcm, lmg), cg)
 
 
-def _s_remainder(divs: _Divisors, i: int, j: int, lcm: tuple) -> dict:
+def _s_remainder(divs: _Divisors, i: int, j: int, lcm: int) -> dict:
     """``_reduce_terms(s_polynomial(f, g).terms, divs)`` for the monic
     divisors f = ``divs.polys[i]`` and g = ``divs.polys[j]``, whose leads
-    have the lcm ``lcm``, formed on their packed entries.
+    have the packed lcm ``lcm`` in the divisors' width, formed on their
+    packed entries: a packed table in descending order, in the width of
+    the divisors' packing when it returns.
 
     The shifts are the packed lcm minus each packed lead, and the table is
     the sum of the two shifted tails, f's with the negation of its stored
     (negated) coefficients and g's with them as stored; terms that cancel
     are dropped.  A guard bit set by the lcm or a shifted term restarts
-    the pair in fields twice as wide, as :func:`_reduce_terms` does.  The
-    multiples of f and g count against the degree cap, as the polynomials
-    of :func:`s_polynomial` do."""
+    the pair in fields twice as wide, as :func:`_reduce_terms` does, with
+    the lcm packed again in them.  The multiples of f and g count against
+    the degree cap, as the polynomials of :func:`s_polynomial` do."""
     if degree_cap() is not None:
-        check_degree(sum(lcm) + max(h.total_degree() - sum(h.leading_monomial())
-                                    for h in (divs.polys[i], divs.polys[j])))
+        check_degree(sum(divs.pack[3](lcm)) + max(h.total_degree() - sum(h.leading_monomial())
+                                                  for h in (divs.polys[i], divs.polys[j])))
     p = divs.ring.p
     while True:
-        width, units, guards, unpack, entries, top = divs.pack
-        over = packed = sum(map(mul, lcm, units))
+        width, _, guards, unpack, entries, top = divs.pack
         (lf, msf, ncsf, _), (lg, msg, ncsg, _) = entries[i], entries[j]
-        shift = packed - lf
+        over = lcm
+        shift = lcm - lf
         work = {m + shift: p - nc for m, nc in zip(msf, ncsf)}
-        shift = packed - lg
+        shift = lcm - lg
         for m, nc in zip(msg, ncsg):
             m += shift
             c = (work.get(m, 0) + nc) % p
@@ -358,50 +365,70 @@ def _s_remainder(divs: _Divisors, i: int, j: int, lcm: tuple) -> dict:
         if not over & guards:
             out = _divide_packed(work, entries, top, guards, p)
             if out is not None:
-                return {unpack(t): c for t, c in out.items()}
+                return out
         divs.widen(2 * width)
+        lcm = sum(map(mul, unpack(lcm), divs.pack[1]))
 
 
 def _reduced_basis(gb) -> tuple[Polynomial, ...]:
     """The reduced Groebner basis of the ideal generated by the nonempty
     monic Groebner basis ``gb``, sorted by descending leading monomial.
 
-    The elements are walked by ascending lead (a divisor of a monomial
+    On the elements' packed entries (see :class:`_Divisors`), the
+    elements are walked by ascending packed lead (a divisor of a monomial
     comes before it in every term order), and each one whose lead is
-    divisible by a lead already kept is dropped; each kept element's tail
-    is then reduced by the kept elements.  Every pending term lies below
-    the element's own lead, which therefore divides none of them, so the
-    tail is reduced by the other kept elements; their leads form an
-    antichain and they are monic, so no lead is cancelled or rescaled."""
+    divisible by a lead already kept is dropped; each kept element's
+    packed tail is then reduced by the kept entries, and only the result
+    is unpacked.  Every pending term lies below the element's own lead,
+    which therefore divides none of them, so the tail is reduced by the
+    other kept elements; their leads form an antichain and they are
+    monic, so no lead is cancelled or rescaled.  A reduction that
+    outgrows the fields (under lex or block orders) restarts in fields
+    twice as wide."""
     ring = gb[0].ring
-    key = ring.order.key
-    kept: list[Polynomial] = []
-    for g in sorted(gb, key=lambda h: key(h.leading_monomial())):
-        if not any(mono_divides(h.leading_monomial(), g.leading_monomial()) for h in kept):
-            kept.append(g)
-    if len(kept) == 1:
-        return tuple(kept)
-    divs = _Divisors(ring, kept)
-    reduced = []
-    for g in kept:
-        lm = g.leading_monomial()
-        tail = _reduce_terms({m: c for m, c in g.terms.items() if m != lm}, divs)
-        reduced.append(_descending(ring, {lm: 1, **tail}))
-    return tuple(reversed(reduced))
+    p = ring.p
+    divs = _Divisors(ring, gb)
+    while True:
+        width, _, guards, unpack, entries, _ = divs.pack
+        kept: list = []  # the kept entries, by ascending lead
+        for e in sorted(entries, key=itemgetter(0)):
+            lg = e[0] | guards
+            if not any((lg - k[0]) & guards == guards for k in kept):
+                kept.append(e)
+        top = kept[-1][0]
+        reduced = []
+        for lead, ms, ncs, _ in kept:
+            out = _divide_packed({m: p - nc for m, nc in zip(ms, ncs)}, kept, top, guards, p)
+            if out is None:
+                break
+            lm = unpack(lead)
+            terms = {lm: 1}
+            terms.update(zip(map(unpack, out), out.values()))
+            h = Polynomial(ring, terms)
+            h._lm = lm
+            reduced.append(h)
+        else:
+            return tuple(reversed(reduced))
+        divs.widen(2 * width)
 
 
 def buchberger(generators) -> tuple[Polynomial, ...]:
     """The unique reduced Groebner basis of the given generators.
 
     Pair selection follows the normal strategy (smallest lcm in the order,
-    ties by pair index): the pending pairs are one heap of (order key of
-    the lcm, i, j, lcm), and each new element updates it in one
-    Gebauer-Moller pass, which subsumes the coprime and chain criteria
-    and retires basis elements whose lead becomes redundant.  Each pair's
-    S-polynomial is formed on packed monomials from the basis' packed
-    divisors and reduced in the same table (see :func:`_s_remainder`).
-    The result is monic, mutually reduced and sorted by descending leading
-    monomial; the zero ideal yields the empty basis.
+    ties by pair index): the pending pairs are one heap of (packed lcm, i,
+    j), the lcm packed in the basis' divisors' width, so the order is
+    integer comparison; when a reduction widens the divisors, the heap is
+    packed again in the new width.  Each new element updates the heap in
+    one Gebauer-Moller pass, which subsumes the coprime and chain criteria
+    and retires basis elements whose lead becomes redundant; its tests are
+    the guard-bit divisibility test of :func:`_layout` and integer
+    equality.  Each pair's S-polynomial is formed on packed monomials from
+    the basis' packed divisors and reduced in the same table (see
+    :func:`_s_remainder`), and a nonzero remainder becomes a basis element
+    straight from that table.  The result (see :func:`_reduced_basis`) is
+    monic, mutually reduced and sorted by descending leading monomial; the
+    zero ideal yields the empty basis.
     """
     gens = [g for g in generators if not g.is_zero]
     if not gens:
@@ -412,57 +439,69 @@ def buchberger(generators) -> tuple[Polynomial, ...]:
 
     divs = _Divisors(ring)  # the monic basis elements, in order found
     reds = divs.polys
-    lms: list = []
+    lms: list = []  # their leading monomials
     alive: list[bool] = []
-    heap: list = []  # (order key of the lcm, i, j, lcm), one per pending pair
+    heap: list = []  # (packed lcm, i, j), one per pending pair
+    width = divs.pack[0]  # the width the heap is packed in
 
-    def add_element(h):
-        """Append the monic h as element t with lead lt, and update the
-        pairs in one Gebauer-Moller pass over lcms[i] = lcm(lm_i, lt) for
-        every earlier i, retired ones included, as criterion B reads them:
-        B drops a pending pair (i, j, l) when lt divides l and l is
-        neither lcms[i] nor lcms[j].  The alive elements' pairs with t are
-        then walked by ascending lcm: coprime leads (their degrees add up
-        in the lcm) are never queued, and any other pair is skipped when
-        the next one has the same lcm or an lcm kept before divides its
-        own (criteria F and M).  Last, the elements whose lead lt divides
-        retire."""
-        t, lt = len(reds), h.leading_monomial()
-        divs.append(h)
-        lcms = [mono_lcm(lm, lt) for lm in lms]
-        heap[:] = [(k, i, j, l) for k, i, j, l in heap
-                   if l in (lcms[i], lcms[j]) or not mono_divides(lt, l)]
+    def settle(table):
+        """After a reduction that left the packed remainder ``table``: pack
+        the heap again if the reduction widened the divisors, then, for a
+        nonzero table, append its monic polynomial as element t with
+        packed lead lt, and update the pairs in one Gebauer-Moller pass
+        over lcms[i] = lcm(lead_i, lt) for every earlier i, retired ones
+        included, as criterion B reads them: B drops a pending pair (l,
+        i, j) when lt divides l and l is neither lcms[i] nor lcms[j].  The
+        alive elements' pairs with t are then walked by ascending lcm:
+        coprime leads (lcm = lead_i + lt, packed) are never queued, and
+        any other pair is skipped when the next one has the same lcm or
+        an lcm kept before divides its own (criteria F and M).  Last, the
+        elements whose lead lt divides retire.
+
+        The divisibility tests read only the exponent fields' guards: an
+        lcm's weights can reach their guard bits (the weights of both
+        leads add up in a coprime lcm), its exponents never do."""
+        nonlocal width
+        if divs.pack[0] != width:
+            old, units = _layout(ring, width)[2], divs.pack[1]
+            heap[:] = [(sum(map(mul, old(l), units)), i, j) for l, i, j in heap]
+            width = divs.pack[0]
+        if not table:
+            return
+        t = len(reds)
+        lm = divs.append_remainder(table)._lm
+        _, units, guards, _, entries, _ = divs.pack
+        guards &= (1 << ring.nvars * width) - 1
+        lt = entries[t][0]
+        lcms = [sum(map(mul, map(max, m, lm), units)) for m in lms]
+        heap[:] = [(l, i, j) for l, i, j in heap
+                   if l == lcms[i] or l == lcms[j] or ((l | guards) - lt) & guards != guards]
         heapq.heapify(heap)
-        candidates = sorted((key(l), i, l) for i, l in enumerate(lcms) if alive[i])
+        candidates = sorted((l, i) for i, l in enumerate(lcms) if alive[i])
         kept: list = []  # the lcms kept so far, ascending
-        degree = sum(lt)
-        for pos, (k, i, l) in enumerate(candidates):
-            if sum(l) != sum(lms[i]) + degree:
-                if pos + 1 < len(candidates) and candidates[pos + 1][0] == k:
+        for pos, (l, i) in enumerate(candidates):
+            if l != entries[i][0] + lt:
+                if pos + 1 < len(candidates) and candidates[pos + 1][0] == l:
                     continue
-                if any(mono_divides(m, l) for m in kept):
+                lg = l | guards
+                if any((lg - k) & guards == guards for k in kept):
                     continue
-                heapq.heappush(heap, (k, i, t, l))
+                heapq.heappush(heap, (l, i, t))
             kept.append(l)
-        for i, lm in enumerate(lms):
-            if alive[i] and mono_divides(lt, lm):
+        for i in range(t):
+            if alive[i] and ((entries[i][0] | guards) - lt) & guards == guards:
                 alive[i] = False
-        lms.append(lt)
+        lms.append(lm)
         alive.append(True)
 
     # seed with the interreduced input: redundant generators (common in
     # bracket-power lists) reduce to zero here and never enter the queue
     for g in sorted(gens, key=lambda h: key(h.leading_monomial())):
-        h = _descending(ring, _reduce_terms(g.terms, divs)) if reds else g
-        if not h.is_zero:
-            add_element(h.monic())
+        settle(_reduce_terms(g.terms, divs))
 
     while heap:
-        _, i, j, lcm = heapq.heappop(heap)
-        table = _s_remainder(divs, i, j, lcm)
-        if table:
-            add_element(_descending(ring, table).monic())
-
+        lcm, i, j = heapq.heappop(heap)
+        settle(_s_remainder(divs, i, j, lcm))
     return _reduced_basis([h for h, a in zip(reds, alive) if a])
 
 

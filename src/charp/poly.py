@@ -83,7 +83,7 @@ def mono_div(a: Monomial, b: Monomial) -> Monomial:
 
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def _grevlex_key(m: Monomial):

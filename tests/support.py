@@ -3,11 +3,12 @@ and brute-force enumerations used as independent oracles."""
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 
 from charp import Ideal, PolyRing, Polynomial, QuotientRing, normal_form, s_polynomial
-from charp.poly import mono_divides
+from charp.poly import mono_divides, mono_lcm
 
 
 def fermat_ring(p: int) -> QuotientRing:
@@ -182,3 +183,62 @@ def oracle_reduced_basis(gb):
             g = Polynomial(ring, _reduce_terms(dict(g.terms), others, ring.p, key, {}))
         reduced.append(g)
     return tuple(reversed(reduced))
+
+
+# -- the tuple Gebauer-Moller update, the packed pair heap's oracle --------------
+
+def oracle_buchberger_pairs(generators):
+    """(pairs, basis): the pairs (i, j, lcm) Buchberger reduces, in order,
+    with lcm an exponent tuple, and the reduced basis, by a Buchberger run
+    whose pair update works on exponent tuples and order keys.
+
+    The elements are numbered in the order found, from the generators
+    sorted by ascending lead and reduced by the elements before them, then
+    from the nonzero normal forms of the pairs' S-polynomials; every
+    element is made monic.  The pending pairs are one heap of (order key
+    of the lcm, i, j, lcm), and each new element t with lead lt updates it
+    in one Gebauer-Moller pass over lcms[i] = lcm(lm_i, lt) for every
+    earlier i, retired ones included: criterion B drops a pending pair (i,
+    j, l) when lt divides l and l is neither lcms[i] nor lcms[j]; the alive
+    elements' pairs with t are walked by ascending lcm, coprime leads are
+    never queued, and any other pair is skipped when the next one has the
+    same lcm or an lcm kept before divides its own (criteria F and M);
+    last, the elements whose lead lt divides retire."""
+    gens = [g for g in generators if not g.is_zero]
+    key = gens[0].ring.order.key
+    reds, lms, alive, heap, pairs = [], [], [], [], []
+
+    def add_element(h):
+        t, lt = len(reds), h.leading_monomial()
+        reds.append(h)
+        lcms = [mono_lcm(lm, lt) for lm in lms]
+        heap[:] = [(k, i, j, l) for k, i, j, l in heap
+                   if l in (lcms[i], lcms[j]) or not mono_divides(lt, l)]
+        heapq.heapify(heap)
+        candidates = sorted((key(l), i, l) for i, l in enumerate(lcms) if alive[i])
+        kept = []
+        for pos, (k, i, l) in enumerate(candidates):
+            if sum(l) != sum(lms[i]) + sum(lt):
+                if pos + 1 < len(candidates) and candidates[pos + 1][0] == k:
+                    continue
+                if any(mono_divides(m, l) for m in kept):
+                    continue
+                heapq.heappush(heap, (k, i, t, l))
+            kept.append(l)
+        for i, lm in enumerate(lms):
+            if alive[i] and mono_divides(lt, lm):
+                alive[i] = False
+        lms.append(lt)
+        alive.append(True)
+
+    for g in sorted(gens, key=lambda h: key(h.leading_monomial())):
+        h = normal_form(g, reds) if reds else g
+        if not h.is_zero:
+            add_element(h.monic())
+    while heap:
+        _, i, j, lcm = heapq.heappop(heap)
+        pairs.append((i, j, lcm))
+        h = normal_form(s_polynomial(reds[i], reds[j]), reds)
+        if not h.is_zero:
+            add_element(h.monic())
+    return pairs, oracle_reduced_basis([h for h, a in zip(reds, alive) if a])

@@ -118,6 +118,24 @@ def test_degree_cap_fires_on_the_remainder():
         set_degree_cap(None)
 
 
+def test_degree_cap_fires_on_an_s_pair_remainder():
+    """Under lex, x*y + 2*y^3 and x^4 + 3*y^4 seed with no remainder over
+    degree 4, and their pair's multiples have degree 6, but the pair's
+    remainder, a new basis element, is y^9 + 3*y^5: a cap of 8 fires on
+    its degree 9, before the next pair's multiples of degree 11 would."""
+    ring = PolyRing(5, ["x", "y"], LEX)
+    x, y = ring.gens()
+    gens = [x**4 + 3 * y**4, x * y + 2 * y**3]
+    set_degree_cap(8)
+    try:
+        with pytest.raises(DegreeCapExceeded, match="degree 9 exceeds"):
+            buchberger(gens)
+        set_degree_cap(11)
+        assert buchberger(gens) == (gens[0], gens[1], y**9 + 3 * y**5)
+    finally:
+        set_degree_cap(None)
+
+
 def test_sparse_high_degree_frobenius_power():
     """On the Fermat cubic at p = 5, with I = (l_1, l_2) + J for two
     random linear forms, h^25 for a 6-term degree-5 multiple h of l_1

@@ -3,6 +3,7 @@ import pickle
 import random
 import sys
 import threading
+from operator import mul
 
 import pytest
 
@@ -26,6 +27,7 @@ from charp.groebner import _Divisors, _standard_monomials
 from charp.poly import mono_divides, mono_lcm
 from support import (
     assert_spolys_reduce_to_zero,
+    oracle_buchberger_pairs,
     random_ideal,
     random_monomial,
     random_poly,
@@ -125,9 +127,9 @@ def test_buchberger_zero_ideal(f2xyz):
 
 def test_packed_s_polynomials_match_s_polynomial():
     """Buchberger's S-polynomial remainders, formed on the divisors' packed
-    entries, against the public s_polynomial reduced through
-    _reduce_terms, term for term, for seeded monic pairs and divisor
-    lists (the pair's own elements among them, as in Buchberger)."""
+    entries from the packed lcm and unpacked, against the normal form of
+    the public s_polynomial, term for term, for seeded monic pairs and
+    divisor lists (the pair's own elements among them, as in Buchberger)."""
     rng = random.Random(2211)
     seen_zero = seen_nonzero = False
     for order in (GREVLEX, LEX, block_order(1)):
@@ -140,12 +142,14 @@ def test_packed_s_polynomials_match_s_polynomial():
                 continue
             i, j = sorted(rng.sample(range(len(polys)), 2))
             f, g = polys[i], polys[j]
+            divs = _Divisors(ring, polys)
             lcm = mono_lcm(f.leading_monomial(), g.leading_monomial())
-            packed = groebner._s_remainder(_Divisors(ring, polys), i, j, lcm)
-            expected = groebner._reduce_terms(s_polynomial(f, g).terms, _Divisors(ring, polys))
-            assert list(packed.items()) == list(expected.items())
-            seen_zero |= not packed
-            seen_nonzero |= bool(packed)
+            table = groebner._s_remainder(divs, i, j, sum(map(mul, lcm, divs.pack[1])))
+            remainder = {divs.pack[3](t): c for t, c in table.items()}
+            expected = normal_form(s_polynomial(f, g), polys).terms
+            assert list(remainder.items()) == list(expected.items())
+            seen_zero |= not remainder
+            seen_nonzero |= bool(remainder)
     assert seen_zero and seen_nonzero
 
 
@@ -222,6 +226,79 @@ def test_gebauer_moller_criteria_prune(monkeypatch):
         counts.append(len(pairs))
     assert all(any(map(min, f, g)) for f, g in pairs)  # no coprime leads
     assert counts == [57, 153, 195, 199, 229]
+
+
+def _record_pairs(monkeypatch) -> tuple[list, list]:
+    """Wrap ``groebner._s_remainder``; the returned lists receive, for each
+    pair Buchberger reduces from now on, (i, j, lcm) with the packed lcm
+    read back as an exponent tuple in the divisors' width at the call, and
+    that width."""
+    pairs, widths = [], []
+    s_remainder = groebner._s_remainder
+
+    def recording(divs, i, j, lcm):
+        pairs.append((i, j, divs.pack[3](lcm)))
+        widths.append(divs.pack[0])
+        return s_remainder(divs, i, j, lcm)
+
+    monkeypatch.setattr(groebner, "_s_remainder", recording)
+    return pairs, widths
+
+
+def _assert_pairs_match_the_oracle(pairs: list, gens) -> tuple:
+    """Buchberger on ``gens`` reduces the pairs of the tuple oracle, in its
+    order, and returns the oracle's reduced basis, which is returned."""
+    pairs.clear()
+    gb = buchberger(gens)
+    expected_pairs, expected_gb = oracle_buchberger_pairs(gens)
+    assert pairs == expected_pairs
+    assert gb == expected_gb
+    return gb
+
+
+def test_packed_pair_heap_matches_the_tuple_oracle(monkeypatch):
+    """The pairs the packed heap hands to _s_remainder, (i, j, lcm) in
+    order, are those of the tuple Gebauer-Moller update, and the bases
+    agree, on the inputs of test_gebauer_moller_criteria_prune: 45 seeded
+    ideals under grevlex, lex and block(1) and the targets (x^(ap),
+    y^(bp)) + (x^3 + y^3 + z^3) at p = 2 and 5."""
+    pairs, _ = _record_pairs(monkeypatch)
+    rng = random.Random(2323)
+    total = 0
+    for order in (GREVLEX, LEX, block_order(1)):
+        for _ in range(15):
+            ring = PolyRing(rng.choice([2, 3, 5]), ["x", "y", "z"], order)
+            _assert_pairs_match_the_oracle(pairs, [random_poly(rng, ring) for _ in range(rng.randint(2, 4))])
+            total += len(pairs)
+    for p in (2, 5):
+        ring = PolyRing(p, ["x", "y", "z"])
+        x, y, z = ring.gens()
+        for a, b in ((1, 1), (1, 2), (2, 3)):
+            _assert_pairs_match_the_oracle(pairs, [x ** (a * p), y ** (b * p), x**3 + y**3 + z**3])
+            total += len(pairs)
+    assert total == 229  # the prune test's count: every pair was compared
+
+
+def test_widening_mid_run_packs_the_pair_heap_again(monkeypatch):
+    """Divisors that leave 32-bit fields while pairs wait in the heap.
+    Under lex, the restart test's x*y - z^(2^31 - 1), x*z - 1 with x^2 + y
+    added: the first pair's shifted tail outgrows the fields with two
+    pairs queued.  Under grevlex, w^(2^31) - 1 is seeded after x*y - 1
+    and x*z - 1, whose pair is queued.  The heap, packed again in 64-bit
+    fields, hands out the tuple oracle's pairs, and the bases agree with
+    the oracle's and pass Buchberger's criterion."""
+    pairs, widths = _record_pairs(monkeypatch)
+    ring = PolyRing(3, ["x", "y", "z"], LEX)
+    x, y, z = ring.gens()
+    gb = _assert_pairs_match_the_oracle(pairs, [x * y - z ** (2**31 - 1), x * z - 1, x**2 + y])
+    assert_spolys_reduce_to_zero(gb)
+    assert widths == [32] + [64] * (len(pairs) - 1) and len(pairs) > 2
+    widths.clear()
+    ring = PolyRing(3, ["x", "y", "z", "w"])
+    x, y, z, w = ring.gens()
+    gb = _assert_pairs_match_the_oracle(pairs, [x * y - 1, x * z - 1, w ** (2**31) - 1])
+    assert_spolys_reduce_to_zero(gb)
+    assert widths == [64] * len(pairs) and pairs[0][:2] == (0, 1)
 
 
 def test_membership_examples(f2xyz):

@@ -13,7 +13,7 @@ def _sources(*folders):
 
 
 def test_sources_parse_as_python_3_10():
-    paths = _sources("src", "tests", "perfbench")
+    paths = _sources("src", "tests", "perfbench", "tools")
     assert {"groebner.py", "test_syntax.py", "run.py"} <= {p.name for p in paths}
     failures = []
     for path in paths:
@@ -44,7 +44,7 @@ def _unused_imports(tree: ast.Module) -> list:
 
 
 def test_no_module_imports_a_name_it_never_reads():
-    paths = _sources("src", "perfbench")
+    paths = _sources("src", "perfbench", "tools")
     assert {"groebner.py", "__init__.py", "run.py"} <= {p.name for p in paths}
     failures = [
         f"{path.relative_to(ROOT)}:{line}: {name}"
