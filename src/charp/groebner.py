@@ -189,10 +189,13 @@ class _Divisors:
         self.pack = (width, units, guards, unpack, entries, max([e[0] for e in entries], default=-1))
 
 
-def _reduce_terms(terms: dict, divs: _Divisors, quots=None) -> dict:
-    """Remainder of the term table ``terms`` on division by the monic forms
-    of the polynomials ``divs``, as a new packed table in descending order,
-    in the width of the divisors' packing when it returns.
+def _reduce_terms(terms: dict, divs: _Divisors, quots=None) -> tuple:
+    """(remainder, unpack): the remainder of the term table ``terms`` on
+    division by the monic forms of the polynomials ``divs``, as a new
+    packed table in descending order, and the ``unpack`` of the divisors'
+    snapshot it was packed in.  Another reader of shared divisors may
+    widen them before this returns, so the remainder (and ``quots``) must
+    be read with that ``unpack``, not with the divisors' current one.
 
     The terms are packed (see :func:`_layout`) in the divisors' field
     width, widened first to hold the table's degree.  Pending terms live
@@ -210,12 +213,12 @@ def _reduce_terms(terms: dict, divs: _Divisors, quots=None) -> dict:
     with a guard bit set stops the division, which restarts in fields
     twice as wide."""
     if not terms:
-        return {}
+        return {}, divs.pack[3]
     degree = max(map(sum, terms))
     if degree >> (divs.pack[0] - 1):
         divs.widen(_width(degree))
     while True:
-        width, units, guards, _, entries, top = divs.pack
+        width, units, guards, unpack, entries, top = divs.pack
         if quots is not None:
             for q in quots:
                 q.clear()
@@ -225,7 +228,7 @@ def _reduce_terms(terms: dict, divs: _Divisors, quots=None) -> dict:
         if out is not None:
             break
         divs.widen(2 * width)
-    return out
+    return out, unpack
 
 
 def _divide_packed(work: dict, entries: list, floor: int, guards: int, p: int):
@@ -288,8 +291,7 @@ def _divide(f: Polynomial, reducers, quotients: bool):
         divs = _Divisors(f.ring, reducers)
     p = f.ring.p
     quots = [{} for _ in divs.polys] if quotients else None
-    out = _reduce_terms(f.terms, divs, quots)
-    unpack = divs.pack[3]
+    out, unpack = _reduce_terms(f.terms, divs, quots)
     if quots is not None:
         for k, g in enumerate(divs.polys):
             inv = pow(g.leading_coefficient(), -1, p)
@@ -329,11 +331,12 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
 
 
 def _s_remainder(divs: _Divisors, i: int, j: int, lcm: int) -> dict:
-    """``_reduce_terms(s_polynomial(f, g).terms, divs)`` for the monic
-    divisors f = ``divs.polys[i]`` and g = ``divs.polys[j]``, whose leads
-    have the packed lcm ``lcm`` in the divisors' width, formed on their
-    packed entries: a packed table in descending order, in the width of
-    the divisors' packing when it returns.
+    """The remainder of ``_reduce_terms(s_polynomial(f, g).terms, divs)``
+    for the monic divisors f = ``divs.polys[i]`` and g = ``divs.polys[j]``,
+    whose leads have the packed lcm ``lcm`` in the divisors' width, formed
+    on their packed entries: a packed table in descending order, in the
+    width of the divisors' packing when it returns, for divisors no other
+    reader holds (Buchberger's own).
 
     The shifts are the packed lcm minus each packed lead, and the table is
     the sum of the two shifted tails, f's with the negation of its stored
@@ -497,7 +500,7 @@ def buchberger(generators) -> tuple[Polynomial, ...]:
     # seed with the interreduced input: redundant generators (common in
     # bracket-power lists) reduce to zero here and never enter the queue
     for g in sorted(gens, key=lambda h: key(h.leading_monomial())):
-        settle(_reduce_terms(g.terms, divs))
+        settle(_reduce_terms(g.terms, divs)[0])
 
     while heap:
         lcm, i, j = heapq.heappop(heap)

@@ -642,13 +642,20 @@ def test_membership_packs_the_basis_once(monkeypatch):
 def test_membership_is_safe_under_concurrent_widening():
     """Threads share one ideal's cached divisors while some reductions
     outgrow 32-bit fields (x^2 leaves y^(2^31) modulo x - y^(2^30) under
-    lex) and widen them: every answer matches the serial one."""
+    lex) and widen them: every answer matches the serial one.  The degree
+    cap sits at that largest remainder's degree, so a remainder packed in
+    32-bit fields but read in 64-bit ones, as after a widening by another
+    thread, fails: y^(2^30+1) (of x*y) reads as x^(2^30+1)*y^(2^30+1)."""
     ring = PolyRing(3, ["x", "y"], LEX)
     x, y = ring.gens()
     d = 2**30
-    cases = [(x**2, False), (x**2 - y ** (2 * d), True), (x * y - y ** (d + 1), True), (x + y, False)]
+    cases = [
+        (x**2, False), (x**2 - y ** (2 * d), True), (x * y - y ** (d + 1), True), (x + y, False), (x * y, False),
+    ]
+    n = len(cases)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
+    set_degree_cap(2 * d)
     try:
         for _ in range(10):
             I = Ideal(ring, [x - y**d])
@@ -659,7 +666,7 @@ def test_membership_is_safe_under_concurrent_widening():
             def check(k):
                 try:
                     barrier.wait(timeout=10)
-                    for f, member in cases[k % 4:] + cases[:k % 4]:
+                    for f, member in cases[k % n:] + cases[:k % n]:
                         if I.contains(f) != member:
                             wrong.append(f)
                 except Exception as exc:  # reported by the assertion below
@@ -674,7 +681,34 @@ def test_membership_is_safe_under_concurrent_widening():
             assert wrong == []
             assert I._divs.pack[0] == 64
     finally:
+        set_degree_cap(None)
         sys.setswitchinterval(interval)
+
+
+def test_division_reads_its_remainder_in_its_own_width(monkeypatch):
+    """Another reader of shared divisors may widen them between a division
+    and the reading of its result, as a membership test on the same ideal
+    in another thread does: the remainder and the quotients, packed in
+    32-bit fields, are still read in those fields, not in the new 64-bit
+    ones (which would read y^4 as x^4*y^4 under lex)."""
+    ring = PolyRing(3, ["x", "y"], LEX)
+    x, y = ring.gens()
+    g = x - y**3
+    divs = _Divisors(ring, [g])
+    assert divs.pack[0] == 32
+    divide = groebner._divide_packed
+
+    def divide_then_widen(*args):
+        out = divide(*args)
+        divs.widen(64)
+        return out
+
+    monkeypatch.setattr(groebner, "_divide_packed", divide_then_widen)
+    assert normal_form(x * y, divs) == y**4
+    assert divs.pack[0] == 64
+    divs.widen(32)
+    assert reduce_with_quotients(x * y, divs) == ([y], y**4)
+    assert divs.pack[0] == 64
 
 
 def test_pickles_carry_no_pack_caches():

@@ -1,19 +1,20 @@
 """Profile untraced rounds of a perfbench workload under cProfile.
 
     python tools/profile_rounds.py --workload closure-p5 --rounds 20
-    python tools/profile_rounds.py --workload census-p2 --rounds 1 --top 15
 
 Run it from the root of a source checkout: charp is imported from ./src
-and the workloads from ./perfbench, which this script only reads.  Set-up
-(parsing the ring file, generating the seed's inputs) runs outside the
-profile; then N rounds of the seed's tasks run under cProfile with no span
-recorder, as the benchmark's untraced runs do, and their outputs are
-checked against perfbench's stored results.  It prints the functions with
-the most self time and the call counts of Buchberger's three stages, so a
-change to the Groebner kernel can be explained by the same work done in
-less time: a traced benchmark run measures closure-p5 on one round, too
-few to resolve ``groebner.buchberger.self_s``.  Exits 1 when a task fails
-or its check does.
+and the workloads from ./perfbench, which this script only reads.  The
+benchmark's seed 1 (the seed of its traced runs) is fixed, with the
+string-hash layout it sets, so repeated profiles run the same tasks.
+Set-up (parsing the ring file, generating the seed's inputs) runs outside
+the profile; then N rounds of the seed's tasks run under cProfile with no
+span recorder, as the benchmark's untraced runs do, and their outputs are
+checked against perfbench's stored results.  It prints the 25 functions
+with the most self time and the call counts of Buchberger's three
+stages, so a change to the Groebner kernel can be explained by the same
+work done in less time: a traced benchmark run measures closure-p5 on one
+round, too few to resolve ``groebner.buchberger.self_s``.  Exits 1 when a
+task fails or its check does.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from pathlib import Path
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
+SEED = 1
+TOP = 25
 COUNTED = ("buchberger", "_s_remainder", "_reduced_basis")
 
 
@@ -34,17 +37,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--rounds", type=int, required=True)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--top", type=int, default=25, help="functions listed by self time")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be positive")
-    # the benchmark fixes the string-hash layout by the seed, so the same
-    # seed profiles the same run
-    hash_seed = str(args.seed % 2**32)
-    if argv is None and os.environ.get("PYTHONHASHSEED") != hash_seed:
+    # the benchmark sets the string-hash layout to its seed
+    if argv is None and os.environ.get("PYTHONHASHSEED") != str(SEED):
         os.execve(sys.executable, [sys.executable, *sys.argv],
-                  {**os.environ, "PYTHONHASHSEED": hash_seed})
+                  {**os.environ, "PYTHONHASHSEED": str(SEED)})
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     sys.dont_write_bytecode = True  # perfbench/ is only read
     from checks import Checker, load_expected
@@ -54,16 +53,16 @@ def main(argv=None) -> int:
     if args.workload not in WORKLOADS:
         parser.error(f"--workload must be one of {', '.join(sorted(WORKLOADS))}")
     workload = WORKLOADS[args.workload]()
-    env = setup(workload, args.seed)
+    env = setup(workload, SEED)
     profile = cProfile.Profile()
     start = perf_counter()
     phase = profile.runcall(timed_phase, workload, env, rounds=args.rounds)
     wall = perf_counter() - start
-    print(f"workload {workload.name}, seed {args.seed}: {args.rounds} rounds, "
+    print(f"workload {workload.name}, seed {SEED}: {args.rounds} rounds, "
           f"{phase.task_runs} task runs, {wall:.3f} s under the profiler")
     failed = count_failures(workload, env, Checker(load_expected()), phase)
     stats = pstats.Stats(profile)
-    stats.sort_stats("tottime").print_stats(args.top)
+    stats.sort_stats("tottime").print_stats(TOP)
     calls = dict.fromkeys(COUNTED, 0)
     for (path, _, name), (_, ncalls, *_) in stats.stats.items():
         if name in calls and path.endswith(os.path.join("charp", "groebner.py")):
