@@ -17,7 +17,12 @@ are additions and the order is integer comparison, and the pending terms
 sit in a heap, whose highest term is cancelled by the first divisor
 whose lead divides it or else moved to the remainder.  The field width
 comes from the data (the degrees in play, doubled when a lex or block
-reduction outgrows it), and a divisor caches its pack on itself.
+reduction outgrows it), and a divisor caches its pack on itself.  Only
+membership tests order their divisors by cost (fewest terms first, ties
+by ascending lead): they divide by a reduced basis, whose remainder is
+the unique normal form whichever element cancels each term.  Every other
+division keeps its list order, on which its quotients, or its remainder
+by a list that is not a Groebner basis, depend.
 Buchberger runs on packed monomials from start to finish: each pair's
 S-polynomial is the two basis elements' packed tails, shifted by their
 packed lcm minus each packed lead, summed into the table the division
@@ -121,7 +126,9 @@ class _Divisors:
     :func:`_reduce_terms` (which divides by their monic forms), packed in
     one field width that holds each of them and every monomial of total
     degree ``degree``; Buchberger appends its basis elements as it finds
-    them.
+    them.  The list order is the order in which divisors are tried: the
+    caller's, except for the divisors an :class:`Ideal` caches for
+    membership, which it orders by cost.
 
     Each polynomial caches its pack in its ``_pk`` slot as (width, entry),
     where the entry is (packed lead, packed tail, the monic form's negated
@@ -235,7 +242,10 @@ def _divide_packed(work: dict, entries: list, floor: int, guards: int, p: int):
     """The loop of :func:`_reduce_terms` on the packed table ``work``
     (consumed), by the divisor entries (packed lead, packed tail, negated
     tail coefficients, quotient table or None) whose highest lead is
-    ``floor``; None when a new term outgrows the field width."""
+    ``floor``; None when a new term outgrows the field width.  Each popped
+    term is tested against the entries in their order until one lead
+    divides it, so the order sets the number of tests per term; for a
+    Groebner basis it does not change the remainder."""
     heap = [-t for t in work]
     heapq.heapify(heap)
     pop, push, get = heapq.heappop, heapq.heappush, work.get
@@ -304,8 +314,11 @@ def normal_form(f: Polynomial, reducers) -> Polynomial:
     divisible by any reducer's leading monomial, and f - result lies in the
     ideal the reducers generate.  Deterministic: the highest pending term
     is cancelled first, by the first divisor in list order, or else set
-    aside as a remainder term.  :meth:`Ideal.contains` passes the packed
-    divisors it caches for its basis in place of the list."""
+    aside as a remainder term.  The remainder depends on that order
+    unless the reducers are a Groebner basis, whose remainder is the
+    unique normal form.  :meth:`Ideal.contains` passes the packed divisors
+    it caches for its reduced basis, in its cost order, in place of the
+    list."""
     return _divide(f, reducers, False)[1]
 
 
@@ -639,12 +652,21 @@ class Ideal:
     # -- membership ----------------------------------------------------------
 
     def contains(self, f: Polynomial) -> bool:
+        """Whether f lies in the ideal: its normal form by the cached
+        divisors of the reduced basis is zero.
+
+        The divisors are cost-ordered: fewest terms first, ties by
+        ascending lead.  The remainder on division by a Groebner basis does
+        not depend on which element cancels each term (it is the unique
+        normal form), so the order changes only the work: the short
+        elements, which cancel most terms of a p^e-th power, are tried
+        first."""
         _check_ring(self.ring, f)
         gb = self.groebner_basis()
         if not gb:
             return f.is_zero
-        if self._divs is None:
-            self._divs = _Divisors(self.ring, gb)  # idempotent, as the basis is
+        if self._divs is None:  # idempotent, as the basis is
+            self._divs = _Divisors(self.ring, sorted(reversed(gb), key=lambda g: len(g.terms)))
         return normal_form(f, self._divs).is_zero
 
     def __contains__(self, f: Polynomial) -> bool:

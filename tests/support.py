@@ -242,3 +242,43 @@ def oracle_buchberger_pairs(generators):
         if not h.is_zero:
             add_element(h.monic())
     return pairs, oracle_reduced_basis([h for h, a in zip(reds, alive) if a])
+
+
+# -- the Fermat cubic's closed form, the torsion orders' oracle -----------------
+
+def fermat_cubic_remainder(terms: dict, N: int, p: int) -> dict:
+    """The remainder of {(a, b, c): coefficient} modulo (x^N, y^N) +
+    (x^3 + y^3 + z^3) over F_p, in an order where z^3 leads the cubic
+    (lex with z first): the leads z^3, x^N and y^N are pairwise coprime,
+    so these generators are a Groebner basis there, and the remainder is
+    empty exactly when the input lies in the ideal.
+
+    z^3 is rewritten to -(x^3 + y^3), one level of z at a time from the
+    highest, so that every monomial is rewritten once with its collected
+    coefficient; a term with x^(>=N) or y^(>=N) is dropped as it appears."""
+    levels: dict = {}  # exponent of z -> {(a, b): coefficient}
+    for (a, b, c), coeff in terms.items():
+        if a < N and b < N:
+            level = levels.setdefault(c, {})
+            level[a, b] = (level.get((a, b), 0) + coeff) % p
+    for c in range(max(levels, default=0), 2, -1):
+        below = levels.setdefault(c - 3, {})
+        for (a, b), coeff in levels.pop(c, {}).items():
+            for m in ((a + 3, b), (a, b + 3)):
+                if coeff and max(m) < N:
+                    below[m] = (below.get(m, 0) - coeff) % p
+    return {(a, b, c): v for c, level in levels.items() for (a, b), v in level.items() if v}
+
+
+def fermat_cubic_torsion_order(terms: dict, n: int, p: int, j_max: int):
+    """The torsion order of [r / (xy)^n] in H^2_m of F_p[x,y,z]/(x^3 +
+    y^3 + z^3), r given by its terms: the least j <= j_max with r^(p^j) in
+    (x^(n p^j), y^(n p^j)) + (x^3 + y^3 + z^3), else None.  r^(p^j) scales
+    every exponent by p^j and keeps the coefficients, by Fermat's little
+    theorem."""
+    for j in range(j_max + 1):
+        q = p**j
+        if not fermat_cubic_remainder({tuple(e * q for e in m): c for m, c in terms.items()},
+                                      n * q, p):
+            return j
+    return None

@@ -22,7 +22,13 @@ from charp import (
     x_act,
 )
 from charp.frobenius import frobenius_target
-from support import fermat_ring, monomials_of_degree_at_most, random_form, random_poly
+from support import (
+    fermat_cubic_torsion_order,
+    fermat_ring,
+    monomials_of_degree_at_most,
+    random_form,
+    random_poly,
+)
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +100,28 @@ def test_torsion_order_examples(R2):
     assert torsion_order(cech_class(R2, [x, y], z**2), 4) == 1
     assert torsion_order(cech_class(R2, [x, y], x), 4) == 0
     assert torsion_order(cech_class(R2, [x, y], R2.ambient.one()), 4) is None
+
+
+def test_torsion_orders_match_the_fermat_cubic_closed_form():
+    """Seeded classes [r / (xy)^n], n <= 4, over F_2[x,y,z]/(x^3 + y^3 +
+    z^3), with the torsion scan's j_max = 6: the orders equal the closed
+    form in ``support``, which reduces r^(2^j) modulo (x^N, y^N) + J with
+    z^3 as the cubic's lead.  Half the numerators are drawn from degree
+    >= 2n, where classes of degree 0 have order 1, so the draws hold orders
+    0, 1 and None, and the membership tests answer both ways."""
+    R = fermat_ring(2)
+    x, y, _ = R.ambient.gens()
+    rng = random.Random(2025)
+    orders = set()
+    for n in range(1, 5):
+        monos = [(a, b, c) for a in range(n + 1) for b in range(n + 1) for c in range(3)]
+        for _ in range(30):
+            pool = monos if rng.random() < 0.5 else [m for m in monos if sum(m) >= 2 * n]
+            terms = {m: 1 for m in rng.sample(pool, rng.randint(1, 4))}
+            order = torsion_order(cech_class(R, [x, y], R.ambient.poly(terms), n), 6)
+            assert order == fermat_cubic_torsion_order(terms, n, 2, 6)
+            orders.add(order)
+    assert orders == {0, 1, None}
 
 
 def test_torsion_matches_closure_chain(R2):

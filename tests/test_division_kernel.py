@@ -165,3 +165,34 @@ def test_packed_monomials_follow_the_order(order):
             packs = {m: sum(map(mul, m, units)) for m in monos}
             assert sorted(monos, key=order.key) == sorted(monos, key=packs.get)
             assert all(unpack(packs[m]) == m for m in monos)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("order", [GREVLEX, LEX, block_order(1)], ids=str)
+def test_cost_ordered_divisors_leave_normal_forms_by_a_basis_unchanged(order, p):
+    """An Ideal's membership divisors try its reduced basis by cost (fewest
+    terms first, ties by ascending lead), where ``normal_form`` by the
+    basis as a list tries it by descending lead.  A Groebner basis has one
+    normal form, so both remainders equal the tuple oracle's term for
+    term: on p^j-th powers of random polynomials, which mostly leave a
+    remainder, and on p^j-th powers of multiples of basis elements, which
+    leave none.  Some draws must put the divisors in another order."""
+    rng = random.Random(f"{order} {p}")
+    ring = PolyRing(p, ["x", "y", "z"], order)
+    reordered = zero = nonzero = 0
+    for _ in range(20):
+        I = Ideal(ring, [random_poly(rng, ring, 2, 3) for _ in range(rng.randint(2, 3))])
+        gb = I.groebner_basis()
+        for _ in range(5):
+            h = random_poly(rng, ring, 2, 3)
+            if rng.random() < 0.5:
+                h = h * rng.choice(gb)
+            f = frobenius_power(h, rng.randint(1, 2 if p < 5 else 1))
+            member = I.contains(f)
+            rem = _items(normal_form(f, I._divs).terms)
+            assert rem == _items(normal_form(f, list(gb)).terms) == _items(oracle_divide(f, gb)[1])
+            assert member == (not rem)
+            zero += member
+            nonzero += not member
+        reordered += I._divs.polys != list(gb)
+    assert reordered and zero and nonzero

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -387,6 +388,38 @@ def test_permuting_the_variables_commutes_with_closure(p, defining):
         moved_leads += leads != {g.leading_monomial() for g in permuted.chain[-1][1]}
         grown += report.chain[-1][1] != report.chain[0][1]
     assert moved_leads > 0
+    assert grown > 0 if len(defining) == 1 else grown == 0
+
+
+@pytest.mark.parametrize("defining", [["x^4 + y^4 + z^4"], ["x*y", "y*z", "x*z"]])
+def test_scaling_the_variables_by_units_commutes_with_closure(defining):
+    """Over F_3, x_i -> c_i*x_i with units c_i maps J to itself (c^4 = 1
+    for the Fermat quartic, and a monomial ideal to itself), so it is an
+    automorphism of S/J and C_e(s(I)) = s(C_e(I)) for every e: the chain of
+    s(I) is the chain of I with s applied, compared as reduced bases of the
+    images, with the same Q-exponent and stabilization index.  The leads
+    stay, the coefficients move: some closure must grow on the quartic,
+    and each draw scales some variable by 2."""
+    p = 3
+    S = PolyRing(p, ["x", "y", "z"])
+    R = QuotientRing(S, [S.parse(f) for f in defining])
+    rng = random.Random(len(defining))
+    grown = 0
+    for _ in range(4):
+        scales = rng.choice([c for c in itertools.product((1, 2), repeat=3) if 2 in c])
+
+        def image(g):
+            return S.poly({m: c * math.prod(map(pow, scales, m)) % p for m, c in g.terms.items()})
+
+        assert Ideal(S, [image(f) for f in R.defining.gens]).groebner_basis() == R.defining.groebner_basis()
+        gens = [random_form(rng, S, rng.randint(1, 2)) for _ in range(2)]
+        report = frobenius_closure(R, gens)
+        scaled = frobenius_closure(R, [image(g) for g in gens])
+        assert scaled.chain == tuple((e, Ideal(S, [image(g) for g in gb]).groebner_basis())
+                                     for e, gb in report.chain)
+        assert scaled.q_exponent == report.q_exponent
+        assert scaled.stabilization_index == report.stabilization_index
+        grown += report.chain[-1][1] != report.chain[0][1]
     assert grown > 0 if len(defining) == 1 else grown == 0
 
 

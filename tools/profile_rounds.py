@@ -10,9 +10,10 @@ Set-up (parsing the ring file, generating the seed's inputs) runs outside
 the profile; then N rounds of the seed's tasks run under cProfile with no
 span recorder, as the benchmark's untraced runs do, and their outputs are
 checked against perfbench's stored results.  It prints the 25 functions
-with the most self time and the call counts of Buchberger's three
-stages, so a change to the Groebner kernel can be explained by the same
-work done in less time: a traced benchmark run measures closure-p5 on one
+with the most self time, the call counts of Buchberger's three stages
+and those of the division kernel and of ``normal_form``, so a change to
+the Groebner kernel or to the division can be explained by the same work
+done in less time: a traced benchmark run measures closure-p5 on one
 round, too few to resolve ``groebner.buchberger.self_s``.  Exits 1 when a
 task fails or its check does.
 """
@@ -30,7 +31,7 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 1
 TOP = 25
-COUNTED = ("buchberger", "_s_remainder", "_reduced_basis")
+COUNTED = ("buchberger", "_s_remainder", "_reduced_basis", "_divide_packed", "normal_form")
 
 
 def main(argv=None) -> int:
