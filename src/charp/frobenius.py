@@ -30,9 +30,9 @@ import math
 import re
 from dataclasses import dataclass
 
-from .groebner import Ideal, adjoin_variable
+from .groebner import Ideal, _eliminate, _fresh_variable
 from .parse import parse_polynomials
-from .poly import Polynomial, PolyRing, degree_cap, frobenius_power, frobenius_root, set_degree_cap
+from .poly import PolyRing, degree_cap, frobenius_power, frobenius_root, set_degree_cap
 from .quotient import QuotientRing
 
 STATUS_STABLE = "certified_subset_window_stable"
@@ -118,16 +118,15 @@ def frobenius_preimage(K: Ideal, e: int) -> Ideal:
 def _contract_one_variable(K: Ideal, i: int) -> Ideal:
     """phi^{-1}(K) for the substitution phi fixing every variable except
     x_i, which maps to x_i**p: eliminate x_i from K + (u - x_i**p) and
-    read u back as x_i."""
-    ring = K.ring
-    ext, u, emb = adjoin_variable(ring, "_u")
-    x_i = ring.variables[i]
-    gens = [emb(g) for g in K.gens] + [u - ext.var(x_i) ** ring.p]
-    kept = Ideal(ext, gens).eliminate([x_i]).gens
-    return Ideal(ring, [
-        Polynomial(ring, {m[:i] + m[-1:] + m[i + 1:-1]: c for m, c in h.terms.items()})
-        for h in kept
-    ])
+    read u back as x_i.  K and u - x_i**p are written straight into the
+    block ring of x_i, the other variables and a fresh u, in that order
+    (see :func:`charp.groebner._eliminate`)."""
+    ring, p, n = K.ring, K.ring.p, K.ring.nvars
+    tables = [{(m[i],) + m[:i] + m[i + 1:] + (0,): c for m, c in g.terms.items()} for g in K.gens]
+    tables.append({(0,) * n + (1,): 1, (p,) + (0,) * n: p - 1})
+    names = ring.variables
+    variables = (names[i],) + names[:i] + names[i + 1:] + (_fresh_variable(ring, "_u"),)
+    return _eliminate(ring, variables, 1, tables, lambda m: m[1:i + 1] + m[-1:] + m[i + 1:-1])
 
 
 def frobenius_root_ideal(R: QuotientRing, e: int) -> Ideal:

@@ -17,33 +17,39 @@ are additions and the order is integer comparison, and the pending terms
 sit in a heap, whose highest term is cancelled by the first divisor
 whose lead divides it or else moved to the remainder.  The field width
 comes from the data (the degrees in play, doubled when a lex or block
-reduction outgrows it), and a divisor caches its pack on itself.  Only
-membership tests order their divisors by cost (fewest terms first, ties
-by ascending lead): they divide by a reduced basis, whose remainder is
-the unique normal form whichever element cancels each term.  Every other
-division keeps its list order, on which its quotients, or its remainder
-by a list that is not a Groebner basis, depend.
+reduction outgrows it), and a divisor caches its pack on itself, which
+any packing of the same width reuses.  Only membership tests order their
+divisors by cost (fewest terms first, ties by ascending lead): they
+divide by a reduced basis, whose remainder is the unique normal form
+whichever element cancels each term.  Every other division keeps its
+list order, on which its quotients, or its remainder by a list that is
+not a Groebner basis, depend.
 Buchberger runs on packed monomials from start to finish: each pair's
 S-polynomial is the two basis elements' packed tails, shifted by their
 packed lcm minus each packed lead, summed into the table the division
 reduces; a nonzero remainder becomes a basis element whose packed entry
 is that table, made monic.  The pending pairs sit in one heap keyed by
 their packed lcm, which each new element updates in one Gebauer-Moller
-pass of integer tests, and the run ends in one interreduction on the
-packed entries, which unpacks each element of the reduced basis once.
+pass of integer tests, and the run ends in one interreduction of those
+divisors, which unpacks each element of the reduced basis once and leaves
+it its packed entry, so membership tests and colons on the basis pack
+nothing again.
 
 A colon (I : A) with S/I finite dimensional is the kernel of r -> r*A
 on the standard monomials of S/I (the linear algebra of FGLM), taken on
 packed monomials too: the staircase sorts as integers, each row is its
 parent's row shifted by one variable's unit, and each row is eliminated
 from a heap of its pending columns.  The kernel vectors and I's basis
-form a Groebner basis of the colon, which is interreduced with no
-Buchberger run by the routine every Buchberger run ends with; otherwise,
-and as the kernel route's oracle, the colon is taken by intersections.
-:meth:`Ideal.eliminate` is the only elimination: intersections (and so
-those colons) and the Frobenius preimage fallback of
-:mod:`charp.frobenius` adjoin one fresh variable
-(:func:`adjoin_variable`), eliminate and map the result back.
+form a Groebner basis of the colon: each kernel vector joins the
+divisors as a packed table, and they are interreduced with no Buchberger
+run by the routine every Buchberger run ends with; otherwise, and as the
+kernel route's oracle, the colon is taken by intersections.
+:func:`_eliminate` is the only elimination and builds the library's only
+block-order rings: :meth:`Ideal.eliminate`, intersections (and so those
+colons) and the Frobenius preimage fallback of :mod:`charp.frobenius`
+hand it their generators' term tables in one block ring, with a fresh
+variable where they need one, and it reads the kept elements straight
+back into their own ring.
 
 No modular or tracing shortcuts and no F4/F5: determinism and correctness
 over speed, which is adequate at desk scale.
@@ -130,24 +136,25 @@ class _Divisors:
     caller's, except for the divisors an :class:`Ideal` caches for
     membership, which it orders by cost.
 
-    Each polynomial caches its pack in its ``_pk`` slot as (width, entry),
-    where the entry is (packed lead, packed tail, the monic form's negated
-    tail coefficients, None); a divisor packed wider once keeps the wider
-    width.  The packing is one snapshot, ``pack`` = (width, units, guards,
-    unpack, entries, top), where ``top`` is the highest packed lead: a
-    widening swaps in a whole new one, so a reader that took the snapshot
-    never sees half of a widening, and an :class:`Ideal` can share its
-    basis' divisors between concurrent membership tests."""
+    The field width is sized from degrees only.  Each polynomial caches
+    its pack in its ``_pk`` slot as (width, entry), where the entry is
+    (packed lead, packed tail, the monic form's negated tail coefficients,
+    None), and a packing reuses the cached entry exactly when its width is
+    the same (and packs again, replacing it, otherwise): so a basis that
+    Buchberger or a colon returns, whose elements keep the entries they
+    were built with, is not packed again.  The packing is one snapshot,
+    ``pack`` = (width, units, guards, unpack, entries, top), where ``top``
+    is the highest packed lead: a widening swaps in a whole new one, so a
+    reader that took the snapshot never sees half of a widening, and an
+    :class:`Ideal` can share its basis' divisors between concurrent
+    membership tests."""
 
     __slots__ = ("ring", "polys", "pack")
 
     def __init__(self, ring: PolyRing, polys=(), degree: int = 0):
         self.ring = ring
         self.polys = list(polys)
-        self.widen(max(
-            [pk[0] if (pk := g._pk) is not None else _width(g.total_degree()) for g in self.polys]
-            + [_width(degree)]
-        ))
+        self.widen(_width(max([g.total_degree() for g in self.polys] + [degree])))
 
     def _entry(self, g: Polynomial, width: int, units: tuple) -> tuple:
         pk = g._pk
@@ -386,24 +393,25 @@ def _s_remainder(divs: _Divisors, i: int, j: int, lcm: int) -> dict:
         lcm = sum(map(mul, unpack(lcm), divs.pack[1]))
 
 
-def _reduced_basis(gb) -> tuple[Polynomial, ...]:
-    """The reduced Groebner basis of the ideal generated by the nonempty
-    monic Groebner basis ``gb``, sorted by descending leading monomial.
+def _reduced_basis(divs: _Divisors) -> tuple[Polynomial, ...]:
+    """The reduced Groebner basis of the ideal generated by the divisors
+    ``divs``, nonempty and monic, whose leads generate its initial ideal (a
+    Groebner basis, perhaps with extra elements, as Buchberger's retired
+    ones), sorted by descending leading monomial.
 
-    On the elements' packed entries (see :class:`_Divisors`), the
-    elements are walked by ascending packed lead (a divisor of a monomial
-    comes before it in every term order), and each one whose lead is
-    divisible by a lead already kept is dropped; each kept element's
-    packed tail is then reduced by the kept entries, and only the result
-    is unpacked.  Every pending term lies below the element's own lead,
-    which therefore divides none of them, so the tail is reduced by the
-    other kept elements; their leads form an antichain and they are
-    monic, so no lead is cancelled or rescaled.  A reduction that
-    outgrows the fields (under lex or block orders) restarts in fields
-    twice as wide."""
-    ring = gb[0].ring
+    On the divisors' packed entries, the elements are walked by ascending
+    packed lead (a divisor of a monomial comes before it in every term
+    order), and each one whose lead is divisible by a lead already kept is
+    dropped; each kept element's packed tail is then reduced by the kept
+    entries, and only the result is unpacked, once, into a polynomial
+    that keeps the result as its packed entry.  Every pending term lies
+    below the element's own lead, which therefore divides none of them,
+    so the tail is reduced by the other kept elements; their leads form an
+    antichain and they are monic, so no lead is cancelled or rescaled.  A
+    reduction that outgrows the fields (under lex or block orders)
+    restarts in fields twice as wide."""
+    ring = divs.ring
     p = ring.p
-    divs = _Divisors(ring, gb)
     while True:
         width, _, guards, unpack, entries, _ = divs.pack
         kept: list = []  # the kept entries, by ascending lead
@@ -422,6 +430,7 @@ def _reduced_basis(gb) -> tuple[Polynomial, ...]:
             terms.update(zip(map(unpack, out), out.values()))
             h = Polynomial(ring, terms)
             h._lm = lm
+            h._pk = (width, (lead, tuple(out), tuple([p - c for c in out.values()]), None))
             reduced.append(h)
         else:
             return tuple(reversed(reduced))
@@ -442,9 +451,12 @@ def buchberger(generators) -> tuple[Polynomial, ...]:
     equality.  Each pair's S-polynomial is formed on packed monomials from
     the basis' packed divisors and reduced in the same table (see
     :func:`_s_remainder`), and a nonzero remainder becomes a basis element
-    straight from that table.  The result (see :func:`_reduced_basis`) is
-    monic, mutually reduced and sorted by descending leading monomial; the
-    zero ideal yields the empty basis.
+    straight from that table.  The divisors, retired elements included,
+    are then interreduced (see :func:`_reduced_basis`): a retired
+    element's lead is divisible by a smaller lead found later, so the
+    interreduction drops it.  The result is monic, mutually reduced,
+    sorted by descending leading monomial and packed; the zero ideal
+    yields the empty basis.
     """
     gens = [g for g in generators if not g.is_zero]
     if not gens:
@@ -518,7 +530,7 @@ def buchberger(generators) -> tuple[Polynomial, ...]:
     while heap:
         lcm, i, j = heapq.heappop(heap)
         settle(_s_remainder(divs, i, j, lcm))
-    return _reduced_basis([h for h, a in zip(reds, alive) if a])
+    return _reduced_basis(divs)
 
 
 def _staircase_rows(index, gens, pack, p: int):
@@ -607,17 +619,28 @@ def _dimension_of(gb, nvars: int) -> int:
     return 0
 
 
-def adjoin_variable(ring: PolyRing, stem: str):
-    """(ext, u, emb): ``ring`` with one variable u appended, named by the
-    first of stem0, stem1, ... that ``ring`` does not already have, and the
-    embedding of ``ring``'s polynomials into ext."""
-    name = next(f"{stem}{i}" for i in itertools.count() if f"{stem}{i}" not in ring._index)
-    ext = PolyRing(ring.p, ring.variables + (name,), ring.order, internal=True)
+def _fresh_variable(ring: PolyRing, stem: str) -> str:
+    """The first of stem0, stem1, ... that ``ring`` has no variable of."""
+    return next(f"{stem}{i}" for i in itertools.count() if f"{stem}{i}" not in ring._index)
 
-    def emb(g: Polynomial) -> Polynomial:
-        return Polynomial(ext, {m + (0,): c for m, c in g.terms.items()})
 
-    return ext, ext.var(name), emb
+def _eliminate(ring: PolyRing, variables: tuple, k: int, tables, back) -> "Ideal":
+    """The ideal generated by the term tables ``tables`` in F_p[variables],
+    under the block order whose front block is the first ``k`` variables,
+    intersected with the subring of the other variables and read back into
+    ``ring`` by ``back``, which maps a monomial with no front exponent to
+    one of ``ring``.
+
+    The block order makes any monomial with a front exponent larger than
+    every monomial without one, so the elements of the reduced basis whose
+    leads have no front exponent generate the intersection (the
+    elimination theorem; Cox, Little and O'Shea, ch. 3, sect. 1).  The
+    block ring is the only ring this builds, and each kept term is
+    remapped once."""
+    block = PolyRing(ring.p, variables, block_order(k), internal=True)
+    gb = buchberger([Polynomial(block, table) for table in tables])
+    return Ideal(ring, [Polynomial(ring, {back(m): c for m, c in h.terms.items()})
+                        for h in gb if not any(h.leading_monomial()[:k])])
 
 
 class Ideal:
@@ -737,12 +760,13 @@ class Ideal:
         independent monomials) in the colon.  Dependent rows never become
         pivots, so that tail holds only independent monomials, which are
         the standard monomials of the colon: the vector has lead s and is
-        already reduced.
+        already reduced.  Its packed table joins the divisors after self's
+        basis (:meth:`_Divisors.append_remainder`).
 
         The leads of the kernel vectors and of self's basis generate the
         colon's initial ideal, so the kernel vectors and I's basis form a
         Groebner basis of the colon, and :func:`_reduced_basis` interreduces
-        it."""
+        the divisors."""
         ring, p = self.ring, self.ring.p
         gb = self.groebner_basis()
         staircase = _standard_monomials([g.leading_monomial() for g in gb], ring.nvars)
@@ -750,8 +774,8 @@ class Ideal:
         divs = _Divisors(ring, gb, degree)
         while True:
             width, units = divs.pack[:2]
-            stairs = sorted((sum(map(mul, s, units)), s) for s in staircase)
-            index = {t: k for k, (t, _) in enumerate(stairs)}
+            stairs = sorted(sum(map(mul, s, units)) for s in staircase)
+            index = {t: k for k, t in enumerate(stairs)}
             rows = _staircase_rows(index, other.gens, divs.pack, p)
             if rows is not None:
                 break
@@ -761,7 +785,6 @@ class Ideal:
         # the unit vector of row k
         n = len(stairs)
         pivots: dict = {}  # leading column -> the rest of its row, scaled to lead 1
-        kernel = []
         for k, row in enumerate(rows):
             vec = {i * n + index[b]: c for i, part in enumerate(row) for b, c in part.items()}
             heap = [-c for c in vec]
@@ -786,33 +809,34 @@ class Ideal:
                             heapq.heappush(heap, -c)
                     else:
                         vec[c] = (old - factor * v) % p
-            else:
-                h = Polynomial(ring, {stairs[-1 - c][1]: v for c, v in vec.items() if c < 0 and v})
-                h._lm = stairs[k][1]
-                kernel.append(h)
+            else:  # ascending columns: the packed monomials descending
+                divs.append_remainder({stairs[-1 - c]: vec[c] for c in sorted(vec) if c < 0 and vec[c]})
 
-        result = Ideal(ring, _reduced_basis(kernel + list(gb)))
+        result = Ideal(ring, _reduced_basis(divs))
         result._gb = result.gens
         return result
 
     def intersect(self, other: "Ideal") -> "Ideal":
-        """Tag-variable intersection: eliminate a fresh t from t*I + (1-t)*K."""
+        """Tag-variable intersection: eliminate a fresh t from t*I + (1-t)*K,
+        in the block ring with t alone in front of the ring's variables
+        (see :func:`_eliminate`)."""
         _check_ring(self.ring, other)
         ring = self.ring
-        ext, t, emb = adjoin_variable(ring, "_t")
-        one = ext.one()
-        gens = [t * emb(g) for g in self.gens]
-        gens += [(one - t) * emb(g) for g in other.gens]
-        kept = Ideal(ext, gens).eliminate(ext.variables[-1:]).gens
-        return Ideal(ring, [Polynomial(ring, {m[:-1]: c for m, c in h.terms.items()})
-                            for h in kept])
+        p = ring.p
+        tables = [{(1,) + m: c for m, c in g.terms.items()} for g in self.gens]
+        for g in other.gens:
+            table = {(0,) + m: c for m, c in g.terms.items()}
+            table.update(((1,) + m, p - c) for m, c in g.terms.items())
+            tables.append(table)
+        variables = (_fresh_variable(ring, "_t"),) + ring.variables
+        return _eliminate(ring, variables, 1, tables, lambda m: m[1:])
 
     def eliminate(self, front_vars) -> "Ideal":
         """self ∩ F_p[variables not in front_vars], as an ideal of the same ring.
 
-        The basis is taken in a block order with ``front_vars`` moved to the
-        front and the other variables kept in their order; this is the only
-        block-order computation of the library."""
+        The basis is taken in the block ring with ``front_vars`` moved to
+        the front and the other variables kept in their order (see
+        :func:`_eliminate`)."""
         front = tuple(front_vars)
         for v in front:
             if v not in self.ring._index:
@@ -820,26 +844,11 @@ class Ideal:
         if not front:
             return Ideal(self.ring, self.gens)
         ring = self.ring
-        rest = tuple(v for v in ring.variables if v not in front)
-        perm = [ring._index[v] for v in front + rest]
-        ext = PolyRing(ring.p, front + rest, block_order(len(front)), internal=True)
-
-        def fwd(g):
-            return Polynomial(ext, {tuple(m[i] for i in perm): c for m, c in g.terms.items()})
-
-        k = len(front)
-        kept = [
-            h for h in buchberger([fwd(g) for g in self.gens])
-            if all(not any(m[:k]) for m in h.terms)
-        ]
-        inv = {pos: i for i, pos in enumerate(perm)}
-        n = ring.nvars
-
-        def back(h):
-            return Polynomial(ring, {tuple(m[inv[i]] for i in range(n)): c
-                                     for m, c in h.terms.items()})
-
-        return Ideal(ring, [back(h) for h in kept])
+        perm = [ring._index[v] for v in front] + [i for i, v in enumerate(ring.variables) if v not in front]
+        slot = [perm.index(i) for i in range(ring.nvars)]  # each ring variable's block position
+        tables = [{tuple(m[i] for i in perm): c for m, c in g.terms.items()} for g in self.gens]
+        variables = tuple(ring.variables[i] for i in perm)
+        return _eliminate(ring, variables, len(front), tables, lambda m: tuple(m[i] for i in slot))
 
     # -- dimension -------------------------------------------------------------
 
@@ -848,11 +857,3 @@ class Ideal:
         if self._dim is None:
             self._dim = _dimension_of(self.groebner_basis(), self.ring.nvars)
         return self._dim
-
-    def vector_space_dimension(self) -> int | None:
-        """Number of standard monomials when the quotient is finite
-        dimensional over F_p; None means infinite."""
-        if self.krull_dimension() > 0:
-            return None
-        lms = [g.leading_monomial() for g in self.groebner_basis()]
-        return len(_standard_monomials(lms, self.ring.nvars))

@@ -52,17 +52,23 @@ def _integer(text: str, value: str, offset: int) -> int:
 def _split_variables(name: str, by_length):
     """Decompose a juxtaposed identifier into declared variable names.
 
-    ``by_length`` lists the names longest first.  Greedy longest-prefix
-    match with backtracking; returns None when no decomposition exists.
+    ``by_length`` lists the names longest first.  The decomposition is the
+    greedy longest-prefix match with backtracking: at each position, the
+    first name in ``by_length`` after which the rest splits.  That is found
+    in one pass over the suffixes, from the end, in time linear in the
+    identifier's length; returns None when no decomposition exists.
     """
-    if not name:
-        return []
-    for v in by_length:
-        if name.startswith(v):
-            rest = _split_variables(name[len(v):], by_length)
-            if rest is not None:
-                return [v] + rest
-    return None
+    # first[j]: the name the split of name[j:] starts with; "" at the end,
+    # None where name[j:] does not split
+    first = [None] * len(name) + [""]
+    for j in range(len(name) - 1, -1, -1):
+        fits = (v for v in by_length if name.startswith(v, j) and first[j + len(v)] is not None)
+        first[j] = next(fits, None)
+    parts, j = [], 0
+    while first[j]:
+        parts.append(first[j])
+        j += len(first[j])
+    return None if first[j] is None else parts
 
 
 def parse_polynomial(ring: PolyRing, text: str, start: int = 0, end: int | None = None) -> Polynomial:
@@ -105,7 +111,7 @@ def parse_polynomial(ring: PolyRing, text: str, start: int = 0, end: int | None 
                     raise PolyParseError("expected a variable after '*'", *_position(text, offset))
             if kind != "name":
                 break
-            parts = _split_variables(value, by_length)
+            parts = [value] if value in index else _split_variables(value, by_length)
             if parts is None:
                 raise PolyParseError(f"unknown variable {value!r}", *_position(text, offset))
             exp = 1

@@ -66,14 +66,6 @@ def check_degree(degree: int) -> None:
 # ---------------------------------------------------------------------------
 # monomial helpers (plain tuple arithmetic)
 
-def mono_divides(a: Monomial, b: Monomial) -> bool:
-    """True when a | b, i.e. every exponent of a is <= that of b."""
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
-
-
 def mono_div(a: Monomial, b: Monomial) -> Monomial:
     """a / b; requires b | a."""
     out = tuple(x - y for x, y in zip(a, b))

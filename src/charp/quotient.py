@@ -13,11 +13,12 @@ it on each prefix when J itself passes it; for any other J it takes the
 colon (prefix : a) of every element, which the tests also use as the
 height test's oracle.
 
-No flag declares R Cohen-Macaulay.  ``cm_hint`` is the height test of J
-itself, and where Cohen-Macaulayness at the irrelevant ideal matters
-(Cech classes, eta scans) it is checked: a homogeneous system of
-parameters that is a regular sequence exists exactly when R is
-Cohen-Macaulay there.
+No flag declares R Cohen-Macaulay.  When J itself passes the height test
+(``_height_test(())``), R is the zero ring or J is locally a complete
+intersection, so R is Cohen-Macaulay; a failed test decides nothing.
+Where Cohen-Macaulayness at the irrelevant ideal matters (Cech classes,
+eta scans) it is checked: a homogeneous system of parameters that is a
+regular sequence exists exactly when R is Cohen-Macaulay there.
 """
 
 from __future__ import annotations
@@ -88,13 +89,6 @@ class QuotientRing:
     def dimension(self) -> int:
         """dim R = dim S/J, cached on J (see :meth:`Ideal.krull_dimension`)."""
         return self.defining.krull_dimension()
-
-    @property
-    def cm_hint(self) -> bool:
-        """Whether J passes the height test.  True means R is the zero ring
-        or J is locally a complete intersection, so R is Cohen-Macaulay;
-        False means "not decided", since R may be Cohen-Macaulay anyway."""
-        return self._height_test(())
 
     def _height_test(self, gens) -> bool:
         """Whether K = J + (gens) is the unit ideal or has height k + c,

@@ -8,7 +8,12 @@ import itertools
 import random
 
 from charp import Ideal, PolyRing, Polynomial, QuotientRing, normal_form, s_polynomial
-from charp.poly import mono_divides, mono_lcm
+from charp.poly import mono_lcm
+
+
+def mono_divides(a: tuple, b: tuple) -> bool:
+    """True when a | b, i.e. every exponent of a is <= that of b."""
+    return all(x <= y for x, y in zip(a, b))
 
 
 def fermat_ring(p: int) -> QuotientRing:

@@ -179,6 +179,19 @@ def test_paramcheck(ring_file, capsys):
     assert "false" in capsys.readouterr().out
 
 
+def test_long_juxtaposed_identifiers_in_a_ring_file(tmp_path, capsys):
+    # x written 1500 times is x^1500; an identifier that does not split
+    # exits 1 with its position in the file, not a traceback
+    path = tmp_path / "long.ring"
+    path.write_text("char 2;\nvars a aa x;\nideal I = " + "x" * 1500 + ";\n"
+                    "ideal J = x,\n  " + "a" * 300 + "b;\n")
+    assert main(["gb", "--ring", str(path), "--ideal", "I"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: --ring {path}:5:3: unknown variable 'aaa")
+    path.write_text("char 2;\nvars a aa x;\nideal I = " + "x" * 1500 + ";\n")
+    assert main(["gb", "--ring", str(path), "--ideal", "I"]) == 0
+    assert "x^1500" in capsys.readouterr().out
+
+
 def test_input_errors_name_the_flag(ring_file, tmp_path, capsys):
     assert main(["member", "--ring", ring_file, "--ideal", "I", "--poly", "w"]) == 1
     assert "--poly" in capsys.readouterr().err

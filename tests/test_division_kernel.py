@@ -22,7 +22,7 @@ from charp import (
     reduce_with_quotients,
     set_degree_cap,
 )
-from charp.groebner import _layout, _reduced_basis
+from charp.groebner import _Divisors, _layout, _reduced_basis
 from support import oracle_divide, oracle_reduced_basis, random_form, random_poly
 
 ORDERS = (GREVLEX, LEX, block_order(1), block_order(2))
@@ -70,7 +70,7 @@ def test_division_and_reduced_bases_match_the_tuple_kernel():
         basis = buchberger(random_poly(rng, ring, 2, 3) for _ in range(rng.randint(1, 3)))
         assert_division_matches_oracle(f, basis)
         gb = _non_reduced_basis(rng, basis)
-        assert [_items(g.terms) for g in _reduced_basis(gb)] == [
+        assert [_items(g.terms) for g in _reduced_basis(_Divisors(ring, gb))] == [
             _items(g.terms) for g in oracle_reduced_basis(gb)
         ]
 

@@ -16,6 +16,8 @@ from charp import (
     RingMismatchError,
     block_order,
     buchberger,
+    frobenius_power,
+    frobenius_preimage,
     membership_oracle,
     normal_form,
     reduce_with_quotients,
@@ -24,9 +26,11 @@ from charp import (
 )
 from charp import groebner
 from charp.groebner import _Divisors, _standard_monomials
-from charp.poly import mono_divides, mono_lcm
+from charp.poly import mono_lcm
 from support import (
     assert_spolys_reduce_to_zero,
+    mono_divides,
+    monomials_of_degree_at_most,
     oracle_buchberger_pairs,
     random_ideal,
     random_monomial,
@@ -570,6 +574,73 @@ def test_eliminate_output_free_of_front_variables():
         assert E.is_subset_of(I)
 
 
+def _substitute(f, images: dict):
+    """f with each variable named in ``images`` replaced by its image."""
+    ring = f.ring
+    out = ring.zero()
+    for m, c in f.terms.items():
+        term = ring.const(c)
+        for v, e in zip(ring.variables, m):
+            term = term * (images.get(v, ring.var(v)) ** e)
+        out = out + term
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_eliminations_in_every_order_and_layout(p):
+    """Preimages, intersections and eliminations of one and two variables,
+    anywhere in lex, grevlex, block(1) and block(2) rings of 3 and 4
+    variables, against oracles that take no elimination:
+      - r in U_1(K) exactly when NF(r^p, GB(K)) = 0, for K holding the
+        p-th power of a random g, which U_1(K) must then hold;
+      - r in I ∩ K exactly when r is in both;
+      - for I = K + (v - h_v : v eliminated), each h_v free of the
+        eliminated variables, r in I ∩ F_p[rest] exactly when r is in I,
+        and exactly when r is in the ideal of K's generators with each v
+        replaced by h_v."""
+    rng = random.Random(2600 + p)
+    for order in (LEX, GREVLEX, block_order(1), block_order(2)):
+        for n in (3, 4):
+            ring = PolyRing(p, "xyzw"[:n], order)
+            gens = ring.gens()
+            small = monomials_of_degree_at_most(ring, 2)
+            g = random_poly(rng, ring, max_degree=1, max_terms=2)
+            K = Ideal(ring, [frobenius_power(g, 1), random_poly(rng, ring, max_degree=2)])
+            U = frobenius_preimage(K, 1)
+            gb_K = K.groebner_basis()
+            sample = small + [g] + list(K.gens) + [u * rng.choice(gens) for u in U.gens]
+            sample += [random_poly(rng, ring, max_degree=3) for _ in range(4)]
+            for r in sample:
+                assert (r in U) == normal_form(frobenius_power(r, 1), gb_K).is_zero
+
+            I = random_ideal(rng, ring, max_gens=2, max_degree=2)
+            meet = I.intersect(K)
+            sample = small + list(I.gens) + [a * b for a in I.gens for b in K.gens]
+            for r in sample:
+                assert (r in meet) == (r in I and r in K)
+
+            for size in (1, 2):
+                front = rng.sample(ring.variables, size)
+                rest = [v for v in ring.variables if v not in front]
+                sub = PolyRing(p, rest, order)  # the rest's polynomials, embedded below
+
+                def embed(f):
+                    return ring.poly({tuple(dict(zip(rest, m)).get(v, 0) for v in ring.variables): c
+                                      for m, c in f.terms.items()})
+
+                images = {v: embed(random_poly(rng, sub, max_degree=2)) for v in front}
+                base = random_ideal(rng, ring, max_gens=2, max_degree=2)
+                I = Ideal(ring, list(base.gens) + [ring.var(v) - h for v, h in images.items()])
+                E = I.eliminate(front)
+                closed = Ideal(ring, [_substitute(f, images) for f in base.gens])
+                assert all(m[ring._index[v]] == 0 for f in E.gens for m in f.terms for v in front)
+                sample = [embed(f) for f in monomials_of_degree_at_most(sub, 2)]
+                sample += [embed(random_poly(rng, sub, max_degree=3)) for _ in range(4)]
+                sample += list(closed.gens) + [f * embed(rng.choice(sub.gens())) for f in closed.gens]
+                for r in sample:
+                    assert (r in E) == (r in I) == (r in closed)
+
+
 def test_standard_monomials_match_box_enumeration():
     rng = random.Random(77)
     for _ in range(60):
@@ -603,13 +674,6 @@ def test_krull_dimension_examples(f2xyz):
     assert Ideal(f2xyz, [f2xyz.one()]).krull_dimension() == -1
 
 
-def test_vector_space_dimension_examples(f2xyz):
-    x, y, z = f2xyz.gens()
-    assert Ideal(f2xyz, [x, y, z**3]).vector_space_dimension() == 3
-    assert Ideal(f2xyz, [x]).vector_space_dimension() is None
-    assert Ideal(f2xyz, [x, y, z]).vector_space_dimension() == 1
-
-
 def test_groebner_cache_is_used(f2xyz):
     x, y, _ = f2xyz.gens()
     I = Ideal(f2xyz, [x, y])
@@ -637,6 +701,37 @@ def test_membership_packs_the_basis_once(monkeypatch):
     assert all(I.contains(f) for f in members)
     assert not any(I.contains(f) for f in (x * y * z, z**5, x**3 + y))
     assert len(built) == 1
+
+
+def test_a_fresh_basis_is_packed_once(monkeypatch):
+    """The reduced bases that Buchberger and the kernel colon return keep
+    the packed entries they were built with, so membership tests and a
+    colon on them pack no basis element again: no division finds an
+    element without a cached entry of its width."""
+    misses = []
+    entry = _Divisors._entry
+
+    def counting(self, g, width, units):
+        if g._pk is None or g._pk[0] != width:
+            misses.append(g)
+        return entry(self, g, width, units)
+
+    monkeypatch.setattr(_Divisors, "_entry", counting)
+    ring = PolyRing(3, ["x", "y", "z"])
+    x, y, z = ring.gens()
+    I = Ideal(ring, [x**4, y**5, x**3 + y**3 + z**3])
+    gb = I.groebner_basis()
+    assert I.krull_dimension() == 0 and all(g._pk is not None for g in gb)
+    members = [g * m for g in gb for m in (x, y * z, z**5)]
+    assert all(I.contains(f) for f in members)
+    assert not any(I.contains(f) for f in (x * y * z, z**5, x**3 + y))
+    C = I.colon_ideal(Ideal(ring, [x * y, z]))
+    colon = C.groebner_basis()
+    assert all(g._pk is not None for g in colon) and len(colon) > len(gb)
+    assert all(C.contains(f) for f in colon)
+    assert not C.contains(ring.one())
+    assert C.colon_ideal(Ideal(ring, [y])).krull_dimension() == 0
+    assert misses == []
 
 
 def test_membership_is_safe_under_concurrent_widening():

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from charp import PolyParseError, PolyRing, parse_polynomial
@@ -33,6 +35,25 @@ def test_juxtaposition_prefers_longest_name():
     f = parse_polynomial(ring, "xy")  # the declared variable, not x*y
     assert f == ring.var("xy")
     assert parse_polynomial(ring, "x*y") == ring.var("x") * ring.var("y")
+
+
+def test_long_juxtapositions_split_longest_first_in_linear_time():
+    """A split takes the longest name that leaves a splittable rest; an
+    identifier as long as an exponent needs no recursion per variable,
+    and one that does not split is rejected without trying every split
+    of its prefix."""
+    ring = PolyRing(5, ["x"])
+    assert parse_polynomial(ring, "x" * 5000) == ring.var("x") ** 5000
+    ring = PolyRing(5, ["a", "aa"])
+    a, aa = ring.gens()
+    assert parse_polynomial(ring, "aaa") == aa * a
+    assert parse_polynomial(ring, "aaaa") == aa**2
+    start = time.perf_counter()
+    with pytest.raises(PolyParseError) as err:
+        parse_polynomial(ring, "a" * 300 + "b")
+    assert time.perf_counter() - start < 1
+    assert (err.value.line, err.value.column) == (1, 1)
+    assert "unknown variable" in str(err.value)
 
 
 @pytest.mark.parametrize("text,col", [

@@ -77,7 +77,7 @@ def test_cm_link_sops_are_regular_sequences(p):
     # must pass the regular-sequence check; exercised on the Fermat family
     R = fermat_ring(p)
     x, y, z = R.ambient.gens()
-    assert R.cm_hint
+    assert R._height_test(())
     rng = random.Random(p)
     candidates = [[x, y], [y, z], [x + y, z], [x + z, y]]
     for _ in range(4):
@@ -97,10 +97,10 @@ def test_cm_link_sops_are_regular_sequences(p):
 def test_cm_hint_rules():
     S = PolyRing(2, ["x", "y", "z"])
     x, y, z = S.gens()
-    assert QuotientRing(S, []).cm_hint  # polynomial ring
-    assert QuotientRing(S, [x * y]).cm_hint  # principal
-    assert QuotientRing(S, [x, y]).cm_hint  # complete intersection
-    assert not QuotientRing(S, [x * y, x * z]).cm_hint  # not a regular sequence
+    assert QuotientRing(S, [])._height_test(())  # polynomial ring
+    assert QuotientRing(S, [x * y])._height_test(())  # principal
+    assert QuotientRing(S, [x, y])._height_test(())  # complete intersection
+    assert not QuotientRing(S, [x * y, x * z])._height_test(())  # not a regular sequence
 
 
 def test_colon_route_catches_a_zerodivisor_the_height_drop_misses():
@@ -110,7 +110,7 @@ def test_colon_route_catches_a_zerodivisor_the_height_drop_misses():
     S = PolyRing(2, ["x", "y", "z"])
     x, y, z = S.gens()
     R = QuotientRing(S, [x * y, x * z])
-    assert not R.cm_hint
+    assert not R._height_test(())
     assert R.dimension == 2 and R.lift([y]).krull_dimension() == 1
     check = R.is_poor_regular_sequence([y])
     assert not check.ok and check.failure_index == 0
@@ -200,9 +200,9 @@ def test_height_test_matches_colon_route(p, monkeypatch):
 def test_height_of_j_not_the_order_of_its_generators_decides(p, monkeypatch):
     """J = (x(y - 1), z(y - 1), y) has height 3 = c, so R = F_p[w] is
     Cohen-Macaulay although z(y - 1) is a zerodivisor modulo x(y - 1):
-    cm_hint holds and the regular-sequence check takes the height route,
-    with the colon route's verdicts; the closure step of (w) is the
-    preimage's."""
+    J passes the height test and the regular-sequence check takes the
+    height route, with the colon route's verdicts; the closure step of (w)
+    is the preimage's."""
     from charp.frobenius import closure_step, frobenius_preimage, frobenius_target
 
     S = PolyRing(p, ["x", "y", "z", "w"])
@@ -210,7 +210,7 @@ def test_height_of_j_not_the_order_of_its_generators_decides(p, monkeypatch):
     J = [x * (y - 1), z * (y - 1), y]
     assert not QuotientRing(S, [])._regular_sequence_by_colons(J).ok
     R = QuotientRing(S, J)
-    assert R.cm_hint
+    assert R._height_test(())
 
     def no_colons(*args, **kwargs):
         raise AssertionError("the height test took a colon")
@@ -255,7 +255,7 @@ def test_dimension_and_leading_monomial_are_computed_once(monkeypatch):
     R = fermat_ring(2)
     x, y, z = R.ambient.gens()
     runs = count_buchberger_runs(monkeypatch)
-    assert R.dimension == 2 and R.cm_hint and R._height_test(())
+    assert R.dimension == 2 and R._height_test(())
     assert runs[0] == 1  # J's basis, shared by all three
     assert R.lift(()) is R.defining
     I = R.lift([x])

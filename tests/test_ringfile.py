@@ -44,7 +44,7 @@ def test_assert_cm_is_an_unknown_statement():
     assert (info.value.line, info.value.column) == (3, 3)
     assert "unknown statement 'assert'" in str(info.value)
     rf = parse_ring_file("char 2; vars x y z; quotient x*y, x*z;")
-    assert not rf.quotient_ring().cm_hint
+    assert not rf.quotient_ring()._height_test(())
 
 
 @pytest.mark.parametrize("text,line,col,fragment", [
