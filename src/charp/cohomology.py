@@ -4,8 +4,10 @@ A class [r / (b_1 ... b_d)^n] over a validated parameter sequence supports
 an exact zero test (numerator membership in the n-th powers of the
 sequence, valid because the sequence is a regular sequence), the
 semilinear action that raises numerators to p-th powers while scaling the
-level, torsion orders, and a finite scan estimating the HSL number of the
-top local cohomology module through its ideal-theoretic characterization.
+level, torsion orders (which test the zero of each x^j z without forming
+it: a membership of the unformed power r^(p^j)), and a finite scan
+estimating the HSL number of the top local cohomology module through its
+ideal-theoretic characterization.
 
 Classes and scans share one check, :func:`_regular_sop`: the sequence must
 be a homogeneous system of parameters that is a poor regular sequence.
@@ -108,15 +110,19 @@ def cech_equal(z1: CechClass, z2: CechClass) -> bool:
 
 def torsion_order(z: CechClass, j_max: int) -> int | None:
     """Smallest j <= j_max with x^j z = 0 (j = 0 when z is already zero);
-    None when every power up to j_max leaves the class nonzero."""
+    None when every power up to j_max leaves the class nonzero.
+
+    x^j [r / b^n] = [r^(p^j) / b^(n p^j)] is zero exactly when r^(p^j)
+    lies in (b^(n p^j)) + J, the ring's cached lift, which
+    :meth:`Ideal.contains` tests with exponent j: neither the power nor
+    the class x^j z is formed.  ``cech_is_zero(x_act(z, j))`` is the
+    oracle."""
     if j_max < 0:
         raise ValueError(f"j_max must be non-negative, got {j_max}")
-    current = z
+    R = z.ring
     for j in range(j_max + 1):
-        if cech_is_zero(current):
+        if R.lift([b ** (z.level * R.p ** j) for b in z.sequence]).contains(z.numerator, j):
             return j
-        if j < j_max:
-            current = x_act(current, 1)
     return None
 
 

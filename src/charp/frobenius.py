@@ -16,8 +16,9 @@ closure is not proved and reports say so explicitly.
 Every bracket-power equality (C)^[p^e] = I^[p^e] in R -- the certificate,
 the census recheck and the parameter-ideal check -- is decided by
 :func:`bracket_powers_agree`: I lies in C, so one membership test per
-generator of C against the input's target I^[p^e] + J suffices, and no
-target of a closure is ever built.  A target is the ring's cached lift of
+generator g of C against the input's target I^[p^e] + J suffices (of
+g**(p**e), which :meth:`Ideal.contains` tests without forming it), and
+no target of a closure is ever built.  A target is the ring's cached lift of
 the p^e-th powers of I's own generators, so it shares its Groebner basis
 with every equal lift.  The Q-exponent needs no test
 of its own: it is the chain's stabilization index.
@@ -84,9 +85,10 @@ def bracket_powers_agree(R: QuotientRing, I: Ideal, gens, e: int) -> bool:
 
     That containment makes I^[p^e] + J the smaller side, so only the other
     inclusion is tested, by membership of each g**(p**e) in the cached
-    target of I; no basis of the gens side is built."""
+    target of I (:meth:`Ideal.contains` with exponent e, which never forms
+    the power); no basis of the gens side is built."""
     target = frobenius_target(R, I, e)
-    return all(target.contains(frobenius_power(g, e)) for g in gens)
+    return all(target.contains(g, e) for g in gens)
 
 
 def frobenius_preimage(K: Ideal, e: int) -> Ideal:

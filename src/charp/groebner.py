@@ -24,6 +24,13 @@ divide by a reduced basis, whose remainder is the unique normal form
 whichever element cancels each term.  Every other division keeps its
 list order, on which its quotients, or its remainder by a list that is
 not a Groebner basis, depend.
+A membership test, :meth:`Ideal.contains` of f with exponent e, decides
+whether f**(p**e) lies in I without forming the power: packing is linear
+and Frobenius is additive over F_p, so it divides f's table with every
+packed monomial scaled by p**e, and answers from whether the packed
+remainder is empty, with no remainder polynomial built.  Certificates,
+census rechecks, parameter checks and Cech torsion orders all ask their
+question this way.
 Buchberger runs on packed monomials from start to finish: each pair's
 S-polynomial is the two basis elements' packed tails, shifted by their
 packed lcm minus each packed lead, summed into the table the division
@@ -203,16 +210,20 @@ class _Divisors:
         self.pack = (width, units, guards, unpack, entries, max([e[0] for e in entries], default=-1))
 
 
-def _reduce_terms(terms: dict, divs: _Divisors, quots=None) -> tuple:
-    """(remainder, unpack): the remainder of the term table ``terms`` on
-    division by the monic forms of the polynomials ``divs``, as a new
-    packed table in descending order, and the ``unpack`` of the divisors'
-    snapshot it was packed in.  Another reader of shared divisors may
-    widen them before this returns, so the remainder (and ``quots``) must
-    be read with that ``unpack``, not with the divisors' current one.
+def _reduce_terms(terms: dict, divs: _Divisors, quots=None, scale: int = 1) -> tuple:
+    """(remainder, unpack): the remainder of the term table ``terms``, its
+    exponents multiplied by ``scale``, on division by the monic forms of
+    the polynomials ``divs``, as a new packed table in descending order,
+    and the ``unpack`` of the divisors' snapshot it was packed in.  Another
+    reader of shared divisors may widen them before this returns, so the
+    remainder (and ``quots``) must be read with that ``unpack``, not with
+    the divisors' current one.
 
     The terms are packed (see :func:`_layout`) in the divisors' field
-    width, widened first to hold the table's degree.  Pending terms live
+    width, widened first to hold the scaled table's degree; packing is
+    linear, so a scaled monomial packs by the units times ``scale``, and
+    over F_p the table of f scaled by q = p**e is the table of f**q (its
+    coefficients stay fixed, as c**p = c).  Pending terms live
     in a table keyed by packed monomial and in a heap of negated keys, so
     the highest pending term is popped next; it is cancelled by the first
     divisor in list order whose lead divides it, or else moved to the
@@ -228,11 +239,13 @@ def _reduce_terms(terms: dict, divs: _Divisors, quots=None) -> tuple:
     twice as wide."""
     if not terms:
         return {}, divs.pack[3]
-    degree = max(map(sum, terms))
+    degree = max(map(sum, terms)) * scale
     if degree >> (divs.pack[0] - 1):
         divs.widen(_width(degree))
     while True:
         width, units, guards, unpack, entries, top = divs.pack
+        if scale != 1:
+            units = [u * scale for u in units]
         if quots is not None:
             for q in quots:
                 q.clear()
@@ -289,23 +302,18 @@ def _divide_packed(work: dict, entries: list, floor: int, guards: int, p: int):
 
 
 def _divide(f: Polynomial, reducers, quotients: bool):
-    """(quotient tables, remainder) of f on division by ``reducers`` (a
-    list of polynomials, or the divisors an :class:`Ideal` caches for its
-    basis), with no tables (None) kept unless ``quotients`` is set: the
-    shared body of :func:`normal_form` and :func:`reduce_with_quotients`.
+    """(quotient tables, remainder) of f on division by the polynomials
+    ``reducers``, with no tables (None) kept unless ``quotients`` is set:
+    the shared body of :func:`normal_form` and :func:`reduce_with_quotients`.
     The division runs by the monic forms of the reducers, so each table is
     scaled back by its reducer's inverse leading coefficient."""
-    if isinstance(reducers, _Divisors):
-        divs = reducers
-        _check_ring(divs.ring, f)
-    else:
-        reducers = list(reducers)
-        _check_ring(f.ring, *reducers)
-        if any(g.is_zero for g in reducers):
-            raise ValueError("zero polynomial among reducers")
-        if not reducers:
-            return [], f
-        divs = _Divisors(f.ring, reducers)
+    reducers = list(reducers)
+    _check_ring(f.ring, *reducers)
+    if any(g.is_zero for g in reducers):
+        raise ValueError("zero polynomial among reducers")
+    if not reducers:
+        return [], f
+    divs = _Divisors(f.ring, reducers)
     p = f.ring.p
     quots = [{} for _ in divs.polys] if quotients else None
     out, unpack = _reduce_terms(f.terms, divs, quots)
@@ -323,9 +331,9 @@ def normal_form(f: Polynomial, reducers) -> Polynomial:
     is cancelled first, by the first divisor in list order, or else set
     aside as a remainder term.  The remainder depends on that order
     unless the reducers are a Groebner basis, whose remainder is the
-    unique normal form.  :meth:`Ideal.contains` passes the packed divisors
-    it caches for its reduced basis, in its cost order, in place of the
-    list."""
+    unique normal form.  Membership does not go through here:
+    :meth:`Ideal.contains` divides on its cached packed divisors and reads
+    only whether the packed remainder is empty."""
     return _divide(f, reducers, False)[1]
 
 
@@ -674,9 +682,18 @@ class Ideal:
 
     # -- membership ----------------------------------------------------------
 
-    def contains(self, f: Polynomial) -> bool:
-        """Whether f lies in the ideal: its normal form by the cached
-        divisors of the reduced basis is zero.
+    def contains(self, f: Polynomial, e: int = 0) -> bool:
+        """Whether f**(p**e) lies in the ideal: the remainder of its
+        division by the cached divisors of the reduced basis is empty.
+
+        The power is never formed.  Over F_p, (sum c*m)**(p**e) is
+        sum c*m**(p**e), and packing is linear, so the table divided is f's
+        own table with every packed monomial times p**e (see
+        :func:`_reduce_terms`), the divisors first widened to hold
+        p**e * deg f; the remainder stays packed and is only tested for
+        emptiness.  Under a degree cap, the power's degree and a nonempty
+        remainder's degree count against it, as they do when the oracle,
+        ``normal_form(frobenius_power(f, e), basis)``, forms them.
 
         The divisors are cost-ordered: fewest terms first, ties by
         ascending lead.  The remainder on division by a Groebner basis does
@@ -685,12 +702,21 @@ class Ideal:
         elements, which cancel most terms of a p^e-th power, are tried
         first."""
         _check_ring(self.ring, f)
+        if e < 0:
+            raise ValueError(f"Frobenius exponent must be non-negative, got {e}")
+        q = self.ring.p ** e
+        capped = degree_cap() is not None
+        if capped:
+            check_degree(q * f.total_degree())
         gb = self.groebner_basis()
         if not gb:
             return f.is_zero
         if self._divs is None:  # idempotent, as the basis is
             self._divs = _Divisors(self.ring, sorted(reversed(gb), key=lambda g: len(g.terms)))
-        return normal_form(f, self._divs).is_zero
+        out, unpack = _reduce_terms(f.terms, self._divs, scale=q)
+        if out and capped:
+            check_degree(max(sum(unpack(t)) for t in out))
+        return not out
 
     def __contains__(self, f: Polynomial) -> bool:
         return self.contains(f)

@@ -16,10 +16,10 @@ def mono_divides(a: tuple, b: tuple) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def fermat_ring(p: int) -> QuotientRing:
+def fermat_ring(p: int, d: int = 3) -> QuotientRing:
     S = PolyRing(p, ["x", "y", "z"])
     x, y, z = S.gens()
-    return QuotientRing(S, [x**3 + y**3 + z**3])
+    return QuotientRing(S, [x**d + y**d + z**d])
 
 
 def random_monomial(rng: random.Random, nvars: int, max_degree: int):

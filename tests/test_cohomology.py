@@ -124,6 +124,30 @@ def test_torsion_orders_match_the_fermat_cubic_closed_form():
     assert orders == {0, 1, None}
 
 
+@pytest.mark.parametrize("p,d,j_max", [(2, 3, 6), (3, 3, 3), (2, 4, 6)])
+def test_torsion_orders_match_the_x_act_route(p, d, j_max):
+    """``torsion_order`` tests r^(p^j) in (b^(n p^j)) + J by a membership
+    of the unformed power; the oracle forms x^j z with ``x_act`` and tests
+    it with ``cech_is_zero``.  Seeded classes [r / (xy)^n] over the Fermat
+    cubic at p = 2 and 3 and the Fermat quartic at p = 2, whose classes
+    have finite nonzero orders: together the orders 0, 1, 2 and None."""
+    R = fermat_ring(p, d)
+    x, y, _ = R.ambient.gens()
+    rng = random.Random(f"x_act {p} {d}")
+    orders = set()
+    for n in range(1, 4):
+        monos = [(a, b, c) for a in range(n + 1) for b in range(n + 1) for c in range(d)]
+        for _ in range(20):
+            terms = {m: rng.randint(1, p - 1) for m in rng.sample(monos, rng.randint(1, 3))}
+            z = cech_class(R, [x, y], R.ambient.poly(terms), n)
+            order = torsion_order(z, j_max)
+            assert order == next((j for j in range(j_max + 1) if cech_is_zero(x_act(z, j))), None)
+            orders.add(order)
+    assert {0, None} <= orders and orders - {0, None}
+    if d == 4:
+        assert 2 in orders
+
+
 def test_torsion_matches_closure_chain(R2):
     # torsion_order <= j  <=>  numerator in C_j, exhaustively in degree <= 3
     x, y, _ = R2.ambient.gens()
@@ -252,9 +276,9 @@ def test_cech_ideals_are_plain_lifts(monkeypatch):
     read = []
     original = Ideal.contains
 
-    def recording(ideal, f):
+    def recording(ideal, f, e=0):
         read.append(ideal)
-        return original(ideal, f)
+        return original(ideal, f, e)
 
     with monkeypatch.context() as patch:
         patch.setattr(Ideal, "contains", recording)

@@ -5,6 +5,7 @@ Remainders, quotient tables and reduced bases must equal the oracle's in
 
 import itertools
 import random
+import sys
 from operator import mul
 
 import pytest
@@ -15,6 +16,7 @@ from charp import (
     DegreeCapExceeded,
     Ideal,
     PolyRing,
+    RingMismatchError,
     block_order,
     buchberger,
     frobenius_power,
@@ -189,10 +191,114 @@ def test_cost_ordered_divisors_leave_normal_forms_by_a_basis_unchanged(order, p)
                 h = h * rng.choice(gb)
             f = frobenius_power(h, rng.randint(1, 2 if p < 5 else 1))
             member = I.contains(f)
-            rem = _items(normal_form(f, I._divs).terms)
+            rem = _items(normal_form(f, I._divs.polys).terms)
             assert rem == _items(normal_form(f, list(gb)).terms) == _items(oracle_divide(f, gb)[1])
             assert member == (not rem)
             zero += member
             nonzero += not member
         reordered += I._divs.polys != list(gb)
     assert reordered and zero and nonzero
+
+
+# -- membership of p^e-th powers that are never formed ------------------------
+
+def _power_member(I, f, e) -> bool:
+    """Whether f**(p**e) lies in I, by contains(f, e); asserted equal to
+    the answer on the formed power and to the tuple oracle's remainder of
+    the power by I's reduced basis."""
+    member = I.contains(f, e)
+    power = frobenius_power(f, e)
+    gb = I.groebner_basis()
+    assert member == I.contains(power) == (not oracle_divide(power, gb)[1] if gb else power.is_zero)
+    return member
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("order", [GREVLEX, LEX, block_order(1)], ids=str)
+def test_membership_of_an_unformed_power_matches_the_formed_one(order, p):
+    """``I.contains(f, e)`` scales f's packed monomials by p^e in place of
+    forming f^(p^e): on seeded reduced bases, for e = 0..3, its answer is
+    that of ``contains(frobenius_power(f, e))`` and of the tuple kernel,
+    on members (p^e-th powers of multiples of basis elements) and
+    non-members, and the zero polynomial lies in every ideal, every power
+    in the unit ideal and no nonzero power in the zero ideal.  Some f lie
+    outside I while f^(p^e) lies in it, so a wrong scale shows."""
+    rng = random.Random(f"unformed power {order} {p}")
+    ring = PolyRing(p, ["x", "y", "z"], order)
+    unit, zero_ideal = Ideal(ring, [ring.one()]), Ideal(ring, [])
+    members = nonmembers = only_powers = 0
+    for _ in range(10):
+        # pure powers of variables make most ideals non-radical, where f and
+        # f^p can differ in membership
+        gens = [random_poly(rng, ring, 2, 2) for _ in range(rng.randint(1, 3))]
+        I = Ideal(ring, gens + [v ** rng.randint(2, 5) for v in ring.gens() if rng.random() < 0.5])
+        gb = I.groebner_basis()
+        for e in range(4):
+            f = random_poly(rng, ring, 2, 2)
+            g = rng.choice(gb) * random_poly(rng, ring, 1, 2)
+            for h in (f, g, ring.zero()):
+                member = _power_member(I, h, e)
+                members += member
+                nonmembers += not member
+                assert _power_member(unit, h, e)
+                assert _power_member(zero_ideal, h, e) == h.is_zero
+            assert I.contains(g, e) and I.contains(ring.zero(), e)
+            only_powers += I.contains(f, e) and not I.contains(f)
+    assert members and nonmembers and only_powers
+
+
+def test_an_unformed_power_restarts_in_wider_fields(monkeypatch):
+    """Under lex, x - y^(2^29) packs in 32-bit fields and so does (x + y)^4
+    of degree 4, but the division of x^4 writes y^(2^31), which sets a
+    guard bit: the scaled table is packed again in 64-bit fields, and the
+    answers still match the formed power's and the tuple kernel's."""
+    restarts = []
+    widen = _Divisors.widen
+
+    def recording(self, width):
+        if sys._getframe(1).f_code.co_name == "_reduce_terms":
+            restarts.append(width)
+        widen(self, width)
+
+    monkeypatch.setattr(_Divisors, "widen", recording)
+    ring = PolyRing(2, ["x", "y"], LEX)
+    x, y = ring.gens()
+    g = x - y ** (2**29)
+    I = Ideal(ring, [g])
+    assert not _power_member(I, x + y, 2)
+    assert restarts == [64] and I._divs.pack[0] == 64
+    assert _power_member(I, g * (x + y), 2)
+    assert _power_member(I, g, 3) and not _power_member(I, x * y, 3)
+
+
+def test_membership_of_an_unformed_power_checks_its_input():
+    """A polynomial of another ring raises RingMismatchError and a negative
+    exponent ValueError, whatever the ideal; the degree cap counts the
+    power, which is never formed, and a lex or block remainder, which is
+    never unpacked into a polynomial, as it counts the formed ones."""
+    ring = PolyRing(5, ["x", "y"], LEX)
+    x, y = ring.gens()
+    other = PolyRing(5, ["x", "y"])
+    for I in (Ideal(ring, [x - y**4]), Ideal(ring, []), Ideal(ring, [ring.one()])):
+        with pytest.raises(RingMismatchError):
+            I.contains(other.gens()[0], 1)
+        with pytest.raises(ValueError, match="non-negative"):
+            I.contains(x, -1)
+    set_degree_cap(10)
+    try:
+        for order in (LEX, block_order(1)):
+            ring = PolyRing(5, ["x", "y"], order)
+            x, y = ring.gens()
+            I = Ideal(ring, [x - y**2])
+            with pytest.raises(DegreeCapExceeded):  # a member of degree 30
+                I.contains(x**3 - y**6, 1)
+            with pytest.raises(DegreeCapExceeded):  # x^5*y^5 leaves y^15
+                I.contains(x * y, 1)
+            with pytest.raises(DegreeCapExceeded):  # x^10 leaves y^20
+                I.contains(x**2, 1)
+            assert I.contains(x - y**2, 1) and not I.contains(x, 1)  # y^10 is under the cap
+            for I in (Ideal(ring, []), Ideal(ring, [ring.one()])):
+                with pytest.raises(DegreeCapExceeded):
+                    I.contains(x * y**2, 1)
+    finally:
+        set_degree_cap(None)

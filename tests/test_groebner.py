@@ -785,7 +785,9 @@ def test_division_reads_its_remainder_in_its_own_width(monkeypatch):
     and the reading of its result, as a membership test on the same ideal
     in another thread does: the remainder and the quotients, packed in
     32-bit fields, are still read in those fields, not in the new 64-bit
-    ones (which would read y^4 as x^4*y^4 under lex)."""
+    ones (which would read y^4 as x^4*y^4 under lex).  A membership test
+    reads its remainder only for the degree cap, which sits at y^4's
+    degree, so a misread x^4*y^4 would raise."""
     ring = PolyRing(3, ["x", "y"], LEX)
     x, y = ring.gens()
     g = x - y**3
@@ -799,10 +801,24 @@ def test_division_reads_its_remainder_in_its_own_width(monkeypatch):
         return out
 
     monkeypatch.setattr(groebner, "_divide_packed", divide_then_widen)
-    assert normal_form(x * y, divs) == y**4
+    out, unpack = groebner._reduce_terms((x * y).terms, divs)
+    assert {unpack(t): c for t, c in out.items()} == (y**4).terms
     assert divs.pack[0] == 64
     divs.widen(32)
-    assert reduce_with_quotients(x * y, divs) == ([y], y**4)
+    quots = [{}]
+    out, unpack = groebner._reduce_terms((x * y).terms, divs, quots)
+    assert {unpack(t): c for t, c in out.items()} == (y**4).terms
+    assert {unpack(t): c for t, c in quots[0].items()} == y.terms
+    assert divs.pack[0] == 64
+    I = Ideal(ring, [g])
+    assert I.contains(g)  # builds the ideal's divisors in 32-bit fields
+    divs = I._divs
+    assert divs.pack[0] == 32
+    set_degree_cap(4)
+    try:
+        assert not I.contains(x * y)
+    finally:
+        set_degree_cap(None)
     assert divs.pack[0] == 64
 
 

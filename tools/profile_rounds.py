@@ -11,11 +11,13 @@ the profile; then N rounds of the seed's tasks run under cProfile with no
 span recorder, as the benchmark's untraced runs do, and their outputs are
 checked against perfbench's stored results.  It prints the 25 functions
 with the most self time, the call counts of Buchberger's three stages
-and those of the division kernel and of ``normal_form``, so a change to
-the Groebner kernel or to the division can be explained by the same work
-done in less time: a traced benchmark run measures closure-p5 on one
-round, too few to resolve ``groebner.buchberger.self_s``.  Exits 1 when a
-task fails or its check does.
+and those of the division kernel, of ``normal_form`` and of
+``Ideal.contains`` (each membership test, which divides without
+``normal_form``), so a change to the Groebner kernel or to the division
+can be explained by the same work done in less time: a traced benchmark
+run measures closure-p5 on one round, too few to resolve
+``groebner.buchberger.self_s``.  Exits 1 when a task fails or its check
+does.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 1
 TOP = 25
-COUNTED = ("buchberger", "_s_remainder", "_reduced_basis", "_divide_packed", "normal_form")
+COUNTED = ("buchberger", "_s_remainder", "_reduced_basis", "_divide_packed", "normal_form", "contains")
 
 
 def main(argv=None) -> int:
