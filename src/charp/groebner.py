@@ -16,14 +16,18 @@ integer holding the order's weight rows above its exponents, so products
 are additions and the order is integer comparison, and the pending terms
 sit in a heap, whose highest term is cancelled by the first divisor
 whose lead divides it or else moved to the remainder.  The field width
-comes from the data (the degrees in play, doubled when a lex or block
-reduction outgrows it), and a divisor caches its pack on itself, which
-any packing of the same width reuses.  Only membership tests order their
-divisors by cost (fewest terms first, ties by ascending lead): they
-divide by a reduced basis, whose remainder is the unique normal form
-whichever element cancels each term.  Every other division keeps its
-list order, on which its quotients, or its remainder by a list that is
-not a Groebner basis, depend.
+comes from the data (the degrees in play) and is fixed for each packing
+of divisors.  A packed computation whose terms outgrow it (lex and block
+reductions can raise the degree, and so can an lcm) starts over whole,
+from its own inputs, on a new packing twice as wide: a division, a
+Buchberger run or a kernel colon.  So no packing changes width while a
+computation, or another thread, holds it.  A divisor caches its pack on
+itself, which any packing of the same width reuses.  Only membership
+tests order their divisors by cost (fewest terms first, ties by
+ascending lead): they divide by a reduced basis, whose remainder is the
+unique normal form whichever element cancels each term.  Every other
+division keeps its list order, on which its quotients, or its remainder
+by a list that is not a Groebner basis, depend.
 A membership test, :meth:`Ideal.contains` of f with exponent e, decides
 whether f**(p**e) lies in I without forming the power: packing is linear
 and Frobenius is additive over F_p, so it divides f's table with every
@@ -67,7 +71,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import struct
-from functools import cache
+from functools import cache, partial
 from operator import itemgetter, mul
 
 from .poly import (
@@ -93,6 +97,20 @@ def _width(degree: int) -> int:
     while degree >> (width - 1):
         width *= 2
     return width
+
+
+class _Overflow(Exception):
+    """A packed term outgrew its fields: it set a guard bit."""
+
+
+def _restarting(attempt, width: int):
+    """``attempt(width)``, started over whole in fields twice as wide each
+    time a packed term outgrows them (it raises :class:`_Overflow`)."""
+    while True:
+        try:
+            return attempt(width)
+        except _Overflow:
+            width *= 2
 
 
 @cache
@@ -137,41 +155,44 @@ def _layout(ring: PolyRing, width: int):
 class _Divisors:
     """Nonzero polynomials in list order, the divisors of
     :func:`_reduce_terms` (which divides by their monic forms), packed in
-    one field width that holds each of them and every monomial of total
-    degree ``degree``; Buchberger appends its basis elements as it finds
-    them.  The list order is the order in which divisors are tried: the
+    one field width (see :func:`_layout`), by default the least that holds
+    each of them; Buchberger and the kernel colon append the elements they
+    find.  The list order is the order in which divisors are tried: the
     caller's, except for the divisors an :class:`Ideal` caches for
     membership, which it orders by cost.
 
-    The field width is sized from degrees only.  Each polynomial caches
-    its pack in its ``_pk`` slot as (width, entry), where the entry is
-    (packed lead, packed tail, the monic form's negated tail coefficients,
-    None), and a packing reuses the cached entry exactly when its width is
-    the same (and packs again, replacing it, otherwise): so a basis that
-    Buchberger or a colon returns, whose elements keep the entries they
-    were built with, is not packed again.  The packing is one snapshot,
-    ``pack`` = (width, units, guards, unpack, entries, top), where ``top``
-    is the highest packed lead: a widening swaps in a whole new one, so a
-    reader that took the snapshot never sees half of a widening, and an
-    :class:`Ideal` can share its basis' divisors between concurrent
-    membership tests."""
+    The width is fixed at construction, and so are ``units``, ``guards``
+    and ``unpack``; ``entries`` (one per divisor) and ``top``, the highest
+    packed lead, change only as :meth:`append_remainder` adds a divisor.
+    A computation that outgrows the width starts over on a new, wider
+    packing, so a packing that readers share never changes under them.
+    Each polynomial caches its pack in its ``_pk`` slot as (width, entry),
+    where the entry is (packed lead, packed tail, the monic form's negated
+    tail coefficients, None), and a packing reuses the cached entry
+    exactly when its width is the same (and packs again, replacing it,
+    otherwise): so a basis that Buchberger or a colon returns, whose
+    elements keep the entries they were built with, is not packed
+    again."""
 
-    __slots__ = ("ring", "polys", "pack")
+    __slots__ = ("ring", "polys", "width", "units", "guards", "unpack", "entries", "top")
 
-    def __init__(self, ring: PolyRing, polys=(), degree: int = 0):
+    def __init__(self, ring: PolyRing, polys=(), width: int = 0):
         self.ring = ring
         self.polys = list(polys)
-        self.widen(_width(max([g.total_degree() for g in self.polys] + [degree])))
+        self.width = width or _width(max([g.total_degree() for g in self.polys], default=0))
+        self.units, self.guards, self.unpack = _layout(ring, self.width)
+        self.entries = [self._entry(g) for g in self.polys]
+        self.top = max([e[0] for e in self.entries], default=-1)
 
-    def _entry(self, g: Polynomial, width: int, units: tuple) -> tuple:
+    def _entry(self, g: Polynomial) -> tuple:
         pk = g._pk
-        if pk is None or pk[0] != width:
+        if pk is None or pk[0] != self.width:
             p, terms = self.ring.p, g.terms
             lm = g.leading_monomial()
             inv = 1 if terms[lm] == 1 else pow(terms[lm], -1, p)
-            pk = g._pk = (width, (
-                sum(map(mul, lm, units)),
-                tuple([sum(map(mul, m, units)) for m in terms if m != lm]),
+            pk = g._pk = (self.width, (
+                sum(map(mul, lm, self.units)),
+                tuple([sum(map(mul, m, self.units)) for m in terms if m != lm]),
                 tuple([-c * inv % p for m, c in terms.items() if m != lm]),
                 None,
             ))
@@ -184,8 +205,7 @@ class _Divisors:
 
         Its entry is the table scaled to monic, with no packing; only its
         polynomial is unpacked, once."""
-        width, units, guards, unpack, entries, top = self.pack
-        p = self.ring.p
+        p, unpack = self.ring.p, self.unpack
         lead = next(iter(table))
         c = table.pop(lead)
         inv = 1 if c == 1 else pow(c, -1, p)
@@ -197,35 +217,28 @@ class _Divisors:
         g = Polynomial(self.ring, terms)
         g._lm = lm
         entry = (lead, ms, ncs, None)
-        g._pk = (width, entry)
+        g._pk = (self.width, entry)
         self.polys.append(g)
-        entries.append(entry)
-        self.pack = (width, units, guards, unpack, entries, max(top, lead))
+        self.entries.append(entry)
+        self.top = max(self.top, lead)
         return g
-
-    def widen(self, width: int) -> None:
-        """(Re)pack every divisor in ``width``-bit fields."""
-        units, guards, unpack = _layout(self.ring, width)
-        entries = [self._entry(g, width, units) for g in self.polys]
-        self.pack = (width, units, guards, unpack, entries, max([e[0] for e in entries], default=-1))
 
 
 def _reduce_terms(terms: dict, divs: _Divisors, quots=None, scale: int = 1) -> tuple:
-    """(remainder, unpack): the remainder of the term table ``terms``, its
+    """(remainder, packing): the remainder of the term table ``terms``, its
     exponents multiplied by ``scale``, on division by the monic forms of
     the polynomials ``divs``, as a new packed table in descending order,
-    and the ``unpack`` of the divisors' snapshot it was packed in.  Another
-    reader of shared divisors may widen them before this returns, so the
-    remainder (and ``quots``) must be read with that ``unpack``, not with
-    the divisors' current one.
+    and the packing of the divisors it is packed in, ``divs`` itself or a
+    wider one.  The remainder (and ``quots``) must be read with that
+    packing's ``unpack``.
 
     The terms are packed (see :func:`_layout`) in the divisors' field
-    width, widened first to hold the scaled table's degree; packing is
-    linear, so a scaled monomial packs by the units times ``scale``, and
-    over F_p the table of f scaled by q = p**e is the table of f**q (its
-    coefficients stay fixed, as c**p = c).  Pending terms live
-    in a table keyed by packed monomial and in a heap of negated keys, so
-    the highest pending term is popped next; it is cancelled by the first
+    width, or in fields wide enough for the scaled table's degree; packing
+    is linear, so a scaled monomial packs by the units times ``scale``,
+    and over F_p the table of f scaled by q = p**e is the table of f**q
+    (its coefficients stay fixed, as c**p = c).  Pending terms live in a
+    table keyed by packed monomial and in a heap of negated keys, so the
+    highest pending term is popped next; it is cancelled by the first
     divisor in list order whose lead divides it, or else moved to the
     remainder.  Every term a step adds lies below the term it cancels, so
     each key enters the heap once, a remainder term is never touched
@@ -235,37 +248,34 @@ def _reduce_terms(terms: dict, divs: _Divisors, quots=None, scale: int = 1) -> t
 
     Under grevlex no new term outgrows the input's degree, but under lex
     and block orders one can (x^N by x - y^2 gives y^(2N)): a new key
-    with a guard bit set stops the division, which restarts in fields
-    twice as wide."""
-    if not terms:
-        return {}, divs.pack[3]
-    degree = max(map(sum, terms)) * scale
-    if degree >> (divs.pack[0] - 1):
-        divs.widen(_width(degree))
-    while True:
-        width, units, guards, unpack, entries, top = divs.pack
-        if scale != 1:
-            units = [u * scale for u in units]
-        if quots is not None:
-            for q in quots:
-                q.clear()
-            entries = [(lead, ms, ncs, q) for (lead, ms, ncs, _), q in zip(entries, quots)]
-        work = {sum(map(mul, m, units)): c for m, c in terms.items()}
-        out = _divide_packed(work, entries, top, guards, divs.ring.p)
-        if out is not None:
-            break
-        divs.widen(2 * width)
-    return out, unpack
+    with a guard bit set stops the division, which starts over on the
+    divisors packed again in fields twice as wide."""
+    degree = max(map(sum, terms), default=0) * scale
+    return _restarting(partial(_reduce_attempt, terms, divs, quots, scale), max(divs.width, _width(degree)))
 
 
-def _divide_packed(work: dict, entries: list, floor: int, guards: int, p: int):
+def _reduce_attempt(terms: dict, divs: _Divisors, quots, scale: int, width: int) -> tuple:
+    """One attempt of :func:`_reduce_terms`, in ``width``-bit fields."""
+    if width != divs.width:
+        divs = _Divisors(divs.ring, divs.polys, width)
+    units = divs.units if scale == 1 else [u * scale for u in divs.units]
+    entries = divs.entries
+    if quots is not None:
+        for q in quots:
+            q.clear()
+        entries = [(lead, ms, ncs, q) for (lead, ms, ncs, _), q in zip(entries, quots)]
+    work = {sum(map(mul, m, units)): c for m, c in terms.items()}
+    return _divide_packed(work, entries, divs.top, divs.guards, divs.ring.p), divs
+
+
+def _divide_packed(work: dict, entries: list, floor: int, guards: int, p: int) -> dict:
     """The loop of :func:`_reduce_terms` on the packed table ``work``
     (consumed), by the divisor entries (packed lead, packed tail, negated
     tail coefficients, quotient table or None) whose highest lead is
-    ``floor``; None when a new term outgrows the field width.  Each popped
-    term is tested against the entries in their order until one lead
-    divides it, so the order sets the number of tests per term; for a
-    Groebner basis it does not change the remainder."""
+    ``floor``; raises :class:`_Overflow` when a new term outgrows the
+    field width.  Each popped term is tested against the entries in their
+    order until one lead divides it, so the order sets the number of tests
+    per term; for a Groebner basis it does not change the remainder."""
     heap = [-t for t in work]
     heapq.heapify(heap)
     pop, push, get = heapq.heappop, heapq.heappush, work.get
@@ -293,7 +303,7 @@ def _divide_packed(work: dict, entries: list, floor: int, guards: int, p: int):
             old = get(m)
             if old is None:
                 if m & guards:
-                    return None
+                    raise _Overflow
                 work[m] = c * nc % p
                 push(heap, -m)
             else:
@@ -313,10 +323,10 @@ def _divide(f: Polynomial, reducers, quotients: bool):
         raise ValueError("zero polynomial among reducers")
     if not reducers:
         return [], f
-    divs = _Divisors(f.ring, reducers)
     p = f.ring.p
-    quots = [{} for _ in divs.polys] if quotients else None
-    out, unpack = _reduce_terms(f.terms, divs, quots)
+    quots = [{} for _ in reducers] if quotients else None
+    out, divs = _reduce_terms(f.terms, _Divisors(f.ring, reducers), quots)
+    unpack = divs.unpack
     if quots is not None:
         for k, g in enumerate(divs.polys):
             inv = pow(g.leading_coefficient(), -1, p)
@@ -361,44 +371,37 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
 def _s_remainder(divs: _Divisors, i: int, j: int, lcm: int) -> dict:
     """The remainder of ``_reduce_terms(s_polynomial(f, g).terms, divs)``
     for the monic divisors f = ``divs.polys[i]`` and g = ``divs.polys[j]``,
-    whose leads have the packed lcm ``lcm`` in the divisors' width, formed
-    on their packed entries: a packed table in descending order, in the
-    width of the divisors' packing when it returns, for divisors no other
-    reader holds (Buchberger's own).
+    whose leads have the packed lcm ``lcm``, formed on their packed
+    entries: a packed table in descending order, in the divisors' width.
 
     The shifts are the packed lcm minus each packed lead, and the table is
     the sum of the two shifted tails, f's with the negation of its stored
     (negated) coefficients and g's with them as stored; terms that cancel
-    are dropped.  A guard bit set by the lcm or a shifted term restarts
-    the pair in fields twice as wide, as :func:`_reduce_terms` does, with
-    the lcm packed again in them.  The multiples of f and g count against
-    the degree cap, as the polynomials of :func:`s_polynomial` do."""
+    are dropped.  A guard bit set by the lcm, a shifted term or the
+    division raises :class:`_Overflow`: the Buchberger run starts over.
+    The multiples of f and g count against the degree cap, as the
+    polynomials of :func:`s_polynomial` do."""
     if degree_cap() is not None:
-        check_degree(sum(divs.pack[3](lcm)) + max(h.total_degree() - sum(h.leading_monomial())
-                                                  for h in (divs.polys[i], divs.polys[j])))
-    p = divs.ring.p
-    while True:
-        width, _, guards, unpack, entries, top = divs.pack
-        (lf, msf, ncsf, _), (lg, msg, ncsg, _) = entries[i], entries[j]
-        over = lcm
-        shift = lcm - lf
-        work = {m + shift: p - nc for m, nc in zip(msf, ncsf)}
-        shift = lcm - lg
-        for m, nc in zip(msg, ncsg):
-            m += shift
-            c = (work.get(m, 0) + nc) % p
-            if c:
-                work[m] = c
-            else:
-                del work[m]
-        for m in work:
-            over |= m
-        if not over & guards:
-            out = _divide_packed(work, entries, top, guards, p)
-            if out is not None:
-                return out
-        divs.widen(2 * width)
-        lcm = sum(map(mul, unpack(lcm), divs.pack[1]))
+        check_degree(sum(divs.unpack(lcm)) + max(h.total_degree() - sum(h.leading_monomial())
+                                                 for h in (divs.polys[i], divs.polys[j])))
+    p, guards, entries = divs.ring.p, divs.guards, divs.entries
+    (lf, msf, ncsf, _), (lg, msg, ncsg, _) = entries[i], entries[j]
+    over = lcm
+    shift = lcm - lf
+    work = {m + shift: p - nc for m, nc in zip(msf, ncsf)}
+    shift = lcm - lg
+    for m, nc in zip(msg, ncsg):
+        m += shift
+        c = (work.get(m, 0) + nc) % p
+        if c:
+            work[m] = c
+        else:
+            del work[m]
+    for m in work:
+        over |= m
+    if over & guards:
+        raise _Overflow
+    return _divide_packed(work, entries, divs.top, guards, p)
 
 
 def _reduced_basis(divs: _Divisors) -> tuple[Polynomial, ...]:
@@ -416,33 +419,28 @@ def _reduced_basis(divs: _Divisors) -> tuple[Polynomial, ...]:
     below the element's own lead, which therefore divides none of them,
     so the tail is reduced by the other kept elements; their leads form an
     antichain and they are monic, so no lead is cancelled or rescaled.  A
-    reduction that outgrows the fields (under lex or block orders)
-    restarts in fields twice as wide."""
-    ring = divs.ring
+    reduction that outgrows the fields (under lex or block orders) raises
+    :class:`_Overflow`, and the computation that built the divisors starts
+    over from its inputs."""
+    ring, guards, unpack = divs.ring, divs.guards, divs.unpack
     p = ring.p
-    while True:
-        width, _, guards, unpack, entries, _ = divs.pack
-        kept: list = []  # the kept entries, by ascending lead
-        for e in sorted(entries, key=itemgetter(0)):
-            lg = e[0] | guards
-            if not any((lg - k[0]) & guards == guards for k in kept):
-                kept.append(e)
-        top = kept[-1][0]
-        reduced = []
-        for lead, ms, ncs, _ in kept:
-            out = _divide_packed({m: p - nc for m, nc in zip(ms, ncs)}, kept, top, guards, p)
-            if out is None:
-                break
-            lm = unpack(lead)
-            terms = {lm: 1}
-            terms.update(zip(map(unpack, out), out.values()))
-            h = Polynomial(ring, terms)
-            h._lm = lm
-            h._pk = (width, (lead, tuple(out), tuple([p - c for c in out.values()]), None))
-            reduced.append(h)
-        else:
-            return tuple(reversed(reduced))
-        divs.widen(2 * width)
+    kept: list = []  # the kept entries, by ascending lead
+    for e in sorted(divs.entries, key=itemgetter(0)):
+        lg = e[0] | guards
+        if not any((lg - k[0]) & guards == guards for k in kept):
+            kept.append(e)
+    top = kept[-1][0]
+    reduced = []
+    for lead, ms, ncs, _ in kept:
+        out = _divide_packed({m: p - nc for m, nc in zip(ms, ncs)}, kept, top, guards, p)
+        lm = unpack(lead)
+        terms = {lm: 1}
+        terms.update(zip(map(unpack, out), out.values()))
+        h = Polynomial(ring, terms)
+        h._lm = lm
+        h._pk = (divs.width, (lead, tuple(out), tuple([p - c for c in out.values()]), None))
+        reduced.append(h)
+    return tuple(reversed(reduced))
 
 
 def buchberger(generators) -> tuple[Polynomial, ...]:
@@ -450,64 +448,65 @@ def buchberger(generators) -> tuple[Polynomial, ...]:
 
     Pair selection follows the normal strategy (smallest lcm in the order,
     ties by pair index): the pending pairs are one heap of (packed lcm, i,
-    j), the lcm packed in the basis' divisors' width, so the order is
-    integer comparison; when a reduction widens the divisors, the heap is
-    packed again in the new width.  Each new element updates the heap in
-    one Gebauer-Moller pass, which subsumes the coprime and chain criteria
-    and retires basis elements whose lead becomes redundant; its tests are
-    the guard-bit divisibility test of :func:`_layout` and integer
-    equality.  Each pair's S-polynomial is formed on packed monomials from
-    the basis' packed divisors and reduced in the same table (see
-    :func:`_s_remainder`), and a nonzero remainder becomes a basis element
-    straight from that table.  The divisors, retired elements included,
-    are then interreduced (see :func:`_reduced_basis`): a retired
-    element's lead is divisible by a smaller lead found later, so the
-    interreduction drops it.  The result is monic, mutually reduced,
-    sorted by descending leading monomial and packed; the zero ideal
-    yields the empty basis.
+    j), so the order is integer comparison.  Each new element updates the
+    heap in one Gebauer-Moller pass, which subsumes the coprime and chain
+    criteria and retires basis elements whose lead becomes redundant; its
+    tests are the guard-bit divisibility test of :func:`_layout` and
+    integer equality.  Each pair's S-polynomial is formed on packed
+    monomials from the basis' packed divisors and reduced in the same
+    table (see :func:`_s_remainder`), and a nonzero remainder becomes a
+    basis element straight from that table.  The divisors, retired
+    elements included, are then interreduced (see :func:`_reduced_basis`):
+    a retired element's lead is divisible by a smaller lead found later,
+    so the interreduction drops it.  The result is monic, mutually
+    reduced, sorted by descending leading monomial and packed; the zero
+    ideal yields the empty basis.
+
+    The run packs in the least field width that holds the generators.
+    When a term outgrows it (under lex or block orders, or a grevlex lcm
+    of degree past the width), the run starts over from the generators in
+    fields twice as wide; the packed order does not depend on the width,
+    so the wider run reduces the same pairs in the same order.
     """
     gens = [g for g in generators if not g.is_zero]
     if not gens:
         return ()
-    ring = gens[0].ring
-    _check_ring(ring, *gens)
-    key = ring.order.key
+    _check_ring(gens[0].ring, *gens)
+    return _restarting(partial(_buchberger_attempt, gens), _width(max(g.total_degree() for g in gens)))
 
-    divs = _Divisors(ring)  # the monic basis elements, in order found
-    reds = divs.polys
+
+def _buchberger_attempt(gens: list, width: int) -> tuple[Polynomial, ...]:
+    """One run of :func:`buchberger` on the nonzero ``gens``, on new
+    divisors in ``width``-bit fields; raises :class:`_Overflow` when a
+    term outgrows them."""
+    ring = gens[0].ring
+    p, key = ring.p, ring.order.key
+    divs = _Divisors(ring, (), width)  # the monic basis elements, in order found
+    units, entries = divs.units, divs.entries
+    guards = divs.guards & (1 << ring.nvars * width) - 1  # the exponent fields' guards
     lms: list = []  # their leading monomials
     alive: list[bool] = []
     heap: list = []  # (packed lcm, i, j), one per pending pair
-    width = divs.pack[0]  # the width the heap is packed in
 
     def settle(table):
-        """After a reduction that left the packed remainder ``table``: pack
-        the heap again if the reduction widened the divisors, then, for a
-        nonzero table, append its monic polynomial as element t with
-        packed lead lt, and update the pairs in one Gebauer-Moller pass
-        over lcms[i] = lcm(lead_i, lt) for every earlier i, retired ones
-        included, as criterion B reads them: B drops a pending pair (l,
-        i, j) when lt divides l and l is neither lcms[i] nor lcms[j].  The
-        alive elements' pairs with t are then walked by ascending lcm:
-        coprime leads (lcm = lead_i + lt, packed) are never queued, and
-        any other pair is skipped when the next one has the same lcm or
-        an lcm kept before divides its own (criteria F and M).  Last, the
-        elements whose lead lt divides retire.
+        """For a nonzero packed remainder ``table``: append its monic
+        polynomial as element t with packed lead lt, and update the pairs
+        in one Gebauer-Moller pass over lcms[i] = lcm(lead_i, lt) for
+        every earlier i, retired ones included, as criterion B reads them:
+        B drops a pending pair (l, i, j) when lt divides l and l is neither
+        lcms[i] nor lcms[j].  The alive elements' pairs with t are then
+        walked by ascending lcm: coprime leads (lcm = lead_i + lt, packed)
+        are never queued, and any other pair is skipped when the next one
+        has the same lcm or an lcm kept before divides its own (criteria F
+        and M).  Last, the elements whose lead lt divides retire.
 
         The divisibility tests read only the exponent fields' guards: an
         lcm's weights can reach their guard bits (the weights of both
         leads add up in a coprime lcm), its exponents never do."""
-        nonlocal width
-        if divs.pack[0] != width:
-            old, units = _layout(ring, width)[2], divs.pack[1]
-            heap[:] = [(sum(map(mul, old(l), units)), i, j) for l, i, j in heap]
-            width = divs.pack[0]
         if not table:
             return
-        t = len(reds)
+        t = len(entries)
         lm = divs.append_remainder(table)._lm
-        _, units, guards, _, entries, _ = divs.pack
-        guards &= (1 << ring.nvars * width) - 1
         lt = entries[t][0]
         lcms = [sum(map(mul, map(max, m, lm), units)) for m in lms]
         heap[:] = [(l, i, j) for l, i, j in heap
@@ -533,7 +532,8 @@ def buchberger(generators) -> tuple[Polynomial, ...]:
     # seed with the interreduced input: redundant generators (common in
     # bracket-power lists) reduce to zero here and never enter the queue
     for g in sorted(gens, key=lambda h: key(h.leading_monomial())):
-        settle(_reduce_terms(g.terms, divs)[0])
+        work = {sum(map(mul, m, units)): c for m, c in g.terms.items()}
+        settle(_divide_packed(work, entries, divs.top, divs.guards, p))
 
     while heap:
         lcm, i, j = heapq.heappop(heap)
@@ -541,21 +541,19 @@ def buchberger(generators) -> tuple[Polynomial, ...]:
     return _reduced_basis(divs)
 
 
-def _staircase_rows(index, gens, pack, p: int):
+def _staircase_rows(index, gens, divs: _Divisors) -> list:
     """The rows of :meth:`Ideal._colon_by_kernel`: for each packed standard
     monomial s, the keys of ``index`` in ascending order, the packed normal
-    forms of s*a for the generators a in ``gens``, by the divisors'
-    snapshot ``pack``; None when a reduction outgrows the field width."""
-    width, units, guards, _, entries, top = pack
+    forms of s*a for the generators a in ``gens``, by the divisors
+    ``divs``; raises :class:`_Overflow` when a reduction outgrows their
+    field width."""
+    width, units, guards, entries, top, p = divs.width, divs.units, divs.guards, divs.entries, divs.top, divs.ring.p
     last = len(units) - 1
     nfs = {t: ((t, 1),) for t in index}  # packed monomial -> its normal form
-    first = [
+    rows = [[  # the first standard monomial is 1
         _divide_packed({sum(map(mul, m, units)): c for m, c in a.terms.items()}, entries, top, guards, p)
         for a in gens
-    ]
-    if any(vec is None for vec in first):
-        return None
-    rows = [first]  # the first standard monomial is 1
+    ]]
     for t in itertools.islice(index, 1, None):
         # x_j, the last variable of t, owns t's lowest set bit
         u = units[last - ((t & -t).bit_length() - 1) // width]
@@ -566,10 +564,7 @@ def _staircase_rows(index, gens, pack, p: int):
                 m = b + u
                 nf = nfs.get(m)
                 if nf is None:
-                    nf = _divide_packed({m: 1}, entries, top, guards, p)
-                    if nf is None:
-                        return None
-                    nf = nfs[m] = tuple(nf.items())
+                    nf = nfs[m] = tuple(_divide_packed({m: 1}, entries, top, guards, p).items())
                 for mm, cc in nf:
                     v = (out.get(mm, 0) + c * cc) % p
                     if v:
@@ -579,6 +574,51 @@ def _staircase_rows(index, gens, pack, p: int):
             row.append(out)
         rows.append(row)
     return rows
+
+
+def _colon_attempt(gb: tuple, staircase: list, gens, width: int) -> tuple[Polynomial, ...]:
+    """One attempt of :meth:`Ideal._colon_by_kernel`: the reduced basis of
+    (I : A) for I with reduced basis ``gb`` and standard monomials
+    ``staircase``, and A generated by ``gens``, on new divisors in
+    ``width``-bit fields; raises :class:`_Overflow` when a term outgrows
+    them."""
+    p = gb[0].ring.p
+    divs = _Divisors(gb[0].ring, gb, width)
+    stairs = sorted(sum(map(mul, s, divs.units)) for s in staircase)
+    index = {t: k for k, t in enumerate(stairs)}
+    rows = _staircase_rows(index, gens, divs)
+
+    # column i*n + k holds staircase monomial k of part i, column -1-k
+    # the unit vector of row k
+    n = len(stairs)
+    pivots: dict = {}  # leading column -> the rest of its row, scaled to lead 1
+    for k, row in enumerate(rows):
+        vec = {i * n + index[b]: c for i, part in enumerate(row) for b, c in part.items()}
+        heap = [-c for c in vec]
+        heapq.heapify(heap)
+        vec[-1 - k] = 1
+        while heap:
+            col = -heapq.heappop(heap)
+            factor = vec[col]
+            if not factor:
+                continue
+            pivot = pivots.get(col)
+            if pivot is None:
+                inv = pow(factor, -1, p)
+                pivots[col] = [(c, v * inv % p) for c, v in vec.items() if v and c != col]
+                break
+            del vec[col]
+            for c, v in pivot:
+                old = vec.get(c)
+                if old is None:
+                    vec[c] = -factor * v % p
+                    if c >= 0:
+                        heapq.heappush(heap, -c)
+                else:
+                    vec[c] = (old - factor * v) % p
+        else:  # ascending columns: the packed monomials descending
+            divs.append_remainder({stairs[-1 - c]: vec[c] for c in sorted(vec) if c < 0 and vec[c]})
+    return _reduced_basis(divs)
 
 
 def _standard_monomials(lms, nvars: int) -> list:
@@ -689,9 +729,9 @@ class Ideal:
         The power is never formed.  Over F_p, (sum c*m)**(p**e) is
         sum c*m**(p**e), and packing is linear, so the table divided is f's
         own table with every packed monomial times p**e (see
-        :func:`_reduce_terms`), the divisors first widened to hold
-        p**e * deg f; the remainder stays packed and is only tested for
-        emptiness.  Under a degree cap, the power's degree and a nonempty
+        :func:`_reduce_terms`), in fields that hold p**e * deg f; the
+        remainder stays packed and is only tested for emptiness, and is
+        read only with the packing it is in.  Under a degree cap, the power's degree and a nonempty
         remainder's degree count against it, as they do when the oracle,
         ``normal_form(frobenius_power(f, e), basis)``, forms them.
 
@@ -700,7 +740,13 @@ class Ideal:
         not depend on which element cancels each term (it is the unique
         normal form), so the order changes only the work: the short
         elements, which cancel most terms of a p^e-th power, are tried
-        first."""
+        first.
+
+        The divisors are packed once per width.  When a division needs
+        wider fields, it divides on a new, wider packing, which becomes the
+        cached one if it is wider than the one cached then: a packing that
+        another membership test holds never changes under it, and a narrow
+        packing never replaces a wider one."""
         _check_ring(self.ring, f)
         if e < 0:
             raise ValueError(f"Frobenius exponent must be non-negative, got {e}")
@@ -711,11 +757,14 @@ class Ideal:
         gb = self.groebner_basis()
         if not gb:
             return f.is_zero
-        if self._divs is None:  # idempotent, as the basis is
-            self._divs = _Divisors(self.ring, sorted(reversed(gb), key=lambda g: len(g.terms)))
-        out, unpack = _reduce_terms(f.terms, self._divs, scale=q)
+        divs = self._divs
+        if divs is None:  # idempotent, as the basis is
+            divs = self._divs = _Divisors(self.ring, sorted(reversed(gb), key=lambda g: len(g.terms)))
+        out, divs = _reduce_terms(f.terms, divs, scale=q)
+        if divs.width > self._divs.width:
+            self._divs = divs
         if out and capped:
-            check_degree(max(sum(unpack(t)) for t in out))
+            check_degree(max(sum(divs.unpack(t)) for t in out))
         return not out
 
     def __contains__(self, f: Polynomial) -> bool:
@@ -777,7 +826,8 @@ class Ideal:
         its parent's row times x_j, an addition of ``units[j]`` per term,
         where a product outside the staircase is a border monomial reduced
         once per call.  A reduction that outgrows the fields (under lex or
-        block orders) restarts the rows in fields twice as wide.
+        block orders) starts the colon over from self's basis alone, in
+        fields twice as wide (see :func:`_colon_attempt`).
 
         Each row, augmented by its unit vector in the negative columns, is
         top-reduced against the earlier rows that stayed independent, its
@@ -793,52 +843,11 @@ class Ideal:
         colon's initial ideal, so the kernel vectors and I's basis form a
         Groebner basis of the colon, and :func:`_reduced_basis` interreduces
         the divisors."""
-        ring, p = self.ring, self.ring.p
         gb = self.groebner_basis()
-        staircase = _standard_monomials([g.leading_monomial() for g in gb], ring.nvars)
+        staircase = _standard_monomials([g.leading_monomial() for g in gb], self.ring.nvars)
         degree = max(map(sum, staircase)) + 1 + max(a.total_degree() for a in other.gens)
-        divs = _Divisors(ring, gb, degree)
-        while True:
-            width, units = divs.pack[:2]
-            stairs = sorted(sum(map(mul, s, units)) for s in staircase)
-            index = {t: k for k, t in enumerate(stairs)}
-            rows = _staircase_rows(index, other.gens, divs.pack, p)
-            if rows is not None:
-                break
-            divs.widen(2 * width)
-
-        # column i*n + k holds staircase monomial k of part i, column -1-k
-        # the unit vector of row k
-        n = len(stairs)
-        pivots: dict = {}  # leading column -> the rest of its row, scaled to lead 1
-        for k, row in enumerate(rows):
-            vec = {i * n + index[b]: c for i, part in enumerate(row) for b, c in part.items()}
-            heap = [-c for c in vec]
-            heapq.heapify(heap)
-            vec[-1 - k] = 1
-            while heap:
-                col = -heapq.heappop(heap)
-                factor = vec[col]
-                if not factor:
-                    continue
-                pivot = pivots.get(col)
-                if pivot is None:
-                    inv = pow(factor, -1, p)
-                    pivots[col] = [(c, v * inv % p) for c, v in vec.items() if v and c != col]
-                    break
-                del vec[col]
-                for c, v in pivot:
-                    old = vec.get(c)
-                    if old is None:
-                        vec[c] = -factor * v % p
-                        if c >= 0:
-                            heapq.heappush(heap, -c)
-                    else:
-                        vec[c] = (old - factor * v) % p
-            else:  # ascending columns: the packed monomials descending
-                divs.append_remainder({stairs[-1 - c]: vec[c] for c in sorted(vec) if c < 0 and vec[c]})
-
-        result = Ideal(ring, _reduced_basis(divs))
+        width = _width(max([degree] + [g.total_degree() for g in gb]))
+        result = Ideal(self.ring, _restarting(partial(_colon_attempt, gb, staircase, other.gens), width))
         result._gb = result.gens
         return result
 

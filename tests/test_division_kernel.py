@@ -250,23 +250,24 @@ def test_membership_of_an_unformed_power_matches_the_formed_one(order, p):
 def test_an_unformed_power_restarts_in_wider_fields(monkeypatch):
     """Under lex, x - y^(2^29) packs in 32-bit fields and so does (x + y)^4
     of degree 4, but the division of x^4 writes y^(2^31), which sets a
-    guard bit: the scaled table is packed again in 64-bit fields, and the
-    answers still match the formed power's and the tuple kernel's."""
+    guard bit: the division starts over on the basis packed again in
+    64-bit fields, which the ideal caches, and the answers still match the
+    formed power's and the tuple kernel's."""
     restarts = []
-    widen = _Divisors.widen
+    init = _Divisors.__init__
 
-    def recording(self, width):
-        if sys._getframe(1).f_code.co_name == "_reduce_terms":
+    def recording(self, ring, polys=(), width=0):
+        if sys._getframe(1).f_code.co_name == "_reduce_attempt":
             restarts.append(width)
-        widen(self, width)
+        init(self, ring, polys, width)
 
-    monkeypatch.setattr(_Divisors, "widen", recording)
+    monkeypatch.setattr(_Divisors, "__init__", recording)
     ring = PolyRing(2, ["x", "y"], LEX)
     x, y = ring.gens()
     g = x - y ** (2**29)
     I = Ideal(ring, [g])
     assert not _power_member(I, x + y, 2)
-    assert restarts == [64] and I._divs.pack[0] == 64
+    assert restarts == [64] and I._divs.width == 64
     assert _power_member(I, g * (x + y), 2)
     assert _power_member(I, g, 3) and not _power_member(I, x * y, 3)
 

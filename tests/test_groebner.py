@@ -148,8 +148,8 @@ def test_packed_s_polynomials_match_s_polynomial():
             f, g = polys[i], polys[j]
             divs = _Divisors(ring, polys)
             lcm = mono_lcm(f.leading_monomial(), g.leading_monomial())
-            table = groebner._s_remainder(divs, i, j, sum(map(mul, lcm, divs.pack[1])))
-            remainder = {divs.pack[3](t): c for t, c in table.items()}
+            table = groebner._s_remainder(divs, i, j, sum(map(mul, lcm, divs.units)))
+            remainder = {divs.unpack(t): c for t, c in table.items()}
             expected = normal_form(s_polynomial(f, g), polys).terms
             assert list(remainder.items()) == list(expected.items())
             seen_zero |= not remainder
@@ -158,30 +158,38 @@ def test_packed_s_polynomials_match_s_polynomial():
 
 
 def test_packed_s_polynomials_restart_in_wider_fields(monkeypatch):
-    """Divisors that fit 32-bit fields whose pair outgrows them: under lex
-    a shifted tail term (z * z^(2^31 - 1)), under grevlex the lcm itself
-    (degree 2^31).  The pair restarts in 64-bit fields, and the bases pass
+    """Generators that fit 32-bit fields whose pair outgrows them: under
+    lex a shifted tail term (z * z^(2^31 - 1)), under grevlex the lcm
+    itself (degree 2^31).  The pair's S-polynomial overflows, the run
+    starts over from the generators in 64-bit fields, and the bases pass
     Buchberger's criterion."""
-    widths = []
-    widen = _Divisors.widen
+    overflows, widths = [], []
+    s_remainder, attempt = groebner._s_remainder, groebner._buchberger_attempt
 
-    def recording(self, width):
-        if sys._getframe(1).f_code.co_name == "_s_remainder":
-            widths.append(width)
-        widen(self, width)
+    def recording(divs, i, j, lcm):
+        try:
+            return s_remainder(divs, i, j, lcm)
+        except groebner._Overflow:
+            overflows.append(divs.width)
+            raise
 
-    monkeypatch.setattr(_Divisors, "widen", recording)
+    def attempting(gens, width):
+        widths.append(width)
+        return attempt(gens, width)
+
+    monkeypatch.setattr(groebner, "_s_remainder", recording)
+    monkeypatch.setattr(groebner, "_buchberger_attempt", attempting)
     ring = PolyRing(3, ["x", "y", "z"], LEX)
     x, y, z = ring.gens()
     gb = buchberger([x * y - z ** (2**31 - 1), x * z - 1])
     assert gb == (x * z - 1, y - z ** (2**31))
     assert_spolys_reduce_to_zero(gb)
-    assert widths == [64]
+    assert overflows == [32] and widths == [32, 64]
     ring = PolyRing(3, ["x", "y"])
     x, y = ring.gens()
     gb = buchberger([x ** (2**30) * y - 1, x * y ** (2**30) - 1])
     assert_spolys_reduce_to_zero(gb)
-    assert widths == [64, 64]
+    assert overflows == [32, 32] and widths == [32, 64, 32, 64]
 
 
 def test_degree_cap_counts_the_s_polynomial_multiples():
@@ -233,26 +241,33 @@ def test_gebauer_moller_criteria_prune(monkeypatch):
 
 
 def _record_pairs(monkeypatch) -> tuple[list, list]:
-    """Wrap ``groebner._s_remainder``; the returned lists receive, for each
-    pair Buchberger reduces from now on, (i, j, lcm) with the packed lcm
-    read back as an exponent tuple in the divisors' width at the call, and
-    that width."""
+    """Wrap ``groebner._s_remainder`` and the Buchberger runs it serves.
+    The returned lists receive, from now on, the pairs of the latest run,
+    (i, j, lcm) with the packed lcm read back as an exponent tuple (a run
+    that starts over clears them, so after a basis is returned they are
+    the pairs of the run that completed it), and the field width of every
+    run, in order."""
     pairs, widths = [], []
-    s_remainder = groebner._s_remainder
+    s_remainder, attempt = groebner._s_remainder, groebner._buchberger_attempt
 
     def recording(divs, i, j, lcm):
-        pairs.append((i, j, divs.pack[3](lcm)))
-        widths.append(divs.pack[0])
+        pairs.append((i, j, divs.unpack(lcm)))
         return s_remainder(divs, i, j, lcm)
 
+    def attempting(gens, width):
+        pairs.clear()
+        widths.append(width)
+        return attempt(gens, width)
+
     monkeypatch.setattr(groebner, "_s_remainder", recording)
+    monkeypatch.setattr(groebner, "_buchberger_attempt", attempting)
     return pairs, widths
 
 
 def _assert_pairs_match_the_oracle(pairs: list, gens) -> tuple:
     """Buchberger on ``gens`` reduces the pairs of the tuple oracle, in its
-    order, and returns the oracle's reduced basis, which is returned."""
-    pairs.clear()
+    order, in the run that completes it, and returns the oracle's reduced
+    basis, which is returned."""
     gb = buchberger(gens)
     expected_pairs, expected_gb = oracle_buchberger_pairs(gens)
     assert pairs == expected_pairs
@@ -265,8 +280,12 @@ def test_packed_pair_heap_matches_the_tuple_oracle(monkeypatch):
     order, are those of the tuple Gebauer-Moller update, and the bases
     agree, on the inputs of test_gebauer_moller_criteria_prune: 45 seeded
     ideals under grevlex, lex and block(1) and the targets (x^(ap),
-    y^(bp)) + (x^3 + y^3 + z^3) at p = 2 and 5."""
-    pairs, _ = _record_pairs(monkeypatch)
+    y^(bp)) + (x^3 + y^3 + z^3) at p = 2 and 5.  One more pass runs 45
+    seeded ideals in 4-bit fields (values up to 7), which their
+    generators of degree 4 fit while a third of the runs outgrow them,
+    under every order: the run that starts over from its generators in
+    wider fields reduces the oracle's pairs and returns its basis."""
+    pairs, widths = _record_pairs(monkeypatch)
     rng = random.Random(2323)
     total = 0
     for order in (GREVLEX, LEX, block_order(1)):
@@ -281,28 +300,41 @@ def test_packed_pair_heap_matches_the_tuple_oracle(monkeypatch):
             _assert_pairs_match_the_oracle(pairs, [x ** (a * p), y ** (b * p), x**3 + y**3 + z**3])
             total += len(pairs)
     assert total == 229  # the prune test's count: every pair was compared
+    assert set(widths) == {32}  # and no run started over
+    monkeypatch.setattr(groebner, "_MIN_WIDTH", 4)
+    rng = random.Random(2323)
+    restarted = []
+    for order in (GREVLEX, LEX, block_order(1)):
+        restarted.append(0)
+        for _ in range(15):
+            ring = PolyRing(rng.choice([2, 3, 5]), ["x", "y", "z"], order)
+            widths.clear()
+            _assert_pairs_match_the_oracle(pairs, [random_poly(rng, ring, 4, 4) for _ in range(rng.randint(2, 4))])
+            restarted[-1] += len(widths) > 1
+    assert all(restarted) and sum(restarted) > 10
 
 
-def test_widening_mid_run_packs_the_pair_heap_again(monkeypatch):
-    """Divisors that leave 32-bit fields while pairs wait in the heap.
+def test_a_restarted_run_reduces_the_oracle_pairs(monkeypatch):
+    """Generators that leave 32-bit fields while pairs wait in the heap.
     Under lex, the restart test's x*y - z^(2^31 - 1), x*z - 1 with x^2 + y
     added: the first pair's shifted tail outgrows the fields with two
-    pairs queued.  Under grevlex, w^(2^31) - 1 is seeded after x*y - 1
-    and x*z - 1, whose pair is queued.  The heap, packed again in 64-bit
-    fields, hands out the tuple oracle's pairs, and the bases agree with
-    the oracle's and pass Buchberger's criterion."""
+    pairs queued, and the run starts over in 64-bit fields.  Under
+    grevlex, w^(2^31) - 1 is seeded after x*y - 1 and x*z - 1, whose pair
+    is queued; the run packs in 64-bit fields from the start.  The run
+    that completes the basis hands out the tuple oracle's pairs, and the
+    bases agree with the oracle's and pass Buchberger's criterion."""
     pairs, widths = _record_pairs(monkeypatch)
     ring = PolyRing(3, ["x", "y", "z"], LEX)
     x, y, z = ring.gens()
     gb = _assert_pairs_match_the_oracle(pairs, [x * y - z ** (2**31 - 1), x * z - 1, x**2 + y])
     assert_spolys_reduce_to_zero(gb)
-    assert widths == [32] + [64] * (len(pairs) - 1) and len(pairs) > 2
+    assert widths == [32, 64] and len(pairs) > 2
     widths.clear()
     ring = PolyRing(3, ["x", "y", "z", "w"])
     x, y, z, w = ring.gens()
     gb = _assert_pairs_match_the_oracle(pairs, [x * y - 1, x * z - 1, w ** (2**31) - 1])
     assert_spolys_reduce_to_zero(gb)
-    assert widths == [64] * len(pairs) and pairs[0][:2] == (0, 1)
+    assert widths == [64] and pairs[0][:2] == (0, 1)
 
 
 def test_membership_examples(f2xyz):
@@ -502,24 +534,28 @@ def test_zero_dimensional_colon_edge_cases(monkeypatch):
 
 def test_kernel_colon_restarts_in_wider_fields(monkeypatch):
     """In 4-bit fields (values up to 7) reductions outgrow the colon's
-    packing under lex and block orders: the colon widens its divisors,
-    restarts its rows and still matches the intersection route."""
+    packing under lex and block orders: the colon starts over from I's
+    basis in wider fields and still matches the intersection route."""
     monkeypatch.setattr(groebner, "_MIN_WIDTH", 4)
-    restarts = []
-    widen = _Divisors.widen
+    attempts = []  # per kernel colon, the field widths of its attempts
+    colon, attempt = Ideal._colon_by_kernel, groebner._colon_attempt
 
-    def counting(self, width):
-        if sys._getframe(1).f_code.co_name == "_colon_by_kernel":
-            restarts.append(width)
-        widen(self, width)
+    def calling(self, other):
+        attempts.append([])
+        return colon(self, other)
 
-    monkeypatch.setattr(_Divisors, "widen", counting)
+    def attempting(gb, staircase, gens, width):
+        attempts[-1].append(width)
+        return attempt(gb, staircase, gens, width)
+
+    monkeypatch.setattr(Ideal, "_colon_by_kernel", calling)
+    monkeypatch.setattr(groebner, "_colon_attempt", attempting)
     # the border x^2*y^2 = x*(x*y^2) leaves x*y^5 = y^3*(x*y^2), then y^8
     ring = PolyRing(3, ["x", "y"], LEX)
     x, y = ring.gens()
     I, A = Ideal(ring, [x**3, x * y**2 - y**5, y**6]), Ideal(ring, [y])
     assert _colon_by_kernel(monkeypatch, I, A) == _colon_by_intersection(I, A)
-    assert restarts == [8]
+    assert attempts == [[4, 8]]
     # the seeded draws: here A's own generators outgrow the fields
     rng = random.Random(1300)
     for p in (2, 3, 5, 7):
@@ -529,7 +565,7 @@ def test_kernel_colon_restarts_in_wider_fields(monkeypatch):
                 for _ in range(17):
                     I, A = random_zero_dimensional_colon(rng, ring)
                     assert _colon_by_kernel(monkeypatch, I, A) == _colon_by_intersection(I, A)
-    assert len(restarts) > 1
+    assert sum(len(widths) - 1 for widths in attempts) > 1
 
 
 def test_intersect_examples(f2xyz):
@@ -711,10 +747,10 @@ def test_a_fresh_basis_is_packed_once(monkeypatch):
     misses = []
     entry = _Divisors._entry
 
-    def counting(self, g, width, units):
-        if g._pk is None or g._pk[0] != width:
+    def counting(self, g):
+        if g._pk is None or g._pk[0] != self.width:
             misses.append(g)
-        return entry(self, g, width, units)
+        return entry(self, g)
 
     monkeypatch.setattr(_Divisors, "_entry", counting)
     ring = PolyRing(3, ["x", "y", "z"])
@@ -737,10 +773,11 @@ def test_a_fresh_basis_is_packed_once(monkeypatch):
 def test_membership_is_safe_under_concurrent_widening():
     """Threads share one ideal's cached divisors while some reductions
     outgrow 32-bit fields (x^2 leaves y^(2^31) modulo x - y^(2^30) under
-    lex) and widen them: every answer matches the serial one.  The degree
-    cap sits at that largest remainder's degree, so a remainder packed in
-    32-bit fields but read in 64-bit ones, as after a widening by another
-    thread, fails: y^(2^30+1) (of x*y) reads as x^(2^30+1)*y^(2^30+1)."""
+    lex) and cache a 64-bit packing: every answer matches the serial one,
+    and the cache ends 64-bit.  The degree cap sits at that largest
+    remainder's degree, so a remainder packed in 32-bit fields but read in
+    64-bit ones, as with the packing another thread cached, fails:
+    y^(2^30+1) (of x*y) reads as x^(2^30+1)*y^(2^30+1)."""
     ring = PolyRing(3, ["x", "y"], LEX)
     x, y = ring.gens()
     d = 2**30
@@ -774,52 +811,58 @@ def test_membership_is_safe_under_concurrent_widening():
                 t.join(timeout=30)
             assert not any(t.is_alive() for t in threads)
             assert wrong == []
-            assert I._divs.pack[0] == 64
+            assert I._divs.width == 64
     finally:
         set_degree_cap(None)
         sys.setswitchinterval(interval)
 
 
 def test_division_reads_its_remainder_in_its_own_width(monkeypatch):
-    """Another reader of shared divisors may widen them between a division
-    and the reading of its result, as a membership test on the same ideal
-    in another thread does: the remainder and the quotients, packed in
-    32-bit fields, are still read in those fields, not in the new 64-bit
-    ones (which would read y^4 as x^4*y^4 under lex).  A membership test
-    reads its remainder only for the degree cap, which sits at y^4's
-    degree, so a misread x^4*y^4 would raise."""
+    """A membership test reads its remainder with the packing it divided
+    on, even when another thread caches a wider packing on the ideal in
+    the meantime: the degree cap sits at y^4's degree, and y^4, packed in
+    32-bit fields but read in 64-bit ones, reads as x^4*y^4 under lex and
+    would raise.  The narrow test leaves the wider cache in place.  Then
+    x^4 modulo x - y^(2^29) leaves y^(2^31), so the ideal caches a
+    packing in 64-bit fields: the packing a reader took before keeps its
+    32-bit width, its entries and its answers, remainder and quotients."""
     ring = PolyRing(3, ["x", "y"], LEX)
     x, y = ring.gens()
     g = x - y**3
-    divs = _Divisors(ring, [g])
-    assert divs.pack[0] == 32
-    divide = groebner._divide_packed
-
-    def divide_then_widen(*args):
-        out = divide(*args)
-        divs.widen(64)
-        return out
-
-    monkeypatch.setattr(groebner, "_divide_packed", divide_then_widen)
-    out, unpack = groebner._reduce_terms((x * y).terms, divs)
-    assert {unpack(t): c for t, c in out.items()} == (y**4).terms
-    assert divs.pack[0] == 64
-    divs.widen(32)
-    quots = [{}]
-    out, unpack = groebner._reduce_terms((x * y).terms, divs, quots)
-    assert {unpack(t): c for t, c in out.items()} == (y**4).terms
-    assert {unpack(t): c for t, c in quots[0].items()} == y.terms
-    assert divs.pack[0] == 64
     I = Ideal(ring, [g])
     assert I.contains(g)  # builds the ideal's divisors in 32-bit fields
-    divs = I._divs
-    assert divs.pack[0] == 32
+    held = I._divs
+    wide = _Divisors(ring, held.polys, 64)
+    divide = groebner._divide_packed
+
+    def divide_then_rebind(*args):
+        out = divide(*args)
+        I._divs = wide  # as a membership test that needed wider fields does
+        return out
+
+    monkeypatch.setattr(groebner, "_divide_packed", divide_then_rebind)
     set_degree_cap(4)
     try:
         assert not I.contains(x * y)
     finally:
         set_degree_cap(None)
-    assert divs.pack[0] == 64
+    assert I._divs is wide and held.width == 32
+    monkeypatch.undo()
+    d = 2**29
+    g = x - y**d
+    I = Ideal(ring, [g])
+    assert I.contains(g)
+    held = I._divs
+    entries = list(held.entries)
+    assert held.width == 32
+    assert not I.contains(x**4)
+    assert I._divs.width == 64
+    assert held.width == 32 and held.entries == entries
+    quots = [{}]
+    out, divs = groebner._reduce_terms((x * y).terms, held, quots)
+    assert divs is held
+    assert {held.unpack(t): c for t, c in out.items()} == (y ** (d + 1)).terms
+    assert {held.unpack(t): c for t, c in quots[0].items()} == y.terms
 
 
 def test_pickles_carry_no_pack_caches():

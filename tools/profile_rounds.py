@@ -16,7 +16,10 @@ and those of the division kernel, of ``normal_form`` and of
 ``normal_form``), so a change to the Groebner kernel or to the division
 can be explained by the same work done in less time: a traced benchmark
 run measures closure-p5 on one round, too few to resolve
-``groebner.buchberger.self_s``.  Exits 1 when a task fails or its check
+``groebner.buchberger.self_s``.  For each packed computation that starts
+over in wider fields when its terms outgrow them (a division, a
+Buchberger run, a kernel colon) it prints the calls, the attempts and
+their difference, the restarts.  Exits 1 when a task fails or its check
 does.
 """
 
@@ -34,6 +37,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SEED = 1
 TOP = 25
 COUNTED = ("buchberger", "_s_remainder", "_reduced_basis", "_divide_packed", "normal_form", "contains")
+# each packed computation that starts over whole, and its attempt
+ATTEMPTS = {"_reduce_terms": "_reduce_attempt", "buchberger": "_buchberger_attempt",
+            "_colon_by_kernel": "_colon_attempt"}
 
 
 def main(argv=None) -> int:
@@ -66,12 +72,15 @@ def main(argv=None) -> int:
     failed = count_failures(workload, env, Checker(load_expected()), phase)
     stats = pstats.Stats(profile)
     stats.sort_stats("tottime").print_stats(TOP)
-    calls = dict.fromkeys(COUNTED, 0)
+    calls = dict.fromkeys([*COUNTED, *ATTEMPTS, *ATTEMPTS.values()], 0)
     for (path, _, name), (_, ncalls, *_) in stats.stats.items():
         if name in calls and path.endswith(os.path.join("charp", "groebner.py")):
             calls[name] += ncalls
-    for name, count in calls.items():
-        print(f"groebner.{name} calls = {count}")
+    for name in COUNTED:
+        print(f"groebner.{name} calls = {calls[name]}")
+    for name, attempt in ATTEMPTS.items():
+        print(f"groebner.{name} calls = {calls[name]}, attempts = {calls[attempt]}, "
+              f"restarts = {calls[attempt] - calls[name]}")
     print(f"failed = {failed} of {phase.task_runs} task runs")
     return 1 if failed else 0
 
