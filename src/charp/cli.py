@@ -1,13 +1,13 @@
 """Command-line front end: ring-file loading, subcommand dispatch and
 machine-readable reports.
 
-Exit codes: 0 success, 1 input error (every message names the offending
-flag or file position), 2 computation did not stabilize within the given
-bounds or tripped the FROB_MAX_DEGREE guard.  A closure, qnumber, census
-or eta report that did not stabilize is still written as JSON; a run
-stopped by an error (the guard, or a parameter-ideal closure that did
-not stabilize) writes none.  Output is deterministic byte for byte for
-fixed inputs and flags.
+Exit codes: 0 success, 1 input error, usage errors included (every message
+names the offending flag or file position), 2 computation did not
+stabilize within the given bounds or tripped the FROB_MAX_DEGREE guard.
+A closure, qnumber, census or eta report that did not stabilize is still
+written as JSON; a run stopped by an error (the guard, or a
+parameter-ideal closure that did not stabilize) writes none.  Output is
+deterministic byte for byte for fixed inputs and flags.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import csv
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 from . import __version__
 from .cohomology import eta_estimate, f_injective_flag, parameter_ideal_check
@@ -28,7 +29,7 @@ from .frobenius import (
     run_census,
     uniform_census,
 )
-from .parse import PolyParseError, parse_polynomials
+from .parse import parse_polynomials
 from .poly import DegreeCapExceeded, degree_cap, set_degree_cap
 from .quotient import _check_homogeneous
 from .ringfile import RingFileError, parse_ring_file
@@ -44,16 +45,30 @@ class CliInputError(Exception):
     pass
 
 
-def _load_ring_file(path: str):
+@contextmanager
+def _input_error(prefix):
+    """An OSError (read as its strerror) or ValueError in the block becomes
+    a CliInputError after ``prefix``; a ring-file position follows the path."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        yield
     except OSError as err:
-        raise CliInputError(f"--ring {path}: {err.strerror or err}") from None
-    try:
-        return parse_ring_file(text)
-    except RingFileError as err:
-        raise CliInputError(f"--ring {path}:{err}") from None
+        raise CliInputError(f"{prefix}: {err.strerror or err}") from None
+    except ValueError as err:
+        sep = "" if isinstance(err, RingFileError) else " "
+        raise CliInputError(f"{prefix}:{sep}{err}") from None
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors exit 1, as every other input error does."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
+def _load_ring_file(path: str):
+    with _input_error(f"--ring {path}"), open(path, encoding="utf-8") as fh:
+        return parse_ring_file(fh.read())
 
 
 def _named_ideal(rf, name, path):
@@ -63,12 +78,10 @@ def _named_ideal(rf, name, path):
         raise CliInputError(f"--ideal: {err.args[0]} in {path}") from None
 
 
-def _parse_polys(rf, text, flag):
-    """The comma list ``text``; an error's line:col counts in the whole flag value."""
-    try:
-        return parse_polynomials(rf.ring, text)
-    except PolyParseError as err:
-        raise CliInputError(f"{flag}: {err}") from None
+def _parse_polys(rf, text):
+    """The comma list ``text``, a blank one empty; an error's line:col counts
+    in the whole flag value."""
+    return parse_polynomials(rf.ring, text) if text.strip() else []
 
 
 def _ring_info(rf):
@@ -85,12 +98,8 @@ def _write_report(args, rf, fields):
     if not args.json:
         return
     payload = {"schema": SCHEMA, "command": args.command, "ring": _ring_info(rf), **fields}
-    try:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload, indent=2, sort_keys=True))
-            fh.write("\n")
-    except OSError as err:
-        raise CliInputError(f"--json {args.json}: {err.strerror or err}") from None
+    with _input_error(f"--json {args.json}"), open(args.json, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 # -- subcommand handlers: (args, ring file, quotient ring) -> (exit code, report fields)
@@ -110,9 +119,10 @@ def _cmd_gb(args, rf, R):
 
 def _cmd_member(args, rf, R):
     ideal = _named_ideal(rf, args.ideal, args.ring)
-    polys = _parse_polys(rf, args.poly, "--poly")
-    if len(polys) != 1:
-        raise CliInputError("--poly: expected one polynomial")
+    with _input_error("--poly"):
+        polys = _parse_polys(rf, args.poly)
+        if len(polys) != 1:
+            raise ValueError("expected one polynomial")
     f = polys[0]
     member = R.lift(ideal).contains(f)
     print(f"{f} in {args.ideal}: {'true' if member else 'false'}")
@@ -120,8 +130,9 @@ def _cmd_member(args, rf, R):
 
 
 def _cmd_regseq(args, rf, R):
-    elems = _parse_polys(rf, args.elems, "--elems")
-    check = R.is_poor_regular_sequence(elems)
+    with _input_error("--elems"):
+        elems = _parse_polys(rf, args.elems)
+        check = R.is_poor_regular_sequence(elems)
     if check.ok:
         print("poor regular sequence: true")
     else:
@@ -195,20 +206,17 @@ def _params_str(parameters):
 def _write_census_csv(path, report):
     if not path:
         return
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["params", "regseq_ok", "stabilized", "q_exponent", "closure_gens"])
-            for row in report.rows:
-                writer.writerow([
-                    _params_str(row.parameters),
-                    "true" if row.regular_sequence_ok else "false",
-                    "true" if row.stabilized else "false",
-                    "" if row.q_exponent is None else row.q_exponent,
-                    "; ".join(row.ideal_digest),
-                ])
-    except OSError as err:
-        raise CliInputError(f"--csv {path}: {err.strerror or err}") from None
+    with _input_error(f"--csv {path}"), open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["params", "regseq_ok", "stabilized", "q_exponent", "closure_gens"])
+        for row in report.rows:
+            writer.writerow([
+                _params_str(row.parameters),
+                "true" if row.regular_sequence_ok else "false",
+                "true" if row.stabilized else "false",
+                "" if row.q_exponent is None else row.q_exponent,
+                "; ".join(row.ideal_digest),
+            ])
 
 
 def _cmd_census(args, rf, R):
@@ -236,11 +244,9 @@ def _cmd_census(args, rf, R):
             if name in ranges:
                 raise CliInputError(f"--range: duplicate parameter {name!r}")
             ranges[name] = values
-        try:
+        with _input_error("--template"):  # a parse error or a template/range mismatch
             report = uniform_census(R, args.template, ranges,
                                     e_max=args.emax, window=args.window, jobs=args.jobs)
-        except ValueError as err:  # a parse error or a template/range mismatch
-            raise CliInputError(f"--template: {err}") from None
         family = {
             "kind": "template",
             "template": args.template,
@@ -283,12 +289,10 @@ def _cmd_census(args, rf, R):
 
 
 def _cmd_eta(args, rf, R):
-    sop = _parse_polys(rf, args.sop, "--sop") if args.sop.strip() else []
-    try:
+    with _input_error("--sop"):  # a parse error, not a regular sop, or not homogeneous
+        sop = _parse_polys(rf, args.sop)
         report = eta_estimate(R, sop, n_max=args.nmax, e_max=args.emax,
                               window=args.window, jobs=args.jobs)
-    except ValueError as err:  # not a regular system of parameters, or not homogeneous
-        raise CliInputError(f"--sop: {err}") from None
     for n, q in report.per_n:
         q_text = "-" if q is None else q
         print(f"  n={n}: q_exponent={q_text}")
@@ -314,16 +318,12 @@ def _cmd_eta(args, rf, R):
 
 def _cmd_paramcheck(args, rf, R):
     ideal = _named_ideal(rf, args.ideal, args.ring)
-    try:
+    with _input_error("--ideal"):
         _check_homogeneous(ideal.gens)
-    except ValueError as err:
-        raise CliInputError(f"--ideal: {err}") from None
-    extension = _parse_polys(rf, args.extend, "--extend") if args.extend.strip() else []
-    try:
+    with _input_error("--extend"):  # a parse error, not homogeneous, or not completing a sop
+        extension = _parse_polys(rf, args.extend)
         holds = parameter_ideal_check(R, ideal.gens, extension, args.e,
                                       e_max=args.emax, window=args.window)
-    except ValueError as err:  # not homogeneous, or not completing a system of parameters
-        raise CliInputError(f"--extend: {err}") from None
     print(f"(closure)^[p^{args.e}] = (ideal)^[p^{args.e}] in R: {'true' if holds else 'false'}")
     return EXIT_OK, {
         "ideal": args.ideal,
@@ -336,14 +336,17 @@ def _cmd_paramcheck(args, rf, R):
 # -- parser -------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="charp",
         description="Frobenius closures, Q-numbers and HSL-number scans over F_p.",
     )
     parser.add_argument("--version", action="version", version=f"charp {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, bounds=False):
+    def command(name, help, func, bounds=False, ideal=True):
+        """A subcommand with the flags it shares: --ring, --json, the chain
+        bounds, a required --ideal."""
+        sp = sub.add_parser(name, help=help)
         sp.add_argument("--ring", required=True, help="ring file path")
         sp.add_argument("--json", help="write a JSON report to this path")
         if bounds:
@@ -351,35 +354,22 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--window", type=int, default=2,
                             help="consecutive equal chain members required, i.e. "
                                  "window - 1 equalities; 1 acts as 2 (default 2)")
+        if ideal:
+            sp.add_argument("--ideal", required=True)
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("gb", help="reduced Groebner basis of a named ideal's lift")
-    common(sp)
-    sp.add_argument("--ideal", required=True)
-    sp.set_defaults(func=_cmd_gb)
+    jobs = {"type": int, "default": 1, "help": "worker processes (default 1)"}
+    command("gb", "reduced Groebner basis of a named ideal's lift", _cmd_gb)
+    command("member", "ideal membership in the quotient ring", _cmd_member).add_argument(
+        "--poly", required=True)
+    command("regseq", "poor-regular-sequence check", _cmd_regseq, ideal=False).add_argument(
+        "--elems", required=True, help="comma-separated elements")
+    command("closure", "Frobenius-closure chain with certificate", _cmd_closure, bounds=True)
+    command("qnumber", "Q-number of a named ideal", _cmd_closure, bounds=True)
 
-    sp = sub.add_parser("member", help="ideal membership in the quotient ring")
-    common(sp)
-    sp.add_argument("--ideal", required=True)
-    sp.add_argument("--poly", required=True)
-    sp.set_defaults(func=_cmd_member)
-
-    sp = sub.add_parser("regseq", help="poor-regular-sequence check")
-    common(sp)
-    sp.add_argument("--elems", required=True, help="comma-separated elements")
-    sp.set_defaults(func=_cmd_regseq)
-
-    sp = sub.add_parser("closure", help="Frobenius-closure chain with certificate")
-    common(sp, bounds=True)
-    sp.add_argument("--ideal", required=True)
-    sp.set_defaults(func=_cmd_closure)
-
-    sp = sub.add_parser("qnumber", help="Q-number of a named ideal")
-    common(sp, bounds=True)
-    sp.add_argument("--ideal", required=True)
-    sp.set_defaults(func=_cmd_closure)
-
-    sp = sub.add_parser("census", help="Q-exponent census over a family of ideals")
-    common(sp, bounds=True)
+    sp = command("census", "Q-exponent census over a family of ideals", _cmd_census,
+                 bounds=True, ideal=False)
     sp.add_argument("--template", help="generator template, e.g. 'x^{a}, y^{b}'")
     sp.add_argument("--range", action="append", default=[],
                     help="parameter range name=lo..hi (repeatable)")
@@ -388,23 +378,18 @@ def build_parser() -> argparse.ArgumentParser:
                     help="census over the bracket powers of --ideal")
     sp.add_argument("--nmax", type=int, default=3, help="family bound (default 3)")
     sp.add_argument("--csv", help="write census rows as CSV to this path")
-    sp.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
-    sp.set_defaults(func=_cmd_census)
+    sp.add_argument("--jobs", **jobs)
 
-    sp = sub.add_parser("eta", help="HSL-number scan via parameter-ideal closures")
-    common(sp, bounds=True)
+    sp = command("eta", "HSL-number scan via parameter-ideal closures", _cmd_eta,
+                 bounds=True, ideal=False)
     sp.add_argument("--sop", required=True, help="comma-separated regular system of parameters")
     sp.add_argument("--nmax", type=int, default=1, help="scan bound (default 1)")
-    sp.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
-    sp.set_defaults(func=_cmd_eta)
+    sp.add_argument("--jobs", **jobs)
 
-    sp = sub.add_parser("paramcheck", help="bracket-power equality for a partial parameter ideal")
-    common(sp, bounds=True)
-    sp.add_argument("--ideal", required=True)
+    sp = command("paramcheck", "bracket-power equality for a partial parameter ideal",
+                 _cmd_paramcheck, bounds=True)
     sp.add_argument("--extend", default="", help="elements completing the system of parameters")
     sp.add_argument("--e", type=int, required=True, help="bracket-power exponent to test")
-    sp.set_defaults(func=_cmd_paramcheck)
-
     return parser
 
 

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import charp
-from charp.cli import main
+from charp.cli import build_parser, main
 
 FERMAT = """char 2;
 vars x y z;
@@ -171,6 +171,15 @@ def test_paramcheck_reads_a_blank_extension_as_the_empty_list(ring_file, capsys)
     assert outs[0] == outs[1] == "(closure)^[p^1] = (ideal)^[p^1] in R: true\n"
 
 
+def test_blank_comma_lists_are_empty_lists(ring_file, capsys):
+    # one rule for every comma-list flag; a command that needs elements says so
+    for blank in ("", " "):
+        assert main(["regseq", "--ring", ring_file, "--elems", blank]) == 1
+        assert capsys.readouterr().err == "error: --elems: empty sequence\n"
+        assert main(["member", "--ring", ring_file, "--ideal", "I", "--poly", blank]) == 1
+        assert capsys.readouterr().err == "error: --poly: expected one polynomial\n"
+
+
 def test_paramcheck(ring_file, capsys):
     assert main(["paramcheck", "--ring", ring_file, "--ideal", "P",
                  "--extend", "y", "--e", "1"]) == 0
@@ -194,15 +203,26 @@ def test_long_juxtaposed_identifiers_in_a_ring_file(tmp_path, capsys):
 
 def test_input_errors_name_the_flag(ring_file, tmp_path, capsys):
     assert main(["member", "--ring", ring_file, "--ideal", "I", "--poly", "w"]) == 1
-    assert "--poly" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: --poly: 1:1: unknown variable 'w'\n"
     assert main(["gb", "--ring", ring_file, "--ideal", "NOPE"]) == 1
-    assert "--ideal" in capsys.readouterr().err
-    assert main(["gb", "--ring", str(tmp_path / "nope.ring"), "--ideal", "I"]) == 1
-    assert "--ring" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: --ideal: unknown ideal 'NOPE' (known: I, P) in {ring_file}\n"
+    )
+    missing = tmp_path / "nope.ring"
+    assert main(["gb", "--ring", str(missing), "--ideal", "I"]) == 1
+    assert capsys.readouterr().err == f"error: --ring {missing}: No such file or directory\n"
     bad = tmp_path / "bad.ring"
     bad.write_text("char 4;\nvars x;\n")
     assert main(["gb", "--ring", str(bad), "--ideal", "I"]) == 1
-    assert "1:1" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: --ring {bad}:1:1: characteristic 4 is not a prime in [2, 2^16)\n"
+    )
+    bad.write_bytes(b"\xff")
+    assert main(["gb", "--ring", str(bad), "--ideal", "I"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: --ring {bad}: 'utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte\n"
+    )
     # a generator of the ideal that is not homogeneous is the ideal's fault
     inhomogeneous = tmp_path / "inhomogeneous.ring"
     inhomogeneous.write_text(FERMAT.replace("ideal P = x;", "ideal P = x + y^2;"))
@@ -815,6 +835,120 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["gb", "--ideal", "I"], "charp gb: error: the following arguments are required: --ring"),
+    (["closure", "--ring", "r", "--ideal", "I", "--emax", "abc"],
+     "charp closure: error: argument --emax: invalid int value: 'abc'"),
+    ([], "charp: error: the following arguments are required: command"),
+    (["gb", "--ring", "r", "--ideal", "I", "--bogus"],
+     "charp: error: unrecognized arguments: --bogus"),
+])
+def test_usage_errors_exit_1(argv, message, capsys):
+    # exit 2 means a computation did not stabilize; argparse's own errors
+    # are input errors and keep argparse's text
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage: charp")
+    assert captured.err.endswith(f"\n{message}\n")
+    assert captured.out == ""
+
+
+RING = ("--ring RING", "ring file path")
+JSON = ("--json JSON", "write a JSON report to this path")
+BOUNDS = (
+    ("--emax EMAX", "chain bound (default 8)"),
+    ("--window WINDOW", "consecutive equal chain members required, i.e. "
+                        "window - 1 equalities; 1 acts as 2 (default 2)"),
+)
+IDEAL = ("--ideal IDEAL", "")
+JOBS = ("--jobs JOBS", "worker processes (default 1)")
+# (subcommand, its help in the top-level list, its flags with their help, in order)
+SUBCOMMAND_HELP = (
+    ("gb", "reduced Groebner basis of a named ideal's lift", (RING, JSON, IDEAL)),
+    ("member", "ideal membership in the quotient ring", (RING, JSON, IDEAL, ("--poly POLY", ""))),
+    ("regseq", "poor-regular-sequence check",
+     (RING, JSON, ("--elems ELEMS", "comma-separated elements"))),
+    ("closure", "Frobenius-closure chain with certificate", (RING, JSON, *BOUNDS, IDEAL)),
+    ("qnumber", "Q-number of a named ideal", (RING, JSON, *BOUNDS, IDEAL)),
+    ("census", "Q-exponent census over a family of ideals", (
+        RING, JSON, *BOUNDS,
+        ("--template TEMPLATE", "generator template, e.g. 'x^{a}, y^{b}'"),
+        ("--range RANGE", "parameter range name=lo..hi (repeatable)"),
+        ("--ideal IDEAL", "base ideal for --frobenius-family"),
+        ("--frobenius-family", "census over the bracket powers of --ideal"),
+        ("--nmax NMAX", "family bound (default 3)"),
+        ("--csv CSV", "write census rows as CSV to this path"),
+        JOBS,
+    )),
+    ("eta", "HSL-number scan via parameter-ideal closures", (
+        RING, JSON, *BOUNDS,
+        ("--sop SOP", "comma-separated regular system of parameters"),
+        ("--nmax NMAX", "scan bound (default 1)"),
+        JOBS,
+    )),
+    ("paramcheck", "bracket-power equality for a partial parameter ideal", (
+        RING, JSON, *BOUNDS, IDEAL,
+        ("--extend EXTEND", "elements completing the system of parameters"),
+        ("--e E", "bracket-power exponent to test"),
+    )),
+)
+
+
+def _help_options(argv, capsys):
+    """The option entries of ``charp <argv> -h``, each with its wrapped help
+    joined into one line."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["-h"])
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    entries = []
+    for line in captured.out.split("\n\n")[-1].splitlines()[1:]:
+        if line.startswith("  ") and not line.startswith("   "):
+            entries.append(line.strip())
+        else:
+            entries[-1] += " " + line.strip()
+    return [" ".join(entry.split()) for entry in entries]
+
+
+def test_help_lists_every_flag_with_its_help(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")
+    top = _help_options([], capsys)
+    assert top == [
+        "-h, --help show this help message and exit",
+        "--version show program's version number and exit",
+    ]
+    with pytest.raises(SystemExit):
+        main(["-h"])
+    listed = " ".join(capsys.readouterr().out.split())
+    for name, summary, flags in SUBCOMMAND_HELP:
+        assert f" {name} {summary} " in listed + " "
+        assert _help_options([name], capsys) == [
+            "-h, --help show this help message and exit",
+            *(f"{flag} {text}".strip() for flag, text in flags),
+        ], name
+
+
+def test_parsed_defaults():
+    parser = build_parser()
+
+    def parse(*argv):
+        return vars(parser.parse_args([argv[0], "--ring", "r", *argv[1:]]))
+
+    closure = parse("closure", "--ideal", "I")
+    assert (closure["emax"], closure["window"], closure["json"]) == (8, 2, None)
+    census = parse("census")
+    assert (census["emax"], census["window"], census["nmax"], census["jobs"]) == (8, 2, 3, 1)
+    assert (census["range"], census["ideal"], census["frobenius_family"]) == ([], None, False)
+    eta = parse("eta", "--sop", "x")
+    assert (eta["emax"], eta["window"], eta["nmax"], eta["jobs"]) == (8, 2, 1, 1)
+    paramcheck = parse("paramcheck", "--ideal", "I", "--e", "1")
+    assert (paramcheck["emax"], paramcheck["window"], paramcheck["extend"]) == (8, 2, "")
+    assert "emax" not in parse("gb", "--ideal", "I")
 
 
 def test_module_entry_point():
