@@ -355,14 +355,14 @@ def build_parser() -> argparse.ArgumentParser:
                             help="consecutive equal chain members required, i.e. "
                                  "window - 1 equalities; 1 acts as 2 (default 2)")
         if ideal:
-            sp.add_argument("--ideal", required=True)
+            sp.add_argument("--ideal", required=True, help="name of an ideal in the ring file")
         sp.set_defaults(func=func)
         return sp
 
     jobs = {"type": int, "default": 1, "help": "worker processes (default 1)"}
     command("gb", "reduced Groebner basis of a named ideal's lift", _cmd_gb)
     command("member", "ideal membership in the quotient ring", _cmd_member).add_argument(
-        "--poly", required=True)
+        "--poly", required=True, help="polynomial to test for membership")
     command("regseq", "poor-regular-sequence check", _cmd_regseq, ideal=False).add_argument(
         "--elems", required=True, help="comma-separated elements")
     command("closure", "Frobenius-closure chain with certificate", _cmd_closure, bounds=True)

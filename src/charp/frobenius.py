@@ -74,9 +74,7 @@ def frobenius_target(R: QuotientRing, I: Ideal, e: int) -> Ideal:
     preimage fallback of the closure step reads one, and
     :func:`bracket_powers_agree` (the certificate, the census recheck and
     the parameter-ideal check) tests membership in one."""
-    if e < 0:
-        raise ValueError(f"bracket-power exponent must be non-negative, got {e}")
-    return R.lift(frobenius_power(g, e) for g in _own_gens(R, I))
+    return R.lift(bracket_power(Ideal(R.ambient, _own_gens(R, I)), e))
 
 
 def bracket_powers_agree(R: QuotientRing, I: Ideal, gens, e: int) -> bool:
@@ -356,10 +354,7 @@ def frobenius_power_family(R: QuotientRing, I: Ideal, n_max: int) -> list:
     """The family I^[p^n] for n = 0..n_max, as labeled census rows."""
     if n_max < 0:
         raise ValueError(f"n_max must be non-negative, got {n_max}")
-    return [
-        ((("n", n),), [frobenius_power(g, n) for g in I.gens])
-        for n in range(n_max + 1)
-    ]
+    return [((("n", n),), bracket_power(I, n).gens) for n in range(n_max + 1)]
 
 
 def _census_row(R, params, gens, e_max, window):

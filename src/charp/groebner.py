@@ -163,7 +163,7 @@ class _Divisors:
 
     The width is fixed at construction, and so are ``units``, ``guards``
     and ``unpack``; ``entries`` (one per divisor) and ``top``, the highest
-    packed lead, change only as :meth:`append_remainder` adds a divisor.
+    packed lead, change only as :meth:`append_monic` adds a divisor.
     A computation that outgrows the width starts over on a new, wider
     packing, so a packing that readers share never changes under them.
     Each polynomial caches its pack in its ``_pk`` slot as (width, entry),
@@ -198,30 +198,41 @@ class _Divisors:
             ))
         return pk[1]
 
-    def append_remainder(self, table: dict) -> Polynomial:
-        """Add, after the others, the monic polynomial of ``table``, a
-        nonzero packed remainder in this packing's width and in descending
-        order (consumed), and return it; for a list no other reader holds.
+    def pack(self, terms: dict, scale: int = 1) -> dict:
+        """The term table ``terms``, its exponents multiplied by ``scale``,
+        as a table keyed by packed monomial (packing is linear, so a scaled
+        monomial packs by the units times ``scale``)."""
+        units = self.units if scale == 1 else [u * scale for u in self.units]
+        return {sum(map(mul, m, units)): c for m, c in terms.items()}
 
-        Its entry is the table scaled to monic, with no packing; only its
+    def append_monic(self, lead: int, ms: tuple, cs) -> Polynomial:
+        """Add, after the others, the monic polynomial with packed lead
+        ``lead``, packed tail ``ms`` and tail coefficients ``cs``, in this
+        packing's width, and return it; for a list no other reader holds.
+        Its entry is ``ms`` and ``cs`` negated, with no packing; only the
         polynomial is unpacked, once."""
         p, unpack = self.ring.p, self.unpack
-        lead = next(iter(table))
-        c = table.pop(lead)
-        inv = 1 if c == 1 else pow(c, -1, p)
-        ms = tuple(table)
-        ncs = tuple([-c * inv % p for c in table.values()])
         lm = unpack(lead)
         terms = {lm: 1}
-        terms.update(zip(map(unpack, ms), [p - nc for nc in ncs]))
+        terms.update(zip(map(unpack, ms), cs))
         g = Polynomial(self.ring, terms)
         g._lm = lm
-        entry = (lead, ms, ncs, None)
+        entry = (lead, ms, tuple([p - c for c in cs]), None)
         g._pk = (self.width, entry)
         self.polys.append(g)
         self.entries.append(entry)
         self.top = max(self.top, lead)
         return g
+
+    def append_remainder(self, table: dict) -> Polynomial:
+        """:meth:`append_monic` of ``table``, a nonzero packed remainder in
+        this packing's width and in descending order (consumed), scaled to
+        monic."""
+        p = self.ring.p
+        lead = next(iter(table))
+        c = table.pop(lead)
+        inv = 1 if c == 1 else pow(c, -1, p)
+        return self.append_monic(lead, tuple(table), [c * inv % p for c in table.values()])
 
 
 def _reduce_terms(terms: dict, divs: _Divisors, quots=None, scale: int = 1) -> tuple:
@@ -258,14 +269,12 @@ def _reduce_attempt(terms: dict, divs: _Divisors, quots, scale: int, width: int)
     """One attempt of :func:`_reduce_terms`, in ``width``-bit fields."""
     if width != divs.width:
         divs = _Divisors(divs.ring, divs.polys, width)
-    units = divs.units if scale == 1 else [u * scale for u in divs.units]
     entries = divs.entries
     if quots is not None:
         for q in quots:
             q.clear()
         entries = [(lead, ms, ncs, q) for (lead, ms, ncs, _), q in zip(entries, quots)]
-    work = {sum(map(mul, m, units)): c for m, c in terms.items()}
-    return _divide_packed(work, entries, divs.top, divs.guards, divs.ring.p), divs
+    return _divide_packed(divs.pack(terms, scale), entries, divs.top, divs.guards, divs.ring.p), divs
 
 
 def _divide_packed(work: dict, entries: list, floor: int, guards: int, p: int) -> dict:
@@ -415,32 +424,26 @@ def _reduced_basis(divs: _Divisors) -> tuple[Polynomial, ...]:
     order), and each one whose lead is divisible by a lead already kept is
     dropped; each kept element's packed tail is then reduced by the kept
     entries, and only the result is unpacked, once, into a polynomial
-    that keeps the result as its packed entry.  Every pending term lies
+    that keeps the result as its packed entry (:meth:`_Divisors.append_monic`
+    on a new packing of the same width).  Every pending term lies
     below the element's own lead, which therefore divides none of them,
     so the tail is reduced by the other kept elements; their leads form an
     antichain and they are monic, so no lead is cancelled or rescaled.  A
     reduction that outgrows the fields (under lex or block orders) raises
     :class:`_Overflow`, and the computation that built the divisors starts
     over from its inputs."""
-    ring, guards, unpack = divs.ring, divs.guards, divs.unpack
-    p = ring.p
+    guards, p = divs.guards, divs.ring.p
     kept: list = []  # the kept entries, by ascending lead
     for e in sorted(divs.entries, key=itemgetter(0)):
         lg = e[0] | guards
         if not any((lg - k[0]) & guards == guards for k in kept):
             kept.append(e)
     top = kept[-1][0]
-    reduced = []
+    reduced = _Divisors(divs.ring, (), divs.width)
     for lead, ms, ncs, _ in kept:
         out = _divide_packed({m: p - nc for m, nc in zip(ms, ncs)}, kept, top, guards, p)
-        lm = unpack(lead)
-        terms = {lm: 1}
-        terms.update(zip(map(unpack, out), out.values()))
-        h = Polynomial(ring, terms)
-        h._lm = lm
-        h._pk = (divs.width, (lead, tuple(out), tuple([p - c for c in out.values()]), None))
-        reduced.append(h)
-    return tuple(reversed(reduced))
+        reduced.append_monic(lead, tuple(out), out.values())
+    return tuple(reversed(reduced.polys))
 
 
 def buchberger(generators) -> tuple[Polynomial, ...]:
@@ -532,8 +535,7 @@ def _buchberger_attempt(gens: list, width: int) -> tuple[Polynomial, ...]:
     # seed with the interreduced input: redundant generators (common in
     # bracket-power lists) reduce to zero here and never enter the queue
     for g in sorted(gens, key=lambda h: key(h.leading_monomial())):
-        work = {sum(map(mul, m, units)): c for m, c in g.terms.items()}
-        settle(_divide_packed(work, entries, divs.top, divs.guards, p))
+        settle(_divide_packed(divs.pack(g.terms), entries, divs.top, divs.guards, p))
 
     while heap:
         lcm, i, j = heapq.heappop(heap)
@@ -550,10 +552,8 @@ def _staircase_rows(index, gens, divs: _Divisors) -> list:
     width, units, guards, entries, top, p = divs.width, divs.units, divs.guards, divs.entries, divs.top, divs.ring.p
     last = len(units) - 1
     nfs = {t: ((t, 1),) for t in index}  # packed monomial -> its normal form
-    rows = [[  # the first standard monomial is 1
-        _divide_packed({sum(map(mul, m, units)): c for m, c in a.terms.items()}, entries, top, guards, p)
-        for a in gens
-    ]]
+    # the first standard monomial is 1
+    rows = [[_divide_packed(divs.pack(a.terms), entries, top, guards, p) for a in gens]]
     for t in itertools.islice(index, 1, None):
         # x_j, the last variable of t, owns t's lowest set bit
         u = units[last - ((t & -t).bit_length() - 1) // width]

@@ -21,14 +21,17 @@ import re
 from .poly import Polynomial, PolyRing
 
 
-class PolyParseError(ValueError):
-    """Syntax error in polynomial text, with 1-based line/column position."""
+class _PositionedError(ValueError):
+    """An input error at a 1-based line and column, which its text leads
+    with (``line:col: message``)."""
 
     def __init__(self, message: str, line: int, column: int):
         super().__init__(f"{line}:{column}: {message}")
-        self.message = message
-        self.line = line
-        self.column = column
+        self.message, self.line, self.column = message, line, column
+
+
+class PolyParseError(_PositionedError):
+    """Syntax error in polynomial text, with 1-based line/column position."""
 
 
 _TOKEN_RE = re.compile(r"(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^])|(?P<bad>\S)")

@@ -24,19 +24,13 @@ import re
 from dataclasses import dataclass, field
 
 from .groebner import Ideal
-from .parse import PolyParseError, _position, parse_polynomials
+from .parse import PolyParseError, _position, _PositionedError, parse_polynomials
 from .poly import GREVLEX, PolyRing, check_characteristic
 from .quotient import QuotientRing
 
 
-class RingFileError(ValueError):
+class RingFileError(_PositionedError):
     """Ring-file problem with a 1-based source position."""
-
-    def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"{line}:{column}: {message}")
-        self.message = message
-        self.line = line
-        self.column = column
 
 
 @dataclass
@@ -68,6 +62,9 @@ def print_ring_file(rf: RingFile) -> str:
 # A comment runs to the end of its line; blanking it keeps every offset.
 _COMMENT_RE = re.compile(r"#[^\n]*")
 _STATEMENT_RE = re.compile(r"(?P<head>[^;\s]+)\s*(?P<body>[^;]*)")
+# the statement each statement needs before it; every statement but
+# 'ideal' may appear once
+_BEFORE = {"vars": "char", "quotient": "vars", "ideal": "vars"}
 
 
 def _generators(ring, clean, start, end):
@@ -94,12 +91,18 @@ def parse_ring_file(text: str) -> RingFile:
     p = ring = None
     quotient: tuple = ()
     ideals: dict = {}
+    seen: set = set()  # the heads of the statements read, but for 'ideal'
 
     for stmt in statements:
         head, body = stmt.group("head", "body")
+        before = _BEFORE.get(head)
+        if before is not None and before not in seen:
+            raise error(f"{head!r} before {before!r}", stmt)
+        if head in seen:
+            raise error(f"duplicate {head!r} statement", stmt)
+        if head != "ideal":
+            seen.add(head)
         if head == "char":
-            if p is not None:
-                raise error("duplicate 'char' statement", stmt)
             try:
                 p = int(body.strip())
             except ValueError:
@@ -109,10 +112,6 @@ def parse_ring_file(text: str) -> RingFile:
             except ValueError as err:
                 raise error(str(err), stmt) from None
         elif head == "vars":
-            if p is None:
-                raise error("'vars' before 'char'", stmt)
-            if ring is not None:
-                raise error("duplicate 'vars' statement", stmt)
             names = body.split()
             if not names:
                 raise error("'vars' needs at least one variable", stmt)
@@ -121,14 +120,8 @@ def parse_ring_file(text: str) -> RingFile:
             except ValueError as err:
                 raise error(str(err), stmt) from None
         elif head == "quotient":
-            if ring is None:
-                raise error("'quotient' before 'vars'", stmt)
-            if quotient:
-                raise error("duplicate 'quotient' statement", stmt)
             quotient = _generators(ring, clean, stmt.start("body"), stmt.end())
         elif head == "ideal":
-            if ring is None:
-                raise error("'ideal' before 'vars'", stmt)
             if "=" not in body:
                 raise error("expected 'ideal <Name> = <poly>, ...'", stmt)
             name = body[:body.index("=")].strip()
@@ -141,8 +134,6 @@ def parse_ring_file(text: str) -> RingFile:
         else:
             raise error(f"unknown statement {head!r}", stmt)
 
-    if p is None:
-        raise RingFileError("missing 'char' statement", 1, 1)
-    if ring is None:
+    if ring is None:  # a file's first statement is 'char', or an error
         raise RingFileError("missing 'vars' statement", 1, 1)
     return RingFile(ring=ring, quotient=quotient, ideals=ideals)

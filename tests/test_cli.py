@@ -864,12 +864,12 @@ BOUNDS = (
     ("--window WINDOW", "consecutive equal chain members required, i.e. "
                         "window - 1 equalities; 1 acts as 2 (default 2)"),
 )
-IDEAL = ("--ideal IDEAL", "")
+IDEAL = ("--ideal IDEAL", "name of an ideal in the ring file")
 JOBS = ("--jobs JOBS", "worker processes (default 1)")
 # (subcommand, its help in the top-level list, its flags with their help, in order)
 SUBCOMMAND_HELP = (
     ("gb", "reduced Groebner basis of a named ideal's lift", (RING, JSON, IDEAL)),
-    ("member", "ideal membership in the quotient ring", (RING, JSON, IDEAL, ("--poly POLY", ""))),
+    ("member", "ideal membership in the quotient ring", (RING, JSON, IDEAL, ("--poly POLY", "polynomial to test for membership"))),
     ("regseq", "poor-regular-sequence check",
      (RING, JSON, ("--elems ELEMS", "comma-separated elements"))),
     ("closure", "Frobenius-closure chain with certificate", (RING, JSON, *BOUNDS, IDEAL)),

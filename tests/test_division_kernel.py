@@ -16,6 +16,7 @@ from charp import (
     DegreeCapExceeded,
     Ideal,
     PolyRing,
+    Polynomial,
     RingMismatchError,
     block_order,
     buchberger,
@@ -25,7 +26,13 @@ from charp import (
     set_degree_cap,
 )
 from charp.groebner import _Divisors, _layout, _reduced_basis
-from support import oracle_divide, oracle_reduced_basis, random_form, random_poly
+from support import (
+    oracle_divide,
+    oracle_reduced_basis,
+    random_form,
+    random_poly,
+    random_zero_dimensional_colon,
+)
 
 ORDERS = (GREVLEX, LEX, block_order(1), block_order(2))
 
@@ -198,6 +205,38 @@ def test_cost_ordered_divisors_leave_normal_forms_by_a_basis_unchanged(order, p)
             nonzero += not member
         reordered += I._divs.polys != list(gb)
     assert reordered and zero and nonzero
+
+
+def _assert_entries_match_fresh_packs(basis):
+    """Each element's cached packed entry, read as its lead and {packed tail
+    monomial: negated coefficient}, equals the entry a new packing of the
+    same width makes for a copy of the element with no cached pack; the
+    element is monic and its cached leading monomial is the copy's."""
+    for g in basis:
+        width, (lead, ms, ncs, quot) = g._pk
+        copy = Polynomial(g.ring, dict(g.terms))
+        fresh_lead, fresh_ms, fresh_ncs, fresh_quot = _Divisors(g.ring, (), width)._entry(copy)
+        assert (lead, dict(zip(ms, ncs)), quot) == (fresh_lead, dict(zip(fresh_ms, fresh_ncs)), fresh_quot)
+        assert len(ms) == len(ncs) == len(g.terms) - 1
+        assert g._lm == copy.leading_monomial() and g.terms[g._lm] == 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("order", [GREVLEX, LEX, block_order(1)], ids=str)
+def test_written_entries_match_their_polynomials(order, p):
+    """The elements a Buchberger run, a kernel colon and an interreduction
+    write straight from packed tables carry the packed entry their
+    polynomial would be packed to: the packed division of every later
+    membership test or colon reads those entries, not the polynomials."""
+    rng = random.Random(f"entries {order} {p}")
+    ring = PolyRing(p, ["x", "y", "z"], order)
+    for _ in range(8):
+        basis = buchberger(random_poly(rng, ring, 3, 3) for _ in range(rng.randint(2, 3)))
+        _assert_entries_match_fresh_packs(basis)
+        gb = [Polynomial(ring, dict(g.terms)) for g in _non_reduced_basis(rng, basis)]
+        _assert_entries_match_fresh_packs(_reduced_basis(_Divisors(ring, gb)))
+        I, A = random_zero_dimensional_colon(rng, ring)
+        _assert_entries_match_fresh_packs(I._colon_by_kernel(A).groebner_basis())
 
 
 # -- membership of p^e-th powers that are never formed ------------------------

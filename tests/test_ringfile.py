@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from charp import RingFileError, parse_ring_file, print_ring_file
+from charp import PolyParseError, RingFileError, parse_polynomial, parse_ring_file, print_ring_file
 
 FERMAT = """# Fermat cubic over F_2
 char 2;
@@ -79,6 +79,58 @@ def test_error_positions(text, line, col, fragment):
     assert err.value.line == line, err.value
     assert err.value.column == col, err.value
     assert fragment in err.value.message
+
+
+@pytest.mark.parametrize("text,message,line,col", [
+    # each statement but 'ideal' may appear once; 'char' after 'vars' is a second 'char'
+    ("char 2; char 3; vars x;", "duplicate 'char' statement", 1, 9),
+    ("char 2; vars x; vars y;", "duplicate 'vars' statement", 1, 17),
+    ("char 2; vars x; quotient x; quotient x^2;", "duplicate 'quotient' statement", 1, 29),
+    ("char 2; vars x; char 3;", "duplicate 'char' statement", 1, 17),
+    # 'vars' needs 'char' before it, 'quotient' and 'ideal' need 'vars'
+    ("vars x;", "'vars' before 'char'", 1, 1),
+    ("quotient x;", "'quotient' before 'vars'", 1, 1),
+    ("char 2;\nideal I = x;", "'ideal' before 'vars'", 2, 1),
+    ("char 2;\nquotient x; vars x;", "'quotient' before 'vars'", 2, 1),
+    # so the first statement is 'char' or an error, and only 'vars' can be missing
+    ("ideal I = x;", "'ideal' before 'vars'", 1, 1),
+    ("char 2;\n", "missing 'vars' statement", 1, 1),
+    ("", "empty ring file", 1, 1),
+    ("char 2; vars ;", "'vars' needs at least one variable", 1, 9),
+    ("char two; vars x;", "invalid characteristic 'two'", 1, 1),
+    ("char 4; vars x;", "characteristic 4 is not a prime in [2, 2^16)", 1, 1),
+    ("char 2; vars x;\nideal I x;", "expected 'ideal <Name> = <poly>, ...'", 2, 1),
+    ("char 2; vars x x;", "duplicate variable name 'x'", 1, 9),
+    ("char 2; vars x; frobnicate;", "unknown statement 'frobnicate'", 1, 17),
+    ("char 2; vars x; ideal I = x; ideal I = x;", "duplicate ideal name 'I'", 1, 30),
+    ("char 2; vars x; ideal 2bad = x;", "invalid ideal name '2bad'", 1, 17),
+    ("char 2; vars x; ideal I = x", "unterminated statement (missing ';')", 1, 17),
+    ("char 2; vars x; quotient ;", "empty polynomial", 1, 26),
+])
+def test_error_messages_exactly(text, message, line, col):
+    with pytest.raises(RingFileError) as err:
+        parse_ring_file(text)
+    assert (err.value.message, err.value.line, err.value.column) == (message, line, col)
+    assert str(err.value) == f"{line}:{col}: {message}"
+    assert not isinstance(err.value, PolyParseError)
+
+
+def test_quotient_may_follow_the_ideals():
+    rf = parse_ring_file("char 3; vars x y; ideal I = x; quotient y^2; ideal J = y;")
+    x, y = rf.ring.gens()
+    assert rf.quotient == (y**2,)
+    assert rf.ideals == {"I": (x,), "J": (y,)}
+
+
+def test_parse_errors_are_not_ring_file_errors():
+    # the two positioned errors are siblings: the CLI formats a ring-file
+    # error with its path, a polynomial error without
+    ring = parse_ring_file("char 2; vars x;").ring
+    with pytest.raises(PolyParseError) as err:
+        parse_polynomial(ring, "x +\n  w")
+    assert (err.value.message, err.value.line, err.value.column) == ("unknown variable 'w'", 2, 3)
+    assert str(err.value) == "2:3: unknown variable 'w'"
+    assert not isinstance(err.value, RingFileError)
 
 
 def test_comments_do_not_shift_positions():
