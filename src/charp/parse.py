@@ -7,11 +7,17 @@ insignificant and integer coefficients are reduced mod p.  An identifier
 that is not a declared variable is split greedily into declared names, so
 ``xy`` parses as ``x*y`` when ``x`` and ``y`` are variables.
 
-A token keeps only its offset into the text.  Both parsers here take a
-slice ``text[start:end]`` and report positions in the whole ``text``, so a
-ring file or a comma list is parsed in place; the 1-based line and column
-of an offset are worked out by :func:`_position` only when an error is
-raised.
+Both parsers here take a slice ``text[start:end]`` and report positions in
+the whole ``text``, so a ring file or a comma list is parsed in place.  One
+search for a character outside the syntax runs over the slice first, so a
+stray character is reported before any earlier syntax error.  Then one
+compiled pattern matches each term whole (sign, coefficient and its run of
+variable powers) and one ``findall`` reads the powers.  Where a term does
+not match or does not follow a sign, the error and its offset are worked
+out from the text at that point; the 1-based line and column of an offset
+are worked out by :func:`_position` only when an error is raised.  The
+tests keep the earlier token-by-token parser as the oracle that every
+result and error of this one must equal.
 """
 
 from __future__ import annotations
@@ -34,7 +40,16 @@ class PolyParseError(_PositionedError):
     """Syntax error in polynomial text, with 1-based line/column position."""
 
 
-_TOKEN_RE = re.compile(r"(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^])|(?P<bad>\S)")
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_STRAY_RE = re.compile(r"[^\s\dA-Za-z_+\-*^]")
+_TOKEN_RE = re.compile(rf"\d+|{_NAME}|\S")
+# a term: its sign, its coefficient and its run of powers.  Each optional
+# part starts with a character of its own ('+'/'-', '*', '^') after its
+# whitespace, so a match that fails backtracks over a whitespace run once.
+_TERM_RE = re.compile(rf"\s*(?:([-+])\s*)?(?:(\d+)|(?=[A-Za-z_]))((?:\s*(?:\*\s*)?{_NAME}(?:\s*\^\s*\d+)?)*)\s*")
+# a power of a matched run: only a caret and whitespace stand between a
+# name and its exponent there
+_POWER_RE = re.compile(rf"({_NAME})[\s^]*(\d*)")
 
 
 def _position(text: str, offset: int):
@@ -42,14 +57,43 @@ def _position(text: str, offset: int):
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-def _integer(text: str, value: str, offset: int) -> int:
-    """The numeral ``value`` at ``text[offset]`` as an int; PolyParseError
-    when it is longer than Python converts from a string."""
+def _error(text: str, term, value: str, message: str) -> PolyParseError:
+    """PolyParseError at the first token ``value`` of the term match
+    ``term``: every earlier token passed the check that ``value`` failed,
+    so an equal one would have failed first."""
+    offset = next(t.start() for t in _TOKEN_RE.finditer(text, term.start(), term.end()) if t.group() == value)
+    return PolyParseError(message, *_position(text, offset))
+
+
+def _integer(text: str, value: str, term) -> int:
+    """The numeral ``value`` of the term match ``term`` as an int;
+    PolyParseError when it is longer than Python converts from a string."""
     try:
         return int(value)
     except ValueError:
-        message = f"numeral of {len(value)} digits is too long"
-        raise PolyParseError(message, *_position(text, offset)) from None
+        raise _error(text, term, value, f"numeral of {len(value)} digits is too long") from None
+
+
+def _syntax_error(text: str, start: int, end: int, pos: int, powers) -> PolyParseError:
+    """The error where no term, or a term without a sign, starts at
+    ``text[pos]``; ``powers`` are the previous term's (name, exponent) pairs."""
+    tokens = _TOKEN_RE.finditer(text, pos, end)
+    token = next(tokens, None)
+    if token is None:
+        return PolyParseError("empty polynomial", *_position(text, start))
+    value, nxt = token.group(), next(tokens, None)
+    following = nxt.start() if nxt else token.end()  # errors past the end point here
+    if value in ("+", "-"):
+        message, offset = "expected a term", following
+    elif pos == start:  # '*' or '^' cannot start the first term
+        message, offset = "expected a term", token.start()
+    elif value == "*":
+        message, offset = "expected a variable after '*'", following
+    elif value == "^" and powers and not powers[-1][1]:
+        message, offset = "expected an integer exponent after '^'", following
+    else:  # after a term only a sign or the end may follow
+        message, offset = f"expected '+' or '-', got {value!r}", token.start()
+    return PolyParseError(message, *_position(text, offset))
 
 
 def _split_variables(name: str, by_length):
@@ -79,62 +123,35 @@ def parse_polynomial(ring: PolyRing, text: str, start: int = 0, end: int | None 
 
     Raises PolyParseError with a position in the whole ``text``."""
     end = len(text) if end is None else end
-    tokens = []
-    for m in _TOKEN_RE.finditer(text, start, end):
-        if m.lastgroup == "bad":
-            raise PolyParseError(f"unexpected character {m.group()!r}", *_position(text, m.start()))
-        tokens.append((m.lastgroup, m.group(), m.start()))
-    if not tokens:
-        raise PolyParseError("empty polynomial", *_position(text, start))
-    tokens.append((None, "", tokens[-1][2] + len(tokens[-1][1])))  # errors past the end point here
-    by_length = sorted(ring.variables, key=len, reverse=True)
-    index, p = ring._index, ring.p
-    terms: dict = {}
-    sign, i = 1, 0
-    kind, value, offset = tokens[0]
+    stray = _STRAY_RE.search(text, start, end)
+    if stray:
+        raise PolyParseError(f"unexpected character {stray.group()!r}", *_position(text, stray.start()))
+    index, p, terms, pos, powers = ring._index, ring.p, {}, start, ()
     while True:
-        if kind == "op" and value in "+-":
-            sign = -1 if value == "-" else 1
-            i += 1
-        elif i:  # after a term only a sign or the end may follow
-            raise PolyParseError(f"expected '+' or '-', got {value!r}", *_position(text, offset))
-        coeff, exponents = 1, [0] * ring.nvars
-        kind, value, offset = tokens[i]
-        if kind == "num":
-            coeff = _integer(text, value, offset)
-            i += 1
-        elif kind != "name":
-            raise PolyParseError("expected a term", *_position(text, offset))
-        while True:  # variable powers, '*'-separated or juxtaposed
-            kind, value, offset = tokens[i]
-            if kind == "op" and value == "*":
-                i += 1
-                kind, value, offset = tokens[i]
-                if kind != "name":
-                    raise PolyParseError("expected a variable after '*'", *_position(text, offset))
-            if kind != "name":
-                break
-            parts = [value] if value in index else _split_variables(value, by_length)
-            if parts is None:
-                raise PolyParseError(f"unknown variable {value!r}", *_position(text, offset))
-            exp = 1
-            if tokens[i + 1][:2] == ("op", "^"):
-                kind, value, offset = tokens[i + 2]
-                if kind != "num":
-                    raise PolyParseError("expected an integer exponent after '^'", *_position(text, offset))
-                exp = _integer(text, value, offset)
-                i += 2
-            i += 1
-            for var in parts[:-1]:
-                exponents[index[var]] += 1
-            exponents[index[parts[-1]]] += exp
+        term = _TERM_RE.match(text, pos, end)
+        if term is None or (pos > start and not term[1]):
+            raise _syntax_error(text, start, end, pos, powers)
+        sign, coeff, run = term.groups()
+        coeff = _integer(text, coeff, term) if coeff else 1
+        exponents = [0] * ring.nvars
+        powers = _POWER_RE.findall(run)
+        for name, exp in powers:
+            if name not in index:  # declared names juxtaposed, or an unknown one
+                parts = _split_variables(name, sorted(ring.variables, key=len, reverse=True))
+                if parts is None:
+                    raise _error(text, term, name, f"unknown variable {name!r}")
+                for var in parts[:-1]:
+                    exponents[index[var]] += 1
+                name = parts[-1]
+            exponents[index[name]] += _integer(text, exp, term) if exp else 1
         mono = tuple(exponents)
-        c = (terms.get(mono, 0) + sign * coeff) % p
+        c = (terms.get(mono, 0) + (-coeff if sign == "-" else coeff)) % p
         if c:
             terms[mono] = c
         else:
             terms.pop(mono, None)
-        if kind is None:
+        pos = term.end()
+        if pos == end:
             return Polynomial(ring, terms)
 
 

@@ -6,8 +6,10 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
+import re
 
 from charp import Ideal, PolyRing, Polynomial, QuotientRing, normal_form, s_polynomial
+from charp.parse import PolyParseError, _position, _split_variables
 from charp.poly import mono_lcm
 
 
@@ -287,3 +289,82 @@ def fermat_cubic_torsion_order(terms: dict, n: int, p: int, j_max: int):
                                       n * q, p):
             return j
     return None
+
+
+_REFERENCE_TOKEN_RE = re.compile(r"(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^])|(?P<bad>\S)")
+
+
+def _reference_integer(text: str, value: str, offset: int) -> int:
+    """The numeral ``value`` at ``text[offset]`` as an int; PolyParseError
+    when it is longer than Python converts from a string."""
+    try:
+        return int(value)
+    except ValueError:
+        message = f"numeral of {len(value)} digits is too long"
+        raise PolyParseError(message, *_position(text, offset)) from None
+
+
+def reference_parse_polynomial(ring: PolyRing, text: str, start: int = 0, end: int | None = None) -> Polynomial:
+    """Parse ``text[start:end]`` as a polynomial of ``ring``, token by token.
+
+    The token-list parser that ``charp.parse.parse_polynomial`` replaced,
+    kept unchanged as the oracle for its results and errors.  Raises
+    PolyParseError with a position in the whole ``text``."""
+    end = len(text) if end is None else end
+    tokens = []
+    for m in _REFERENCE_TOKEN_RE.finditer(text, start, end):
+        if m.lastgroup == "bad":
+            raise PolyParseError(f"unexpected character {m.group()!r}", *_position(text, m.start()))
+        tokens.append((m.lastgroup, m.group(), m.start()))
+    if not tokens:
+        raise PolyParseError("empty polynomial", *_position(text, start))
+    tokens.append((None, "", tokens[-1][2] + len(tokens[-1][1])))  # errors past the end point here
+    by_length = sorted(ring.variables, key=len, reverse=True)
+    index, p = ring._index, ring.p
+    terms: dict = {}
+    sign, i = 1, 0
+    kind, value, offset = tokens[0]
+    while True:
+        if kind == "op" and value in "+-":
+            sign = -1 if value == "-" else 1
+            i += 1
+        elif i:  # after a term only a sign or the end may follow
+            raise PolyParseError(f"expected '+' or '-', got {value!r}", *_position(text, offset))
+        coeff, exponents = 1, [0] * ring.nvars
+        kind, value, offset = tokens[i]
+        if kind == "num":
+            coeff = _reference_integer(text, value, offset)
+            i += 1
+        elif kind != "name":
+            raise PolyParseError("expected a term", *_position(text, offset))
+        while True:  # variable powers, '*'-separated or juxtaposed
+            kind, value, offset = tokens[i]
+            if kind == "op" and value == "*":
+                i += 1
+                kind, value, offset = tokens[i]
+                if kind != "name":
+                    raise PolyParseError("expected a variable after '*'", *_position(text, offset))
+            if kind != "name":
+                break
+            parts = [value] if value in index else _split_variables(value, by_length)
+            if parts is None:
+                raise PolyParseError(f"unknown variable {value!r}", *_position(text, offset))
+            exp = 1
+            if tokens[i + 1][:2] == ("op", "^"):
+                kind, value, offset = tokens[i + 2]
+                if kind != "num":
+                    raise PolyParseError("expected an integer exponent after '^'", *_position(text, offset))
+                exp = _reference_integer(text, value, offset)
+                i += 2
+            i += 1
+            for var in parts[:-1]:
+                exponents[index[var]] += 1
+            exponents[index[parts[-1]]] += exp
+        mono = tuple(exponents)
+        c = (terms.get(mono, 0) + sign * coeff) % p
+        if c:
+            terms[mono] = c
+        else:
+            terms.pop(mono, None)
+        if kind is None:
+            return Polynomial(ring, terms)

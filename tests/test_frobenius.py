@@ -429,6 +429,23 @@ def test_scaling_the_variables_by_units_commutes_with_closure(defining):
     assert grown > 0 if len(defining) == 1 else grown == 0
 
 
+@pytest.mark.parametrize("p", [5, 7])
+def test_census_and_eta_ignore_generator_order_and_unit_multiples(p):
+    """Reordering generators and scaling them by units keeps the ideal, so
+    over the Fermat cubic a census of x^a, y^b and one of 2y^b, 3x^a give
+    the same rows (parameters, closure digest, Q-exponent, regular-sequence
+    flag, stabilization), uniform_e and recheck; an eta scan of the sop
+    (y, 2x) gives the per-n Q-exponents of (x, y)."""
+    R = fermat_ring(p)
+    ranges = {"a": range(1, 4), "b": range(1, 4)}
+    plain = uniform_census(R, "x^{a}, y^{b}", ranges)
+    moved = uniform_census(R, "2*y^{b}, 3*x^{a}", ranges)
+    assert moved.rows == plain.rows
+    assert (moved.uniform_e, moved.recheck_ok) == (plain.uniform_e, plain.recheck_ok)
+    x, y, _ = R.ambient.gens()
+    assert eta_estimate(R, [y, 2 * x]).per_n == eta_estimate(R, [x, y]).per_n
+
+
 @pytest.mark.parametrize("p", [2, 5, 7])
 def test_root_ideal_recursion_matches_direct_root(p):
     # A_e by Katzman's recursion against I_e(f**(p**e - 1)) formed directly

@@ -1,8 +1,13 @@
+import collections
+import random
+import re
 import time
 
 import pytest
 
-from charp import PolyParseError, PolyRing, parse_polynomial
+from charp import PolyParseError, PolyRing, RingFileError, parse_polynomial, parse_ring_file
+from charp.parse import parse_polynomials
+from support import reference_parse_polynomial
 
 
 @pytest.fixture
@@ -56,20 +61,29 @@ def test_long_juxtapositions_split_longest_first_in_linear_time():
     assert "unknown variable" in str(err.value)
 
 
-@pytest.mark.parametrize("text,col", [
-    ("w + x", 1),
-    ("x + w", 5),
-    ("x +", 4),       # dangling sign
-    ("x ^ y", 5),     # non-integer exponent
-    ("2*", 3),        # dangling star
-    ("x ? y", 3),     # stray character
-    ("", 1),
+@pytest.mark.parametrize("parse,text,message,col", [
+    (parse_polynomial, "w + x", "unknown variable 'w'", 1),
+    (parse_polynomial, "x + w", "unknown variable 'w'", 5),
+    (parse_polynomial, "x +", "expected a term", 4),  # dangling sign
+    (parse_polynomial, "x ^ y", "expected an integer exponent after '^'", 5),
+    (parse_polynomial, "2*", "expected a variable after '*'", 3),  # dangling star
+    (parse_polynomial, "x ? y", "unexpected character '?'", 3),
+    (parse_polynomial, "", "empty polynomial", 1),
+    # a stray character anywhere is reported before an earlier syntax error
+    (parse_polynomial, "x + + y $", "unexpected character '$'", 9),
+    (parse_polynomial, "x - -y", "expected a term", 5),
+    (parse_polynomial, "2 3", "expected '+' or '-', got '3'", 3),
+    (parse_polynomial, "x^2^3", "expected '+' or '-', got '^'", 4),
+    (parse_polynomial, "x**y", "expected a variable after '*'", 3),
+    (parse_polynomial, "*x", "expected a term", 1),
+    (parse_polynomial, "9" * 4301, "numeral of 4301 digits is too long", 1),
+    (parse_polynomials, "x, , y", "empty polynomial", 3),
+    (parse_polynomials, "x, y,", "empty polynomial", 6),
 ])
-def test_parse_errors_carry_positions(ring, text, col):
+def test_parse_errors_carry_positions(ring, parse, text, message, col):
     with pytest.raises(PolyParseError) as err:
-        parse_polynomial(ring, text)
-    assert err.value.line == 1
-    assert err.value.column == col
+        parse(ring, text)
+    assert (err.value.message, err.value.line, err.value.column) == (message, 1, col)
 
 
 def test_multiline_positions(ring):
@@ -81,3 +95,114 @@ def test_multiline_positions(ring):
 def test_coefficients_reduced_mod_p(ring):
     f = parse_polynomial(ring, "9x + 14y")
     assert str(f) == "2*x"
+
+
+# -- the term-pattern parser against the token-list oracle ---------------------
+
+_DIFFERENTIAL_RINGS = (
+    PolyRing(7, ["x", "xy", "y"]),  # names that share a prefix
+    PolyRing(5, ["a", "aa"]),
+    PolyRing(2, ["x", "y", "z"]),
+    PolyRing(3, ["x1", "x_2", "y"]),
+)
+_STRAYS = ("$", "?", "é", "²", "(", "!", ".", ",")
+_SPACES = ("", "", "", " ", " ", "\t", "\n", " \n\t ")
+
+
+def _random_numeral(rng, p):
+    r = rng.random()
+    if r < 0.005:
+        return "7" * rng.choice((4300, 4301, 4400))  # int() takes at most 4300 digits
+    if r < 0.04:
+        return rng.choice(("٣", "٠١", "३", "1٣"))  # \d reads non-ASCII digits too
+    if r < 0.2:
+        return str(p * rng.randint(0, 3))
+    return str(rng.randint(0, 20))
+
+
+def _random_name(rng, ring):
+    if rng.random() < 0.08:
+        return rng.choice(("w", "xw", "b", "_", "q1", "aab"))
+    return "".join(rng.choice(ring.variables) for _ in range(rng.choice((1, 1, 1, 2, 3))))
+
+
+def _random_tokens(rng, ring):
+    """The tokens of a random polynomial, then a few random edits, each
+    possibly followed by a stray character further on."""
+    tokens = []
+    for i in range(rng.randint(1, 4)):
+        if i or rng.random() < 0.3:
+            tokens.append(rng.choice("+-"))
+        coefficient = rng.random() < 0.5
+        if coefficient:
+            tokens.append(_random_numeral(rng, ring.p))
+        for _ in range(rng.randint(0 if coefficient else 1, 3)):
+            if len(tokens) > 1 and rng.random() < 0.5:
+                tokens.append("*")
+            tokens.append(_random_name(rng, ring))
+            if rng.random() < 0.4:
+                tokens += ["^", _random_numeral(rng, ring.p)]
+    for _ in range(rng.choice((0, 0, 1, 1, 2))):
+        at = rng.randint(0, len(tokens))
+        if tokens and rng.random() < 0.3:
+            del tokens[min(at, len(tokens) - 1)]
+        else:
+            tokens.insert(at, rng.choice(("+", "-", "*", "^", "*", "^0", "x^", _random_numeral(rng, ring.p),
+                                          _random_name(rng, ring), rng.choice(_STRAYS))))
+        if rng.random() < 0.3:
+            tokens.insert(rng.randint(min(at, len(tokens)), len(tokens)), rng.choice(_STRAYS))
+    return tokens
+
+
+def _random_text(rng, ring):
+    return "".join(token + rng.choice(_SPACES) for token in _random_tokens(rng, ring))
+
+
+def _outcome(parse, *args):
+    """What ``parse(*args)`` returns, or its error's class, message and position."""
+    try:
+        return parse(*args)
+    except ValueError as err:
+        return type(err), err.message, err.line, err.column
+
+
+def _reference_polynomials(ring, text, start, end):
+    """``parse_polynomials`` over the oracle: the same comma split."""
+    polys = []
+    while (comma := text.find(",", start, end)) >= 0:
+        polys.append(reference_parse_polynomial(ring, text, start, comma))
+        start = comma + 1
+    return polys + [reference_parse_polynomial(ring, text, start, end)]
+
+
+def test_term_parser_equals_token_oracle():
+    """Seeded valid and invalid texts, whole, as slices of a longer text,
+    as comma lists and as ring-file ideals, parse to the oracle's
+    polynomial or raise its error class, message, line and column."""
+    rng = random.Random(20260101)
+    kinds = collections.Counter()  # outcomes, errors by message without its quoted part
+    for case in range(5000):
+        ring = _DIFFERENTIAL_RINGS[case % len(_DIFFERENTIAL_RINGS)]
+        text = _random_text(rng, ring)
+        expected = _outcome(reference_parse_polynomial, ring, text)
+        assert _outcome(parse_polynomial, ring, text) == expected, text
+        kinds[re.sub(r" '.*|\d+", "", expected[1]) if isinstance(expected, tuple) else "ok"] += 1
+        prefix = f"{rng.choice(_STRAYS)}\n{rng.choice(_SPACES)}"
+        outer = f"{prefix}{text}{rng.choice(_SPACES)}{rng.choice(_STRAYS)}"
+        start, end = len(prefix), len(prefix) + len(text)
+        assert (_outcome(parse_polynomial, ring, outer, start, end)
+                == _outcome(reference_parse_polynomial, ring, outer, start, end)), outer
+        if case % 4 == 0:
+            listed = ",".join(_random_text(rng, ring) for _ in range(rng.randint(1, 3)))
+            assert (_outcome(parse_polynomials, ring, listed, 0, len(listed))
+                    == _outcome(_reference_polynomials, ring, listed, 0, len(listed))), listed
+        if case % 5 == 0 and not set(text) & set(";#="):
+            head = f"char {ring.p};\nvars {' '.join(ring.variables)};\nideal I ="
+            expected = _outcome(_reference_polynomials, ring, head + text + ";", len(head), len(head) + len(text))
+            got = _outcome(parse_ring_file, head + text + ";")
+            if isinstance(expected, tuple):
+                assert got == (RingFileError, *expected[1:]), text
+            else:
+                assert list(got.ideals["I"]) == expected, text
+    # well-formed text and each of the eight errors are drawn
+    assert len(kinds) == 9 and kinds["ok"] > 1000, kinds
