@@ -61,29 +61,38 @@ def test_long_juxtapositions_split_longest_first_in_linear_time():
     assert "unknown variable" in str(err.value)
 
 
-@pytest.mark.parametrize("parse,text,message,col", [
-    (parse_polynomial, "w + x", "unknown variable 'w'", 1),
-    (parse_polynomial, "x + w", "unknown variable 'w'", 5),
-    (parse_polynomial, "x +", "expected a term", 4),  # dangling sign
-    (parse_polynomial, "x ^ y", "expected an integer exponent after '^'", 5),
-    (parse_polynomial, "2*", "expected a variable after '*'", 3),  # dangling star
-    (parse_polynomial, "x ? y", "unexpected character '?'", 3),
-    (parse_polynomial, "", "empty polynomial", 1),
+_PARSE_ERRORS = [
+    ("w + x", "unknown variable 'w'", 1),
+    ("x + w", "unknown variable 'w'", 5),
+    ("x +", "expected a term", 4),  # dangling sign
+    ("x ^ y", "expected an integer exponent after '^'", 5),
+    ("2*", "expected a variable after '*'", 3),  # dangling star
+    ("x ? y", "unexpected character '?'", 3),
+    ("", "empty polynomial", 1),
     # a stray character anywhere is reported before an earlier syntax error
-    (parse_polynomial, "x + + y $", "unexpected character '$'", 9),
-    (parse_polynomial, "x - -y", "expected a term", 5),
-    (parse_polynomial, "2 3", "expected '+' or '-', got '3'", 3),
-    (parse_polynomial, "x^2^3", "expected '+' or '-', got '^'", 4),
-    (parse_polynomial, "x**y", "expected a variable after '*'", 3),
-    (parse_polynomial, "*x", "expected a term", 1),
-    (parse_polynomial, "9" * 4301, "numeral of 4301 digits is too long", 1),
-    (parse_polynomials, "x, , y", "empty polynomial", 3),
-    (parse_polynomials, "x, y,", "empty polynomial", 6),
-])
-def test_parse_errors_carry_positions(ring, parse, text, message, col):
+    ("x + + y $", "unexpected character '$'", 9),
+    ("x - -y", "expected a term", 5),
+    ("2 3", "expected '+' or '-', got '3'", 3),
+    ("x^2^3", "expected '+' or '-', got '^'", 4),
+    ("x**y", "expected a variable after '*'", 3),
+    ("*x", "expected a term", 1),
+    ("9" * 4301, "numeral of 4301 digits is too long", 1),
+]
+
+
+@pytest.mark.parametrize("text,message,col", _PARSE_ERRORS,
+                         ids=[f"{text[:20]}-{col}" for text, _, col in _PARSE_ERRORS])
+def test_parse_errors_carry_positions(ring, text, message, col):
     with pytest.raises(PolyParseError) as err:
-        parse(ring, text)
+        parse_polynomial(ring, text)
     assert (err.value.message, err.value.line, err.value.column) == (message, 1, col)
+
+
+@pytest.mark.parametrize("text,col", [("x, , y", 3), ("x, y,", 6)])
+def test_empty_list_entries_carry_positions(ring, text, col):
+    with pytest.raises(PolyParseError) as err:
+        parse_polynomials(ring, text)
+    assert (err.value.message, err.value.line, err.value.column) == ("empty polynomial", 1, col)
 
 
 def test_multiline_positions(ring):
