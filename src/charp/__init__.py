@@ -30,7 +30,6 @@ from .groebner import (
     Ideal,
     buchberger,
     normal_form,
-    reduce_with_quotients,
     s_polynomial,
 )
 from .linalg import DenseMembershipOracle, membership_oracle
@@ -74,7 +73,7 @@ __all__ = [
     "divide_exact", "frobenius_power", "frobenius_root", "frobenius_substitute",
     "set_degree_cap",
     "PolyParseError", "parse_polynomial",
-    "Ideal", "buchberger", "normal_form", "reduce_with_quotients", "s_polynomial",
+    "Ideal", "buchberger", "normal_form", "s_polynomial",
     "DenseMembershipOracle", "membership_oracle",
     "QuotientRing", "RegularSequenceCheck",
     "bracket_power", "frobenius_preimage", "closure_step", "frobenius_closure",

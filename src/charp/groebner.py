@@ -11,8 +11,10 @@ generators and the basis alone).
 
 Every division (normal forms, Buchberger's reductions, interreduction
 and the kernel colon's border reductions) is one loop on packed
-monomials, by the monic forms of the divisors: each monomial is one
-integer holding the order's weight rows above its exponents, so products
+monomials, by the monic forms of the divisors, that keeps the remainder
+alone (the one quotient the library takes, in :meth:`Ideal.colon`, is
+the long division of :func:`charp.poly.divide_exact`).  Each monomial is
+one integer holding the order's weight rows above its exponents, so products
 are additions and the order is integer comparison, and the pending terms
 sit in a heap, whose highest term is cancelled by the first divisor
 whose lead divides it or else moved to the remainder.  The field width
@@ -26,8 +28,8 @@ itself, which any packing of the same width reuses.  Only membership
 tests order their divisors by cost (fewest terms first, ties by
 ascending lead): they divide by a reduced basis, whose remainder is the
 unique normal form whichever element cancels each term.  Every other
-division keeps its list order, on which its quotients, or its remainder
-by a list that is not a Groebner basis, depend.
+division keeps its list order, on which its remainder by a list that is
+not a Groebner basis depends.
 A membership test, :meth:`Ideal.contains` of f with exponent e, decides
 whether f**(p**e) lies in I without forming the power: packing is linear
 and Frobenius is additive over F_p, so it divides f's table with every
@@ -168,7 +170,7 @@ class _Divisors:
     packing, so a packing that readers share never changes under them.
     Each polynomial caches its pack in its ``_pk`` slot as (width, entry),
     where the entry is (packed lead, packed tail, the monic form's negated
-    tail coefficients, None), and a packing reuses the cached entry
+    tail coefficients), and a packing reuses the cached entry
     exactly when its width is the same (and packs again, replacing it,
     otherwise): so a basis that Buchberger or a colon returns, whose
     elements keep the entries they were built with, is not packed
@@ -194,7 +196,6 @@ class _Divisors:
                 sum(map(mul, lm, self.units)),
                 tuple([sum(map(mul, m, self.units)) for m in terms if m != lm]),
                 tuple([-c * inv % p for m, c in terms.items() if m != lm]),
-                None,
             ))
         return pk[1]
 
@@ -217,7 +218,7 @@ class _Divisors:
         terms.update(zip(map(unpack, ms), cs))
         g = Polynomial(self.ring, terms)
         g._lm = lm
-        entry = (lead, ms, tuple([p - c for c in cs]), None)
+        entry = (lead, ms, tuple([p - c for c in cs]))
         g._pk = (self.width, entry)
         self.polys.append(g)
         self.entries.append(entry)
@@ -235,13 +236,12 @@ class _Divisors:
         return self.append_monic(lead, tuple(table), [c * inv % p for c in table.values()])
 
 
-def _reduce_terms(terms: dict, divs: _Divisors, quots=None, scale: int = 1) -> tuple:
+def _reduce_terms(terms: dict, divs: _Divisors, scale: int = 1) -> tuple:
     """(remainder, packing): the remainder of the term table ``terms``, its
     exponents multiplied by ``scale``, on division by the monic forms of
     the polynomials ``divs``, as a new packed table in descending order,
     and the packing of the divisors it is packed in, ``divs`` itself or a
-    wider one.  The remainder (and ``quots``) must be read with that
-    packing's ``unpack``.
+    wider one.  The remainder must be read with that packing's ``unpack``.
 
     The terms are packed (see :func:`_layout`) in the divisors' field
     width, or in fields wide enough for the scaled table's degree; packing
@@ -254,35 +254,28 @@ def _reduce_terms(terms: dict, divs: _Divisors, quots=None, scale: int = 1) -> t
     remainder.  Every term a step adds lies below the term it cancels, so
     each key enters the heap once, a remainder term is never touched
     again, and a divisor whose lead lies above the popped term never
-    divides a later one.  With ``quots``, each step sets a new packed term
-    of ``quots[i]``, the multiple of divisor i it took.
+    divides a later one.
 
     Under grevlex no new term outgrows the input's degree, but under lex
     and block orders one can (x^N by x - y^2 gives y^(2N)): a new key
     with a guard bit set stops the division, which starts over on the
     divisors packed again in fields twice as wide."""
     degree = max(map(sum, terms), default=0) * scale
-    return _restarting(partial(_reduce_attempt, terms, divs, quots, scale), max(divs.width, _width(degree)))
+    return _restarting(partial(_reduce_attempt, terms, divs, scale), max(divs.width, _width(degree)))
 
 
-def _reduce_attempt(terms: dict, divs: _Divisors, quots, scale: int, width: int) -> tuple:
+def _reduce_attempt(terms: dict, divs: _Divisors, scale: int, width: int) -> tuple:
     """One attempt of :func:`_reduce_terms`, in ``width``-bit fields."""
     if width != divs.width:
         divs = _Divisors(divs.ring, divs.polys, width)
-    entries = divs.entries
-    if quots is not None:
-        for q in quots:
-            q.clear()
-        entries = [(lead, ms, ncs, q) for (lead, ms, ncs, _), q in zip(entries, quots)]
-    return _divide_packed(divs.pack(terms, scale), entries, divs.top, divs.guards, divs.ring.p), divs
+    return _divide_packed(divs.pack(terms, scale), divs.entries, divs.top, divs.guards, divs.ring.p), divs
 
 
 def _divide_packed(work: dict, entries: list, floor: int, guards: int, p: int) -> dict:
     """The loop of :func:`_reduce_terms` on the packed table ``work``
     (consumed), by the divisor entries (packed lead, packed tail, negated
-    tail coefficients, quotient table or None) whose highest lead is
-    ``floor``; raises :class:`_Overflow` when a new term outgrows the
-    field width.  Each popped term is tested against the entries in their
+    tail coefficients) whose highest lead is ``floor``; raises
+    :class:`_Overflow` when a new term outgrows the field width.  Each popped term is tested against the entries in their
     order until one lead divides it, so the order sets the number of tests
     per term; for a Groebner basis it does not change the remainder."""
     heap = [-t for t in work]
@@ -298,15 +291,13 @@ def _divide_packed(work: dict, entries: list, floor: int, guards: int, p: int) -
             entries = [e for e in entries if e[0] <= t]
             floor = max([e[0] for e in entries], default=-1)
         tg = t | guards
-        for lead, ms, ncs, q in entries:
+        for lead, ms, ncs in entries:
             if (tg - lead) & guards == guards:
                 break
         else:
             out[t] = c
             continue
         shift = t - lead
-        if q is not None:
-            q[shift] = c
         for m, nc in zip(ms, ncs):
             m += shift
             old = get(m)
@@ -320,29 +311,6 @@ def _divide_packed(work: dict, entries: list, floor: int, guards: int, p: int) -
     return out
 
 
-def _divide(f: Polynomial, reducers, quotients: bool):
-    """(quotient tables, remainder) of f on division by the polynomials
-    ``reducers``, with no tables (None) kept unless ``quotients`` is set:
-    the shared body of :func:`normal_form` and :func:`reduce_with_quotients`.
-    The division runs by the monic forms of the reducers, so each table is
-    scaled back by its reducer's inverse leading coefficient."""
-    reducers = list(reducers)
-    _check_ring(f.ring, *reducers)
-    if any(g.is_zero for g in reducers):
-        raise ValueError("zero polynomial among reducers")
-    if not reducers:
-        return [], f
-    p = f.ring.p
-    quots = [{} for _ in reducers] if quotients else None
-    out, divs = _reduce_terms(f.terms, _Divisors(f.ring, reducers), quots)
-    unpack = divs.unpack
-    if quots is not None:
-        for k, g in enumerate(divs.polys):
-            inv = pow(g.leading_coefficient(), -1, p)
-            quots[k] = {unpack(s): c * inv % p for s, c in quots[k].items()}
-    return quots, Polynomial(f.ring, {unpack(t): c for t, c in out.items()})
-
-
 def normal_form(f: Polynomial, reducers) -> Polynomial:
     """Remainder of f on division by ``reducers``; no term of the result is
     divisible by any reducer's leading monomial, and f - result lies in the
@@ -353,14 +321,15 @@ def normal_form(f: Polynomial, reducers) -> Polynomial:
     unique normal form.  Membership does not go through here:
     :meth:`Ideal.contains` divides on its cached packed divisors and reads
     only whether the packed remainder is empty."""
-    return _divide(f, reducers, False)[1]
-
-
-def reduce_with_quotients(f: Polynomial, reducers):
-    """Division with record: returns (quotients, remainder) with
-    f == sum(q_i * g_i) + remainder."""
-    quots, rem = _divide(f, reducers, True)
-    return [Polynomial(f.ring, q) for q in quots], rem
+    reducers = list(reducers)
+    _check_ring(f.ring, *reducers)
+    if any(g.is_zero for g in reducers):
+        raise ValueError("zero polynomial among reducers")
+    if not reducers:
+        return f
+    out, divs = _reduce_terms(f.terms, _Divisors(f.ring, reducers))
+    unpack = divs.unpack
+    return Polynomial(f.ring, {unpack(t): c for t, c in out.items()})
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -394,7 +363,7 @@ def _s_remainder(divs: _Divisors, i: int, j: int, lcm: int) -> dict:
         check_degree(sum(divs.unpack(lcm)) + max(h.total_degree() - sum(h.leading_monomial())
                                                  for h in (divs.polys[i], divs.polys[j])))
     p, guards, entries = divs.ring.p, divs.guards, divs.entries
-    (lf, msf, ncsf, _), (lg, msg, ncsg, _) = entries[i], entries[j]
+    (lf, msf, ncsf), (lg, msg, ncsg) = entries[i], entries[j]
     over = lcm
     shift = lcm - lf
     work = {m + shift: p - nc for m, nc in zip(msf, ncsf)}
@@ -440,7 +409,7 @@ def _reduced_basis(divs: _Divisors) -> tuple[Polynomial, ...]:
             kept.append(e)
     top = kept[-1][0]
     reduced = _Divisors(divs.ring, (), divs.width)
-    for lead, ms, ncs, _ in kept:
+    for lead, ms, ncs in kept:
         out = _divide_packed({m: p - nc for m, nc in zip(ms, ncs)}, kept, top, guards, p)
         reduced.append_monic(lead, tuple(out), out.values())
     return tuple(reversed(reduced.polys))

@@ -67,11 +67,15 @@ def _error(text: str, term, value: str, message: str) -> PolyParseError:
 
 def _integer(text: str, value: str, term) -> int:
     """The numeral ``value`` of the term match ``term`` as an int;
-    PolyParseError when it is longer than Python converts from a string."""
+    PolyParseError when it has more than 4300 digits, CPython's default
+    limit on converting a string, even where the interpreter lifts that
+    limit, or when it is over a lower limit the interpreter sets."""
     try:
-        return int(value)
+        if len(value) <= 4300:
+            return int(value)
     except ValueError:
-        raise _error(text, term, value, f"numeral of {len(value)} digits is too long") from None
+        pass
+    raise _error(text, term, value, f"numeral of {len(value)} digits is too long")
 
 
 def _syntax_error(text: str, start: int, end: int, pos: int, powers) -> PolyParseError:

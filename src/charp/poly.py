@@ -481,13 +481,24 @@ def frobenius_substitute(f: Polynomial, e: int) -> Polynomial:
 
 
 def divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
-    """The quotient f/g when g divides f exactly; raises ValueError otherwise."""
-    from .groebner import reduce_with_quotients
+    """The quotient f/g when g divides f exactly; raises ValueError otherwise.
 
+    Long division on leading terms: each step cancels the remainder's
+    leading term by a term times g.  If g divides the remainder, g's
+    leading monomial divides the remainder's, so the first leading term it
+    does not divide ends the division."""
     _check_ring(f.ring, g)
     if g.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
-    (quot,), rem = reduce_with_quotients(f, [g])
-    if not rem.is_zero:
-        raise ValueError(f"{g} does not divide {f} exactly")
-    return quot
+    ring, lm = f.ring, g.leading_monomial()
+    inv = pow(g.terms[lm], -1, ring.p)
+    quot: dict = {}
+    rem = f
+    while rem:
+        m = rem.leading_monomial()
+        shift = tuple(x - y for x, y in zip(m, lm))
+        if any(e < 0 for e in shift):
+            raise ValueError(f"{g} does not divide {f} exactly")
+        c = quot[shift] = rem.terms[m] * inv % ring.p
+        rem = rem - g * Polynomial(ring, {shift: c})
+    return Polynomial(ring, quot)

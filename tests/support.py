@@ -296,12 +296,14 @@ _REFERENCE_TOKEN_RE = re.compile(r"(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)
 
 def _reference_integer(text: str, value: str, offset: int) -> int:
     """The numeral ``value`` at ``text[offset]`` as an int; PolyParseError
-    when it is longer than Python converts from a string."""
+    when it has more than 4300 digits or is over the interpreter's limit."""
     try:
-        return int(value)
+        if len(value) <= 4300:
+            return int(value)
     except ValueError:
-        message = f"numeral of {len(value)} digits is too long"
-        raise PolyParseError(message, *_position(text, offset)) from None
+        pass
+    message = f"numeral of {len(value)} digits is too long"
+    raise PolyParseError(message, *_position(text, offset))
 
 
 def reference_parse_polynomial(ring: PolyRing, text: str, start: int = 0, end: int | None = None) -> Polynomial:

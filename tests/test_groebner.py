@@ -13,14 +13,15 @@ from charp import (
     Ideal,
     LEX,
     PolyRing,
+    Polynomial,
     RingMismatchError,
     block_order,
     buchberger,
+    divide_exact,
     frobenius_power,
     frobenius_preimage,
     membership_oracle,
     normal_form,
-    reduce_with_quotients,
     s_polynomial,
     set_degree_cap,
 )
@@ -32,6 +33,7 @@ from support import (
     mono_divides,
     monomials_of_degree_at_most,
     oracle_buchberger_pairs,
+    oracle_divide,
     random_ideal,
     random_monomial,
     random_poly,
@@ -55,8 +57,8 @@ def test_normal_form_examples(f2xyz):
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_normal_form_idempotent_and_sound(p):
-    # random coefficients make the reducers non-monic, so the quotients
-    # are scaled back by their inverse leading coefficients
+    # random coefficients make the reducers non-monic, so the oracle's
+    # quotients are scaled back by their inverse leading coefficients
     ring = PolyRing(p, ["x", "y"])
     rng = random.Random(42)
     for _ in range(20):
@@ -67,8 +69,9 @@ def test_normal_form_idempotent_and_sound(p):
         assert normal_form(r, G) == r
         leads = [g.leading_monomial() for g in G]
         assert not any(mono_divides(lm, m) for m in r.terms for lm in leads)
-        quots, r2 = reduce_with_quotients(f, G)
-        assert r2 == r
+        quots, rem = oracle_divide(f, G)
+        assert r.terms == rem
+        quots = [Polynomial(ring, q) for q in quots]
         assert sum((q * g for q, g in zip(quots, G)), r) == f
 
 
@@ -95,11 +98,11 @@ def test_normal_form_rejects_another_ring():
             normal_form(f, [g])
 
 
-def test_reduce_with_quotients_rejects_another_ring():
+def test_divide_exact_rejects_another_ring():
     f, foreign = _foreign_polynomials()
     for g in foreign:
         with pytest.raises(RingMismatchError):
-            reduce_with_quotients(f, [g])
+            divide_exact(f, g)
 
 
 def test_buchberger_rejects_another_ring():
@@ -825,7 +828,7 @@ def test_division_reads_its_remainder_in_its_own_width(monkeypatch):
     would raise.  The narrow test leaves the wider cache in place.  Then
     x^4 modulo x - y^(2^29) leaves y^(2^31), so the ideal caches a
     packing in 64-bit fields: the packing a reader took before keeps its
-    32-bit width, its entries and its answers, remainder and quotients."""
+    32-bit width, its entries and its remainders."""
     ring = PolyRing(3, ["x", "y"], LEX)
     x, y = ring.gens()
     g = x - y**3
@@ -858,11 +861,9 @@ def test_division_reads_its_remainder_in_its_own_width(monkeypatch):
     assert not I.contains(x**4)
     assert I._divs.width == 64
     assert held.width == 32 and held.entries == entries
-    quots = [{}]
-    out, divs = groebner._reduce_terms((x * y).terms, held, quots)
+    out, divs = groebner._reduce_terms((x * y).terms, held)
     assert divs is held
     assert {held.unpack(t): c for t, c in out.items()} == (y ** (d + 1)).terms
-    assert {held.unpack(t): c for t, c in quots[0].items()} == y.terms
 
 
 def test_pickles_carry_no_pack_caches():

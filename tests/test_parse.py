@@ -1,6 +1,7 @@
 import collections
 import random
 import re
+import sys
 import time
 
 import pytest
@@ -86,6 +87,32 @@ def test_parse_errors_carry_positions(ring, text, message, col):
     with pytest.raises(PolyParseError) as err:
         parse_polynomial(ring, text)
     assert (err.value.message, err.value.line, err.value.column) == (message, 1, col)
+
+
+def test_numeral_limit_does_not_follow_the_interpreter(ring):
+    """A numeral of more than 4300 digits, CPython's default limit for
+    int(), is refused, and one of 4300 digits parses, also where the
+    interpreter lifts its own limit (PYTHONINTMAXSTRDIGITS=0); a lower
+    limit set there still gives the positioned error."""
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        pytest.skip("this interpreter has no limit on int() to set")
+    limit = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        with pytest.raises(PolyParseError) as err:
+            parse_polynomial(ring, "x + " + "9" * 4301 + "y")
+        assert (err.value.message, err.value.line, err.value.column) == (
+            "numeral of 4301 digits is too long", 1, 5)
+        with pytest.raises(PolyParseError, match="numeral of 4301 digits is too long"):
+            parse_polynomial(ring, "x^" + "1" * 4301)
+        assert parse_polynomial(ring, "8" * 4300 + "x") == int("8" * 4300) % 7 * ring.var("x")
+        set_limit(1000)
+        with pytest.raises(PolyParseError) as err:
+            parse_polynomial(ring, "x + " + "9" * 2000)
+        assert (err.value.message, err.value.column) == ("numeral of 2000 digits is too long", 5)
+    finally:
+        set_limit(limit)
 
 
 @pytest.mark.parametrize("text,col", [("x, , y", 3), ("x, y,", 6)])

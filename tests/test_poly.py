@@ -19,7 +19,7 @@ from charp import (
     frobenius_substitute,
     set_degree_cap,
 )
-from support import random_monomial, random_poly
+from support import oracle_divide, random_monomial, random_poly
 
 
 @pytest.fixture
@@ -196,6 +196,35 @@ def test_divide_exact():
     assert divide_exact(f, x + 2 * y) == x**2 + y
     with pytest.raises(ValueError):
         divide_exact(x**2 + y, x + 1)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("order", [GREVLEX, LEX, block_order(1)], ids=str)
+def test_divide_exact_matches_the_division_oracle(order, p):
+    """On seeded q and g, divide_exact(q*g, g) is q, with the terms in
+    the order of the tuple kernel's quotient table, and the oracle leaves
+    no remainder; q*g + h with a nonzero oracle remainder raises the
+    ValueError, and division by zero raises ZeroDivisionError."""
+    rng = random.Random(f"divide exact {order} {p}")
+    ring = PolyRing(p, ["x", "y", "z"], order)
+    non_multiples = 0
+    for _ in range(30):
+        q = random_poly(rng, ring, max_degree=3, max_terms=4)
+        g = random_poly(rng, ring, max_degree=3, max_terms=4)
+        if g.is_zero:
+            continue
+        (quot,), rem = oracle_divide(q * g, [g])
+        assert not rem
+        quotient = divide_exact(q * g, g)
+        assert quotient == q and list(quotient.terms.items()) == list(quot.items())
+        f = q * g + random_poly(rng, ring, max_degree=3, max_terms=2)
+        if oracle_divide(f, [g])[1]:
+            non_multiples += 1
+            with pytest.raises(ValueError, match=re.escape(f"{g} does not divide {f} exactly")):
+                divide_exact(f, g)
+    with pytest.raises(ZeroDivisionError, match="division by the zero polynomial"):
+        divide_exact(ring.one(), ring.zero())
+    assert non_multiples
 
 
 def test_ring_mismatch():
