@@ -4,8 +4,10 @@ A class [r / (b_1 ... b_d)^n] over a validated parameter sequence supports
 an exact zero test (numerator membership in the n-th powers of the
 sequence, valid because the sequence is a regular sequence), the
 semilinear action that raises numerators to p-th powers while scaling the
-level, torsion orders (which test the zero of each x^j z without forming
-it: a membership of the unformed power r^(p^j)), and a finite scan
+level, torsion orders (which divide the numerator r once by the basis of
+its level ideal B = (b^n) + J and test the zero of each x^j z without
+forming it: a membership of the unformed power r0^(p^j) of the remainder
+r0, exact since B^[q] lies in (b^(n q)) + J for q = p^j), and a finite scan
 estimating the HSL number of the top local cohomology module through its
 ideal-theoretic characterization.
 
@@ -19,7 +21,7 @@ nothing declares it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .frobenius import (
     NotStabilizedError,
@@ -27,6 +29,7 @@ from .frobenius import (
     bracket_powers_agree,
     frobenius_closure,
 )
+from .groebner import normal_form
 from .poly import Polynomial, frobenius_power
 from .quotient import QuotientRing
 
@@ -49,8 +52,7 @@ def _regular_sop(R: QuotientRing, sequence) -> tuple:
     return sequence
 
 
-@dataclass(frozen=True)
-class CechClass:
+class CechClass(NamedTuple):
     """[numerator / (b_1 ... b_d)^level] in the top local cohomology of R."""
 
     ring: QuotientRing
@@ -113,15 +115,27 @@ def torsion_order(z: CechClass, j_max: int) -> int | None:
     None when every power up to j_max leaves the class nonzero.
 
     x^j [r / b^n] = [r^(p^j) / b^(n p^j)] is zero exactly when r^(p^j)
-    lies in (b^(n p^j)) + J, the ring's cached lift, which
-    :meth:`Ideal.contains` tests with exponent j: neither the power nor
-    the class x^j z is formed.  ``cech_is_zero(x_act(z, j))`` is the
-    oracle."""
+    lies in (b^(n p^j)) + J.  The numerator is first divided once by the
+    reduced basis of its own level ideal B = (b^n) + J: that division is
+    the j = 0 zero test, and its remainder r0 stands for r at every level,
+    since r - r0 lies in B and Frobenius is additive, so r^q - r0^q lies
+    in B^[q], which is contained in (b^(n q)) + J for q = p^j.  For j >= 1
+    :meth:`Ideal.contains` with exponent j tests r0^(p^j) in the ring's
+    cached lift of (b^(n p^j)): neither the power nor the class x^j z is
+    formed.  Only the chain's first level is taken: the full chain,
+    which would also reduce each level's remainder before the next power,
+    is left until the benchmark stops keeping one record per task run,
+    whose memory grows with throughput.  Under a degree cap, the test at
+    level j checks q deg r0 (q deg r before), which is no larger under a
+    degree order.  ``cech_is_zero(x_act(z, j))`` is the oracle."""
     if j_max < 0:
         raise ValueError(f"j_max must be non-negative, got {j_max}")
     R = z.ring
-    for j in range(j_max + 1):
-        if R.lift([b ** (z.level * R.p ** j) for b in z.sequence]).contains(z.numerator, j):
+    r = normal_form(z.numerator, R.lift([b ** z.level for b in z.sequence]).groebner_basis())
+    if r.is_zero:
+        return 0
+    for j in range(1, j_max + 1):
+        if R.lift([b ** (z.level * R.p ** j) for b in z.sequence]).contains(r, j):
             return j
     return None
 
@@ -129,8 +143,7 @@ def torsion_order(z: CechClass, j_max: int) -> int | None:
 # ---------------------------------------------------------------------------
 # HSL-number scan
 
-@dataclass
-class EtaReport:
+class EtaReport(NamedTuple):
     """Finite scan of Q-exponents of the bracket powers of one parameter
     ideal.  The scanned sop is checked to be a regular sequence, so R is
     Cohen-Macaulay and R/q embeds in the top local cohomology module for

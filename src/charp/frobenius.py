@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .groebner import Ideal, _eliminate, _fresh_variable
 from .parse import parse_polynomials
@@ -202,8 +202,7 @@ def closure_step(R: QuotientRing, I: Ideal, e: int) -> Ideal:
     return C
 
 
-@dataclass
-class ClosureChainReport:
+class ClosureChainReport(NamedTuple):
     """Result of a closure-chain run.
 
     ``chain`` lists (e, reduced Groebner basis of the lifted C_e); the
@@ -301,8 +300,7 @@ def q_number(report: ClosureChainReport) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # census of Q-exponents over parameter families
 
-@dataclass(frozen=True)
-class CensusRow:
+class CensusRow(NamedTuple):
     """Per-ideal census record."""
 
     parameters: tuple  # ((name, value), ...)
@@ -312,8 +310,7 @@ class CensusRow:
     stabilized: bool
 
 
-@dataclass
-class CensusReport:
+class CensusReport(NamedTuple):
     rows: tuple
     uniform_e: int | None
     uniform_e_is_lower_bound: bool

@@ -159,13 +159,14 @@ class _Divisors:
     :func:`_reduce_terms` (which divides by their monic forms), packed in
     one field width (see :func:`_layout`), by default the least that holds
     each of them; Buchberger and the kernel colon append the elements they
-    find.  The list order is the order in which divisors are tried: the
-    caller's, except for the divisors an :class:`Ideal` caches for
-    membership, which it orders by cost.
+    find as packed entries alone, with no polynomial.  The list order is
+    the order in which divisors are tried: the caller's, except for the
+    divisors an :class:`Ideal` caches for membership, which it orders by
+    cost.
 
     The width is fixed at construction, and so are ``units``, ``guards``
     and ``unpack``; ``entries`` (one per divisor) and ``top``, the highest
-    packed lead, change only as :meth:`append_monic` adds a divisor.
+    packed lead, change only as :meth:`append_remainder` adds a divisor.
     A computation that outgrows the width starts over on a new, wider
     packing, so a packing that readers share never changes under them.
     Each polynomial caches its pack in its ``_pk`` slot as (width, entry),
@@ -206,34 +207,26 @@ class _Divisors:
         units = self.units if scale == 1 else [u * scale for u in self.units]
         return {sum(map(mul, m, units)): c for m, c in terms.items()}
 
-    def append_monic(self, lead: int, ms: tuple, cs) -> Polynomial:
-        """Add, after the others, the monic polynomial with packed lead
-        ``lead``, packed tail ``ms`` and tail coefficients ``cs``, in this
-        packing's width, and return it; for a list no other reader holds.
-        Its entry is ``ms`` and ``cs`` negated, with no packing; only the
-        polynomial is unpacked, once."""
-        p, unpack = self.ring.p, self.unpack
-        lm = unpack(lead)
-        terms = {lm: 1}
-        terms.update(zip(map(unpack, ms), cs))
-        g = Polynomial(self.ring, terms)
-        g._lm = lm
-        entry = (lead, ms, tuple([p - c for c in cs]))
-        g._pk = (self.width, entry)
-        self.polys.append(g)
-        self.entries.append(entry)
-        self.top = max(self.top, lead)
-        return g
+    def degree(self, terms) -> int:
+        """The highest total degree of the packed monomials ``terms``."""
+        return max(sum(self.unpack(t)) for t in terms)
 
-    def append_remainder(self, table: dict) -> Polynomial:
-        """:meth:`append_monic` of ``table``, a nonzero packed remainder in
-        this packing's width and in descending order (consumed), scaled to
-        monic."""
+    def append_remainder(self, table: dict) -> tuple:
+        """Add, after the others, the entry of ``table``, a nonzero packed
+        remainder in this packing's width and in descending order
+        (consumed), scaled to monic, and return its unpacked lead; for a
+        list no other reader holds.  Only the entry is kept, with no
+        polynomial (:func:`_reduced_basis` unpacks the basis it keeps);
+        under a degree cap, the table's degree counts against it."""
+        if degree_cap() is not None:
+            check_degree(self.degree(table))
         p = self.ring.p
         lead = next(iter(table))
-        c = table.pop(lead)
-        inv = 1 if c == 1 else pow(c, -1, p)
-        return self.append_monic(lead, tuple(table), [c * inv % p for c in table.values()])
+        lc = table.pop(lead)
+        ninv = p - (1 if lc == 1 else pow(lc, -1, p))  # the negated inverse
+        self.entries.append((lead, tuple(table), tuple([c * ninv % p for c in table.values()])))
+        self.top = max(self.top, lead)
+        return self.unpack(lead)
 
 
 def _reduce_terms(terms: dict, divs: _Divisors, scale: int = 1) -> tuple:
@@ -320,7 +313,8 @@ def normal_form(f: Polynomial, reducers) -> Polynomial:
     unless the reducers are a Groebner basis, whose remainder is the
     unique normal form.  Membership does not go through here:
     :meth:`Ideal.contains` divides on its cached packed divisors and reads
-    only whether the packed remainder is empty."""
+    only whether the packed remainder is empty; a Cech torsion order
+    divides its numerator here once, as it keeps the remainder."""
     reducers = list(reducers)
     _check_ring(f.ring, *reducers)
     if any(g.is_zero for g in reducers):
@@ -348,9 +342,10 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
 
 def _s_remainder(divs: _Divisors, i: int, j: int, lcm: int) -> dict:
     """The remainder of ``_reduce_terms(s_polynomial(f, g).terms, divs)``
-    for the monic divisors f = ``divs.polys[i]`` and g = ``divs.polys[j]``,
-    whose leads have the packed lcm ``lcm``, formed on their packed
-    entries: a packed table in descending order, in the divisors' width.
+    for the monic divisors f and g whose packed entries are
+    ``divs.entries[i]`` and ``divs.entries[j]``, with leads of packed lcm
+    ``lcm``, formed on those entries: a packed table in descending order,
+    in the divisors' width.
 
     The shifts are the packed lcm minus each packed lead, and the table is
     the sum of the two shifted tails, f's with the negation of its stored
@@ -358,11 +353,12 @@ def _s_remainder(divs: _Divisors, i: int, j: int, lcm: int) -> dict:
     are dropped.  A guard bit set by the lcm, a shifted term or the
     division raises :class:`_Overflow`: the Buchberger run starts over.
     The multiples of f and g count against the degree cap, as the
-    polynomials of :func:`s_polynomial` do."""
-    if degree_cap() is not None:
-        check_degree(sum(divs.unpack(lcm)) + max(h.total_degree() - sum(h.leading_monomial())
-                                                 for h in (divs.polys[i], divs.polys[j])))
+    polynomials of :func:`s_polynomial` do; their degrees are read off the
+    entries."""
     p, guards, entries = divs.ring.p, divs.guards, divs.entries
+    if degree_cap() is not None:
+        check_degree(divs.degree([lcm]) + max(divs.degree((e[0],) + e[1]) - divs.degree([e[0]])
+                                              for e in (entries[i], entries[j])))
     (lf, msf, ncsf), (lg, msg, ncsg) = entries[i], entries[j]
     over = lcm
     shift = lcm - lf
@@ -393,11 +389,12 @@ def _reduced_basis(divs: _Divisors) -> tuple[Polynomial, ...]:
     order), and each one whose lead is divisible by a lead already kept is
     dropped; each kept element's packed tail is then reduced by the kept
     entries, and only the result is unpacked, once, into a polynomial
-    that keeps the result as its packed entry (:meth:`_Divisors.append_monic`
-    on a new packing of the same width).  Every pending term lies
-    below the element's own lead, which therefore divides none of them,
-    so the tail is reduced by the other kept elements; their leads form an
-    antichain and they are monic, so no lead is cancelled or rescaled.  A
+    that keeps the result as its packed entry in the same width: the only
+    polynomials a Buchberger run or a kernel colon builds.  Every pending
+    term lies below the element's own lead, which therefore divides none
+    of them, so the tail is reduced by the other kept elements; their
+    leads form an antichain and they are monic, so no lead is cancelled
+    or rescaled.  A
     reduction that outgrows the fields (under lex or block orders) raises
     :class:`_Overflow`, and the computation that built the divisors starts
     over from its inputs."""
@@ -407,12 +404,18 @@ def _reduced_basis(divs: _Divisors) -> tuple[Polynomial, ...]:
         lg = e[0] | guards
         if not any((lg - k[0]) & guards == guards for k in kept):
             kept.append(e)
-    top = kept[-1][0]
-    reduced = _Divisors(divs.ring, (), divs.width)
+    top, unpack, width = kept[-1][0], divs.unpack, divs.width
+    basis = []
     for lead, ms, ncs in kept:
         out = _divide_packed({m: p - nc for m, nc in zip(ms, ncs)}, kept, top, guards, p)
-        reduced.append_monic(lead, tuple(out), out.values())
-    return tuple(reversed(reduced.polys))
+        lm = unpack(lead)
+        terms = {lm: 1}
+        terms.update(zip(map(unpack, out), out.values()))
+        g = Polynomial(divs.ring, terms)
+        g._lm = lm
+        g._pk = (width, (lead, tuple(out), tuple([p - c for c in out.values()])))
+        basis.append(g)
+    return tuple(reversed(basis))
 
 
 def buchberger(generators) -> tuple[Polynomial, ...]:
@@ -478,7 +481,7 @@ def _buchberger_attempt(gens: list, width: int) -> tuple[Polynomial, ...]:
         if not table:
             return
         t = len(entries)
-        lm = divs.append_remainder(table)._lm
+        lm = divs.append_remainder(table)
         lt = entries[t][0]
         lcms = [sum(map(mul, map(max, m, lm), units)) for m in lms]
         heap[:] = [(l, i, j) for l, i, j in heap
@@ -733,7 +736,7 @@ class Ideal:
         if divs.width > self._divs.width:
             self._divs = divs
         if out and capped:
-            check_degree(max(sum(divs.unpack(t)) for t in out))
+            check_degree(divs.degree(out))
         return not out
 
     def __contains__(self, f: Polynomial) -> bool:

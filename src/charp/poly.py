@@ -16,7 +16,7 @@ ring, so every ring check is an identity test (:func:`_check_ring`).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 Monomial = tuple  # tuple[int, ...], one exponent per ring variable
 
@@ -82,8 +82,7 @@ def _grevlex_key(m: Monomial):
     return (sum(m), tuple(-e for e in reversed(m)))
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
+class MonomialOrder(NamedTuple):
     """A total, multiplicative monomial order with 1 as minimum.
 
     ``kind`` is one of ``"lex"``, ``"grevlex"`` or ``"block"``; for block

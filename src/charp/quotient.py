@@ -23,7 +23,7 @@ regular sequence exists exactly when R is Cohen-Macaulay there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .groebner import Ideal
 from .poly import PolyRing, _check_ring
@@ -40,8 +40,7 @@ def _check_homogeneous(elems) -> None:
             )
 
 
-@dataclass(frozen=True)
-class RegularSequenceCheck:
+class RegularSequenceCheck(NamedTuple):
     """Outcome of a poor-regular-sequence test; ``failure_index`` is the
     0-based position of the first element that is a zerodivisor modulo its
     predecessors (None when the sequence passes)."""

@@ -21,7 +21,8 @@ lists are parsed where they stand, and the 1-based line and column of a
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .groebner import Ideal
 from .parse import PolyParseError, _position, _PositionedError, parse_polynomials
@@ -33,11 +34,10 @@ class RingFileError(_PositionedError):
     """Ring-file problem with a 1-based source position."""
 
 
-@dataclass
-class RingFile:
+class RingFile(NamedTuple):
     ring: PolyRing
     quotient: tuple = ()
-    ideals: dict = field(default_factory=dict)
+    ideals: dict = MappingProxyType({})  # read-only: no instance shares a mutable default
 
     def quotient_ring(self) -> QuotientRing:
         return QuotientRing(self.ring, Ideal(self.ring, list(self.quotient)))

@@ -21,7 +21,9 @@ from charp import (
     torsion_order,
     x_act,
 )
+from charp import cohomology
 from charp.frobenius import frobenius_target
+from charp.groebner import normal_form
 from support import (
     fermat_cubic_torsion_order,
     fermat_ring,
@@ -148,6 +150,65 @@ def test_torsion_orders_match_the_x_act_route(p, d, j_max):
         assert 2 in orders
 
 
+def _x_act_order(z, j_max):
+    """The oracle of ``torsion_order``: x^j z formed by ``x_act`` and tested
+    by ``cech_is_zero``."""
+    return next((j for j in range(j_max + 1) if cech_is_zero(x_act(z, j))), None)
+
+
+def test_torsion_orders_depend_only_on_the_class():
+    """torsion_order([r / b^n]) = torsion_order([(r + g) / b^n]) for seeded
+    g in (b^n) + J, over the Fermat cubic at p = 2 and 3 and the Fermat
+    quartic at p = 2: the numerator is divided by that ideal's basis, so
+    every representative reduces to the same remainder.  The draws hold
+    the orders 0, 1, 2 and None."""
+    orders = set()
+    for p, d, j_max in ((2, 3, 6), (3, 3, 3), (2, 4, 6)):
+        R = fermat_ring(p, d)
+        x, y, _ = R.ambient.gens()
+        rng = random.Random(f"class {p} {d}")
+        for n in range(1, 4):
+            level = R.lift([x**n, y**n])
+            monos = [(a, b, c) for a in range(n + 1) for b in range(n + 1) for c in range(d)]
+            for _ in range(15):
+                terms = {m: rng.randint(1, p - 1) for m in rng.sample(monos, rng.randint(1, 3))}
+                r = R.ambient.poly(terms)
+                g = sum((random_poly(rng, R.ambient, 2, 2) * b for b in level.gens), R.ambient.zero())
+                order = torsion_order(cech_class(R, [x, y], r, n), j_max)
+                assert torsion_order(cech_class(R, [x, y], r + g, n), j_max) == order
+                orders.add(order)
+    assert orders == {0, 1, 2, None}
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_reduced_numerators_match_the_x_act_route(p):
+    """Numerators with a term in the initial ideal of B = (x^n, y^n) + J
+    (such as x^n, or x^3, the cubic's lead), so the division by B's basis
+    changes them, with coefficients from 2 to p - 1, where -c != c: the
+    orders equal the ``x_act`` route's over the Fermat cubic.  Reducing
+    modulo the larger ideal (x^(n-1), y^(n-1)) + J instead changes the
+    order of some class, so these draws tell the two divisions apart."""
+    R = fermat_ring(p)
+    x, y, _ = R.ambient.gens()
+    rng = random.Random(f"initial ideal {p}")
+    orders, moved = set(), 0
+    for n in range(2, 5):
+        basis = R.lift([x**n, y**n]).groebner_basis()
+        larger = R.lift([x ** (n - 1), y ** (n - 1)]).groebner_basis()
+        monos = [R.ambient.monomial((a, b, c)) for a in range(max(n, 3) + 1) for b in range(n + 1) for c in range(3)]
+        leads = [m for m in monos if normal_form(m, basis) != m]
+        assert x**n in leads and x**3 in leads
+        for _ in range(12):
+            r = sum((rng.randint(2, p - 1) * m for m in rng.sample(leads, 1) + rng.sample(monos, rng.randint(0, 2))),
+                    R.ambient.zero())
+            order = _x_act_order(cech_class(R, [x, y], r, n), 2)
+            assert torsion_order(cech_class(R, [x, y], r, n), 2) == order
+            moved += _x_act_order(cech_class(R, [x, y], normal_form(r, larger), n), 2) != order
+            orders.add(order)
+    assert {0, None} <= orders
+    assert moved
+
+
 def test_torsion_matches_closure_chain(R2):
     # torsion_order <= j  <=>  numerator in C_j, exhaustively in degree <= 3
     x, y, _ = R2.ambient.gens()
@@ -271,24 +332,36 @@ def test_cech_and_eta_accept_exactly_the_regular_sops():
 
 
 def test_cech_ideals_are_plain_lifts(monkeypatch):
+    """A torsion order divides the numerator once by the basis of its own
+    level's lift, then reads the cached targets of that lift for j >= 1;
+    no other cache family appears."""
     R = fermat_ring(2)
     x, y, _ = R.ambient.gens()
-    read = []
-    original = Ideal.contains
+    divided, read = [], []
+    original_nf, original_contains = cohomology.normal_form, Ideal.contains
+
+    def dividing(f, reducers):
+        divided.append(reducers)
+        return original_nf(f, reducers)
 
     def recording(ideal, f, e=0):
-        read.append(ideal)
-        return original(ideal, f, e)
+        read.append((ideal, e))
+        return original_contains(ideal, f, e)
 
     with monkeypatch.context() as patch:
+        patch.setattr(cohomology, "normal_form", dividing)
         patch.setattr(Ideal, "contains", recording)
         for n in (1, 2):
             assert torsion_order(cech_class(R, [x, y], R.ambient.one(), n), 3) is None
             base = R.lift([x**n, y**n])
-            # the zero test at level n * p^j reads the target of (b^n) at e = j
-            assert len(read) == 4
-            for j, ideal in enumerate(read):
+            # the j = 0 test is the division, and level n * p^j reads the
+            # target of (b^n) at e = j
+            assert divided == [base.groebner_basis()]
+            assert divided[0] is base.groebner_basis()
+            assert [e for _, e in read] == [1, 2, 3]
+            for ideal, j in read:
                 assert ideal is frobenius_target(R, base, j)
+            divided.clear()
             read.clear()
     eta_estimate(R, [x, y], n_max=1)
     assert {key[0] for key in R._cache} == {"lift", "frob_root", "root_colon"}

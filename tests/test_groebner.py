@@ -222,7 +222,7 @@ def test_gebauer_moller_criteria_prune(monkeypatch):
     s_remainder = groebner._s_remainder
 
     def recording(divs, i, j, lcm):
-        pairs.append((divs.polys[i].leading_monomial(), divs.polys[j].leading_monomial()))
+        pairs.append((divs.unpack(divs.entries[i][0]), divs.unpack(divs.entries[j][0])))
         return s_remainder(divs, i, j, lcm)
 
     monkeypatch.setattr(groebner, "_s_remainder", recording)

@@ -13,14 +13,16 @@ checked against perfbench's stored results.  It prints the 25 functions
 with the most self time, the call counts of Buchberger's three stages
 and those of the division kernel, of ``normal_form`` and of
 ``Ideal.contains`` (each membership test, which divides without
-``normal_form``), so a change to the Groebner kernel or to the division
-can be explained by the same work done in less time: a traced benchmark
-run measures closure-p5 on one round, too few to resolve
-``groebner.buchberger.self_s``.  For each packed computation that starts
-over in wider fields when its terms outgrow them (a division, a
-Buchberger run, a kernel colon) it prints the calls, the attempts and
-their difference, the restarts.  Exits 1 when a task fails or its check
-does.
+``normal_form``; on torsion-scan, the one division of each class's
+numerator by its level's basis shows under the ``normal_form`` calls,
+and the tests of the levels j >= 1 under ``contains``), so a change to
+the Groebner kernel or to the division can be explained by the same
+work done in less time: a traced benchmark run measures closure-p5 on
+one round, too few to resolve ``groebner.buchberger.self_s``.  For each
+packed computation that starts over in wider fields when its terms
+outgrow them (a division, a Buchberger run, a kernel colon) it prints
+the calls, the attempts and their difference, the restarts.  Exits 1
+when a task fails or its check does.
 """
 
 from __future__ import annotations
