@@ -326,9 +326,11 @@ def instantiate_template(ring: PolyRing, template: str, ranges) -> list:
     """Expand a generator template like ``x^{a}, y^{b}`` over integer ranges.
 
     ``ranges`` maps parameter names to iterables of integers; rows are
-    emitted in row-major order of the ranges as given.  Placeholders are
-    substituted as integer exponents only; a parse error's line:col counts
-    in the instantiated row text, such as ``x^1, y^1, w``.
+    emitted in row-major order of the ranges as given.  Each placeholder
+    ``{a}`` is replaced by its value's decimal text wherever it stands, as
+    an exponent or not: ``{a}*x^{b}, y`` with a = 2, b = 1 reads
+    ``2*x, y``.  A parse error's line:col counts in the instantiated row
+    text, such as ``x^1, y^1, w``.
     """
     names = list(ranges)
     used = set(_PLACEHOLDER_RE.findall(template))

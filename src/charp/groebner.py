@@ -13,7 +13,11 @@ Every division (normal forms, Buchberger's reductions, interreduction
 and the kernel colon's border reductions) is one loop on packed
 monomials, by the monic forms of the divisors, that keeps the remainder
 alone (the one quotient the library takes, in :meth:`Ideal.colon`, is
-the long division of :func:`charp.poly.divide_exact`).  Each monomial is
+the long division of :func:`charp.poly.divide_exact`).  A divisor is
+one entry, (packed lead, packed tail, the monic tail's coefficients),
+which :meth:`_Divisors.monic` alone builds, and every division enters
+the loop through :meth:`_Divisors.divide`; the loop negates the
+coefficient of each term it cancels, and nothing else handles a sign.  Each monomial is
 one integer holding the order's weight rows above its exponents, so products
 are additions and the order is integer comparison, and the pending terms
 sit in a heap, whose highest term is cancelled by the first divisor
@@ -166,16 +170,17 @@ class _Divisors:
 
     The width is fixed at construction, and so are ``units``, ``guards``
     and ``unpack``; ``entries`` (one per divisor) and ``top``, the highest
-    packed lead, change only as :meth:`append_remainder` adds a divisor.
-    A computation that outgrows the width starts over on a new, wider
-    packing, so a packing that readers share never changes under them.
-    Each polynomial caches its pack in its ``_pk`` slot as (width, entry),
-    where the entry is (packed lead, packed tail, the monic form's negated
-    tail coefficients), and a packing reuses the cached entry
-    exactly when its width is the same (and packs again, replacing it,
-    otherwise): so a basis that Buchberger or a colon returns, whose
-    elements keep the entries they were built with, is not packed
-    again."""
+    packed lead, change only as :meth:`append_remainder` adds a divisor,
+    or as :func:`_reduced_basis` narrows ``entries`` to the elements it
+    keeps on a packing it consumes.  A computation that outgrows the
+    width starts over on a new, wider packing, so a packing that readers
+    share never changes under them.  Each polynomial caches its pack in
+    its ``_pk`` slot as (width, entry), where the entry is (packed lead,
+    packed tail, the monic form's tail coefficients) as :meth:`monic`
+    builds every entry, and a packing reuses the cached entry exactly when
+    its width is the same (and packs again, replacing it, otherwise): so
+    a basis that Buchberger or a colon returns, whose elements keep the
+    entries they were built with, is not packed again."""
 
     __slots__ = ("ring", "polys", "width", "units", "guards", "unpack", "entries", "top")
 
@@ -190,15 +195,23 @@ class _Divisors:
     def _entry(self, g: Polynomial) -> tuple:
         pk = g._pk
         if pk is None or pk[0] != self.width:
-            p, terms = self.ring.p, g.terms
-            lm = g.leading_monomial()
-            inv = 1 if terms[lm] == 1 else pow(terms[lm], -1, p)
-            pk = g._pk = (self.width, (
-                sum(map(mul, lm, self.units)),
-                tuple([sum(map(mul, m, self.units)) for m in terms if m != lm]),
-                tuple([-c * inv % p for m, c in terms.items() if m != lm]),
-            ))
+            table = self.pack(g.terms)
+            pk = g._pk = (self.width, self.monic(max(table), table))
         return pk[1]
+
+    def monic(self, lead: int, table: dict) -> tuple:
+        """The entry of the nonzero packed table ``table`` (consumed), whose
+        highest key is ``lead``: (packed lead, packed tail, the tail's
+        coefficients times the inverse of the lead's), the tail in the
+        table's order.  Every entry of every packing is built here."""
+        p = self.ring.p
+        inv = pow(table.pop(lead), -1, p)
+        return lead, tuple(table), tuple([c * inv % p for c in table.values()])
+
+    def divide(self, work: dict) -> dict:
+        """The remainder of the packed table ``work`` (consumed) on division
+        by the entries, in list order (see :func:`_divide_packed`)."""
+        return _divide_packed(work, self.entries, self.top, self.guards, self.ring.p)
 
     def pack(self, terms: dict, scale: int = 1) -> dict:
         """The term table ``terms``, its exponents multiplied by ``scale``,
@@ -220,11 +233,8 @@ class _Divisors:
         under a degree cap, the table's degree counts against it."""
         if degree_cap() is not None:
             check_degree(self.degree(table))
-        p = self.ring.p
         lead = next(iter(table))
-        lc = table.pop(lead)
-        ninv = p - (1 if lc == 1 else pow(lc, -1, p))  # the negated inverse
-        self.entries.append((lead, tuple(table), tuple([c * ninv % p for c in table.values()])))
+        self.entries.append(self.monic(lead, table))
         self.top = max(self.top, lead)
         return self.unpack(lead)
 
@@ -261,16 +271,19 @@ def _reduce_attempt(terms: dict, divs: _Divisors, scale: int, width: int) -> tup
     """One attempt of :func:`_reduce_terms`, in ``width``-bit fields."""
     if width != divs.width:
         divs = _Divisors(divs.ring, divs.polys, width)
-    return _divide_packed(divs.pack(terms, scale), divs.entries, divs.top, divs.guards, divs.ring.p), divs
+    return divs.divide(divs.pack(terms, scale)), divs
 
 
 def _divide_packed(work: dict, entries: list, floor: int, guards: int, p: int) -> dict:
     """The loop of :func:`_reduce_terms` on the packed table ``work``
-    (consumed), by the divisor entries (packed lead, packed tail, negated
-    tail coefficients) whose highest lead is ``floor``; raises
-    :class:`_Overflow` when a new term outgrows the field width.  Each popped term is tested against the entries in their
-    order until one lead divides it, so the order sets the number of tests
-    per term; for a Groebner basis it does not change the remainder."""
+    (consumed), by the divisor entries (packed lead, packed tail, monic
+    tail coefficients) whose highest lead is ``floor``, called only by
+    :meth:`_Divisors.divide`; raises :class:`_Overflow` when a new term
+    outgrows the field width.  A term c*t cancelled by an entry adds
+    (p - c) times its tail, shifted by t minus its lead.  Each popped term
+    is tested against the entries in their order until one lead divides
+    it, so the order sets the number of tests per term; for a Groebner
+    basis it does not change the remainder."""
     heap = [-t for t in work]
     heapq.heapify(heap)
     pop, push, get = heapq.heappop, heapq.heappush, work.get
@@ -284,23 +297,24 @@ def _divide_packed(work: dict, entries: list, floor: int, guards: int, p: int) -
             entries = [e for e in entries if e[0] <= t]
             floor = max([e[0] for e in entries], default=-1)
         tg = t | guards
-        for lead, ms, ncs in entries:
+        for lead, ms, cs in entries:
             if (tg - lead) & guards == guards:
                 break
         else:
             out[t] = c
             continue
         shift = t - lead
-        for m, nc in zip(ms, ncs):
+        c = p - c
+        for m, mc in zip(ms, cs):
             m += shift
             old = get(m)
             if old is None:
                 if m & guards:
                     raise _Overflow
-                work[m] = c * nc % p
+                work[m] = c * mc % p
                 push(heap, -m)
             else:
-                work[m] = (old + c * nc) % p
+                work[m] = (old + c * mc) % p
     return out
 
 
@@ -348,25 +362,23 @@ def _s_remainder(divs: _Divisors, i: int, j: int, lcm: int) -> dict:
     in the divisors' width.
 
     The shifts are the packed lcm minus each packed lead, and the table is
-    the sum of the two shifted tails, f's with the negation of its stored
-    (negated) coefficients and g's with them as stored; terms that cancel
-    are dropped.  A guard bit set by the lcm, a shifted term or the
-    division raises :class:`_Overflow`: the Buchberger run starts over.
-    The multiples of f and g count against the degree cap, as the
-    polynomials of :func:`s_polynomial` do; their degrees are read off the
-    entries."""
+    f's shifted tail minus g's; terms that cancel are dropped.  A guard
+    bit set by the lcm, a shifted term or the division raises
+    :class:`_Overflow`: the Buchberger run starts over.  The multiples of
+    f and g count against the degree cap, as the polynomials of
+    :func:`s_polynomial` do; their degrees are read off the entries."""
     p, guards, entries = divs.ring.p, divs.guards, divs.entries
     if degree_cap() is not None:
         check_degree(divs.degree([lcm]) + max(divs.degree((e[0],) + e[1]) - divs.degree([e[0]])
                                               for e in (entries[i], entries[j])))
-    (lf, msf, ncsf), (lg, msg, ncsg) = entries[i], entries[j]
+    (lf, msf, csf), (lg, msg, csg) = entries[i], entries[j]
     over = lcm
     shift = lcm - lf
-    work = {m + shift: p - nc for m, nc in zip(msf, ncsf)}
+    work = {m + shift: c for m, c in zip(msf, csf)}
     shift = lcm - lg
-    for m, nc in zip(msg, ncsg):
+    for m, c in zip(msg, csg):
         m += shift
-        c = (work.get(m, 0) + nc) % p
+        c = (work.get(m, 0) - c) % p
         if c:
             work[m] = c
         else:
@@ -375,14 +387,15 @@ def _s_remainder(divs: _Divisors, i: int, j: int, lcm: int) -> dict:
         over |= m
     if over & guards:
         raise _Overflow
-    return _divide_packed(work, entries, divs.top, guards, p)
+    return divs.divide(work)
 
 
 def _reduced_basis(divs: _Divisors) -> tuple[Polynomial, ...]:
     """The reduced Groebner basis of the ideal generated by the divisors
     ``divs``, nonempty and monic, whose leads generate its initial ideal (a
     Groebner basis, perhaps with extra elements, as Buchberger's retired
-    ones), sorted by descending leading monomial.
+    ones), sorted by descending leading monomial.  ``divs`` is consumed:
+    its entries are narrowed to the kept ones, which then divide.
 
     On the divisors' packed entries, the elements are walked by ascending
     packed lead (a divisor of a monomial comes before it in every term
@@ -398,22 +411,23 @@ def _reduced_basis(divs: _Divisors) -> tuple[Polynomial, ...]:
     reduction that outgrows the fields (under lex or block orders) raises
     :class:`_Overflow`, and the computation that built the divisors starts
     over from its inputs."""
-    guards, p = divs.guards, divs.ring.p
+    guards = divs.guards
     kept: list = []  # the kept entries, by ascending lead
     for e in sorted(divs.entries, key=itemgetter(0)):
         lg = e[0] | guards
         if not any((lg - k[0]) & guards == guards for k in kept):
             kept.append(e)
-    top, unpack, width = kept[-1][0], divs.unpack, divs.width
+    divs.entries, divs.top, unpack = kept, kept[-1][0], divs.unpack
     basis = []
-    for lead, ms, ncs in kept:
-        out = _divide_packed({m: p - nc for m, nc in zip(ms, ncs)}, kept, top, guards, p)
+    for lead, ms, cs in kept:
+        out = divs.divide(dict(zip(ms, cs)))
         lm = unpack(lead)
         terms = {lm: 1}
         terms.update(zip(map(unpack, out), out.values()))
         g = Polynomial(divs.ring, terms)
         g._lm = lm
-        g._pk = (width, (lead, tuple(out), tuple([p - c for c in out.values()])))
+        out[lead] = 1
+        g._pk = (divs.width, divs.monic(lead, out))
         basis.append(g)
     return tuple(reversed(basis))
 
@@ -455,7 +469,6 @@ def _buchberger_attempt(gens: list, width: int) -> tuple[Polynomial, ...]:
     divisors in ``width``-bit fields; raises :class:`_Overflow` when a
     term outgrows them."""
     ring = gens[0].ring
-    p, key = ring.p, ring.order.key
     divs = _Divisors(ring, (), width)  # the monic basis elements, in order found
     units, entries = divs.units, divs.entries
     guards = divs.guards & (1 << ring.nvars * width) - 1  # the exponent fields' guards
@@ -506,8 +519,8 @@ def _buchberger_attempt(gens: list, width: int) -> tuple[Polynomial, ...]:
 
     # seed with the interreduced input: redundant generators (common in
     # bracket-power lists) reduce to zero here and never enter the queue
-    for g in sorted(gens, key=lambda h: key(h.leading_monomial())):
-        settle(_divide_packed(divs.pack(g.terms), entries, divs.top, divs.guards, p))
+    for g in sorted(gens, key=lambda h: ring.order.key(h.leading_monomial())):
+        settle(divs.divide(divs.pack(g.terms)))
 
     while heap:
         lcm, i, j = heapq.heappop(heap)
@@ -521,11 +534,11 @@ def _staircase_rows(index, gens, divs: _Divisors) -> list:
     forms of s*a for the generators a in ``gens``, by the divisors
     ``divs``; raises :class:`_Overflow` when a reduction outgrows their
     field width."""
-    width, units, guards, entries, top, p = divs.width, divs.units, divs.guards, divs.entries, divs.top, divs.ring.p
+    width, units, p = divs.width, divs.units, divs.ring.p
     last = len(units) - 1
     nfs = {t: ((t, 1),) for t in index}  # packed monomial -> its normal form
     # the first standard monomial is 1
-    rows = [[_divide_packed(divs.pack(a.terms), entries, top, guards, p) for a in gens]]
+    rows = [[divs.divide(divs.pack(a.terms)) for a in gens]]
     for t in itertools.islice(index, 1, None):
         # x_j, the last variable of t, owns t's lowest set bit
         u = units[last - ((t & -t).bit_length() - 1) // width]
@@ -536,7 +549,7 @@ def _staircase_rows(index, gens, divs: _Divisors) -> list:
                 m = b + u
                 nf = nfs.get(m)
                 if nf is None:
-                    nf = nfs[m] = tuple(_divide_packed({m: 1}, entries, top, guards, p).items())
+                    nf = nfs[m] = tuple(divs.divide({m: 1}).items())
                 for mm, cc in nf:
                     v = (out.get(mm, 0) + c * cc) % p
                     if v:

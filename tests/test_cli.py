@@ -831,6 +831,226 @@ def test_reports_match_golden_bytes(ring_file, tmp_path, capsys):
         assert out_json.read_bytes() == golden_json.encode()
 
 
+# The first pinned reports that print a coefficient other than 1: at p = 2
+# every nonzero coefficient is 1 and -c = c, so a sign slip in the packed
+# division cannot change the p = 2 reports above.
+P5_RING = """char 5;
+vars x y z;
+quotient x^3+y^3+z^3;
+ideal I = x^2 + 3*x*y, y^3;
+"""
+GOLDEN_P5_CLOSURE_JSON = (
+    '{\n'
+    '  "certificate_ok": true,\n'
+    '  "chain": [\n'
+    '    {\n'
+    '      "basis": [\n'
+    '        "z^6",\n'
+    '        "x*z^3",\n'
+    '        "y*z^3",\n'
+    '        "x*y^2 + 4*z^3",\n'
+    '        "y^3",\n'
+    '        "x^2 + 3*x*y"\n'
+    '      ],\n'
+    '      "e": 0\n'
+    '    },\n'
+    '    {\n'
+    '      "basis": [\n'
+    '        "z^5",\n'
+    '        "x*z^3",\n'
+    '        "y*z^3",\n'
+    '        "x*y^2 + 4*z^3",\n'
+    '        "y^3",\n'
+    '        "x^2 + 3*x*y"\n'
+    '      ],\n'
+    '      "e": 1\n'
+    '    },\n'
+    '    {\n'
+    '      "basis": [\n'
+    '        "z^5",\n'
+    '        "x*z^3",\n'
+    '        "y*z^3",\n'
+    '        "x*y^2 + 4*z^3",\n'
+    '        "y^3",\n'
+    '        "x^2 + 3*x*y"\n'
+    '      ],\n'
+    '      "e": 2\n'
+    '    }\n'
+    '  ],\n'
+    '  "closure": [\n'
+    '    "z^5",\n'
+    '    "x*z^3",\n'
+    '    "y*z^3",\n'
+    '    "x*y^2 + 4*z^3",\n'
+    '    "y^3",\n'
+    '    "x^2 + 3*x*y"\n'
+    '  ],\n'
+    '  "command": "closure",\n'
+    '  "completeness": "heuristic: window stabilization certifies containment in the closure, not equality with it",\n'
+    '  "e_max": 8,\n'
+    '  "ideal": "I",\n'
+    '  "q": 5,\n'
+    '  "q_exponent": 1,\n'
+    '  "ring": {\n'
+    '    "characteristic": 5,\n'
+    '    "order": "grevlex",\n'
+    '    "quotient": [\n'
+    '      "x^3 + y^3 + z^3"\n'
+    '    ],\n'
+    '    "variables": [\n'
+    '      "x",\n'
+    '      "y",\n'
+    '      "z"\n'
+    '    ]\n'
+    '  },\n'
+    '  "schema": 1,\n'
+    '  "stabilization_index": 1,\n'
+    '  "status": "certified_subset_window_stable",\n'
+    '  "window": 2\n'
+    '}\n'
+)
+GOLDEN_P5_CLOSURE_STDOUT = (
+    'status: certified_subset_window_stable\n'
+    'stabilization index: 1\n'
+    'closure basis (lift): z^5, x*z^3, y*z^3, x*y^2 + 4*z^3, y^3, x^2 + 3*x*y\n'
+    'q_exponent: 1 (Q = 5)\n'
+    'certificate_ok: true\n'
+    'completeness: heuristic: window stabilization certifies containment in the closure, not equality with it\n'
+)
+GOLDEN_P5_CENSUS_JSON = (
+    '{\n'
+    '  "command": "census",\n'
+    '  "e_max": 8,\n'
+    '  "family": {\n'
+    '    "kind": "template",\n'
+    '    "ranges": {\n'
+    '      "a": [\n'
+    '        1,\n'
+    '        2\n'
+    '      ],\n'
+    '      "b": [\n'
+    '        2,\n'
+    '        3\n'
+    '      ]\n'
+    '    },\n'
+    '    "template": "{a}*x^2 + y^{b}, z^2"\n'
+    '  },\n'
+    '  "recheck_ok": true,\n'
+    '  "ring": {\n'
+    '    "characteristic": 5,\n'
+    '    "order": "grevlex",\n'
+    '    "quotient": [\n'
+    '      "x^3 + y^3 + z^3"\n'
+    '    ],\n'
+    '    "variables": [\n'
+    '      "x",\n'
+    '      "y",\n'
+    '      "z"\n'
+    '    ]\n'
+    '  },\n'
+    '  "rows": [\n'
+    '    {\n'
+    '      "closure": [\n'
+    '        "y^4",\n'
+    '        "y^3*z",\n'
+    '        "x*y^2 + 4*y^3",\n'
+    '        "x^2 + y^2",\n'
+    '        "z^2"\n'
+    '      ],\n'
+    '      "params": {\n'
+    '        "a": 1,\n'
+    '        "b": 2\n'
+    '      },\n'
+    '      "q_exponent": 1,\n'
+    '      "regseq_ok": true,\n'
+    '      "stabilized": true\n'
+    '    },\n'
+    '    {\n'
+    '      "closure": [\n'
+    '        "x^2*y^2*z + 4*x*y^2*z",\n'
+    '        "x^3 + 4*x^2",\n'
+    '        "y^3 + x^2",\n'
+    '        "z^2"\n'
+    '      ],\n'
+    '      "params": {\n'
+    '        "a": 1,\n'
+    '        "b": 3\n'
+    '      },\n'
+    '      "q_exponent": 1,\n'
+    '      "regseq_ok": true,\n'
+    '      "stabilized": true\n'
+    '    },\n'
+    '    {\n'
+    '      "closure": [\n'
+    '        "y^4",\n'
+    '        "y^3*z",\n'
+    '        "x*y^2 + 3*y^3",\n'
+    '        "x^2 + 3*y^2",\n'
+    '        "z^2"\n'
+    '      ],\n'
+    '      "params": {\n'
+    '        "a": 2,\n'
+    '        "b": 2\n'
+    '      },\n'
+    '      "q_exponent": 1,\n'
+    '      "regseq_ok": true,\n'
+    '      "stabilized": true\n'
+    '    },\n'
+    '    {\n'
+    '      "closure": [\n'
+    '        "x^2*y^2*z + 3*x*y^2*z",\n'
+    '        "x^3 + 3*x^2",\n'
+    '        "y^3 + 2*x^2",\n'
+    '        "z^2"\n'
+    '      ],\n'
+    '      "params": {\n'
+    '        "a": 2,\n'
+    '        "b": 3\n'
+    '      },\n'
+    '      "q_exponent": 1,\n'
+    '      "regseq_ok": true,\n'
+    '      "stabilized": true\n'
+    '    }\n'
+    '  ],\n'
+    '  "schema": 1,\n'
+    '  "uniform_e": 1,\n'
+    '  "uniform_e_is_lower_bound": false,\n'
+    '  "window": 2\n'
+    '}\n'
+)
+GOLDEN_P5_CENSUS_CSV = (
+    'params,regseq_ok,stabilized,q_exponent,closure_gens\n'
+    'a=1;b=2,true,true,1,y^4; y^3*z; x*y^2 + 4*y^3; x^2 + y^2; z^2\n'
+    'a=1;b=3,true,true,1,x^2*y^2*z + 4*x*y^2*z; x^3 + 4*x^2; y^3 + x^2; z^2\n'
+    'a=2;b=2,true,true,1,y^4; y^3*z; x*y^2 + 3*y^3; x^2 + 3*y^2; z^2\n'
+    'a=2;b=3,true,true,1,x^2*y^2*z + 3*x*y^2*z; x^3 + 3*x^2; y^3 + 2*x^2; z^2\n'
+)
+GOLDEN_P5_CENSUS_STDOUT = (
+    '  a=1;b=2: q_exponent=1\n'
+    '  a=1;b=3: q_exponent=1\n'
+    '  a=2;b=2: q_exponent=1\n'
+    '  a=2;b=3: q_exponent=1\n'
+    'uniform_e: 1\n'
+    'bracket-power recheck at uniform_e: ok\n'
+)
+
+
+def test_reports_match_golden_bytes_at_p5(tmp_path, capsys):
+    ring_file = tmp_path / "p5.ring"
+    ring_file.write_text(P5_RING, encoding="utf-8")
+    out_json = tmp_path / "closure.json"
+    assert main(["closure", "--ring", str(ring_file), "--ideal", "I", "--json", str(out_json)]) == 0
+    assert capsys.readouterr().out == GOLDEN_P5_CLOSURE_STDOUT
+    assert out_json.read_bytes() == GOLDEN_P5_CLOSURE_JSON.encode()
+    out_json, out_csv = tmp_path / "census.json", tmp_path / "census.csv"
+    assert main(["census", "--ring", str(ring_file), "--template", "{a}*x^2 + y^{b}, z^2",
+                 "--range", "a=1..2", "--range", "b=2..3",
+                 "--json", str(out_json), "--csv", str(out_csv)]) == 0
+    assert capsys.readouterr().out == GOLDEN_P5_CENSUS_STDOUT
+    assert out_json.read_bytes() == GOLDEN_P5_CENSUS_JSON.encode()
+    assert out_csv.read_bytes() == GOLDEN_P5_CENSUS_CSV.encode()
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -202,15 +202,20 @@ def test_cost_ordered_divisors_leave_normal_forms_by_a_basis_unchanged(order, p)
 
 def _assert_entries_match_fresh_packs(basis):
     """Each element's cached packed entry, read as its lead and {packed tail
-    monomial: negated coefficient}, equals the entry a new packing of the
-    same width makes for a copy of the element with no cached pack; the
-    element is monic and its cached leading monomial is the copy's."""
+    monomial: coefficient}, equals the entry a new packing of the same
+    width makes for a copy of the element with no cached pack; its third
+    slot holds the element's tail coefficients times the inverse of its
+    lead coefficient mod p, in tail order; the element is monic and its
+    cached leading monomial is the copy's."""
     for g in basis:
-        width, (lead, ms, ncs) = g._pk
+        width, (lead, ms, cs) = g._pk
         copy = Polynomial(g.ring, dict(g.terms))
-        fresh_lead, fresh_ms, fresh_ncs = _Divisors(g.ring, (), width)._entry(copy)
-        assert (lead, dict(zip(ms, ncs))) == (fresh_lead, dict(zip(fresh_ms, fresh_ncs)))
-        assert len(ms) == len(ncs) == len(g.terms) - 1
+        fresh_lead, fresh_ms, fresh_cs = _Divisors(g.ring, (), width)._entry(copy)
+        assert (lead, dict(zip(ms, cs))) == (fresh_lead, dict(zip(fresh_ms, fresh_cs)))
+        assert len(ms) == len(cs) == len(g.terms) - 1
+        p, unpack = g.ring.p, _layout(g.ring, width)[2]
+        inv = pow(g.terms[unpack(lead)], -1, p)
+        assert list(cs) == [g.terms[unpack(m)] * inv % p for m in ms]
         assert g._lm == copy.leading_monomial() and g.terms[g._lm] == 1
 
 

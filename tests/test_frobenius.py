@@ -759,6 +759,12 @@ def test_template_instantiation():
     ]
     x, y = S.gens()
     assert rows[1][1] == [x**2, y]
+    # a placeholder stands for its decimal text anywhere, not only in exponents
+    S5 = PolyRing(5, ["x", "y"])
+    x, y = S5.gens()
+    assert instantiate_template(S5, "{a}*x^{b}, y", {"a": [2], "b": [1]}) == [
+        ((("a", 2), ("b", 1)), [2 * x, y]),
+    ]
     with pytest.raises(ValueError):
         instantiate_template(S, "x^{a}", {"a": [1], "c": [2]})
     with pytest.raises(ValueError):
