@@ -15,7 +15,14 @@ Classes and scans share one check, :func:`_regular_sop`: the sequence must
 be a homogeneous system of parameters that is a poor regular sequence.
 Such a sequence exists exactly when R is Cohen-Macaulay at the irrelevant
 ideal, which is what both the zero test and the scan's lower bound need;
-nothing declares it.
+nothing declares it.  A sequence that passes gets one entry in the ring's
+cache, which holds it and its level table: for each level n, the ideals
+(b^(n p^j)) + J, j = 0, 1, ..., that torsion orders read, each the
+ring's cached Frobenius target of (b^n) + J.  So a sequence is checked on
+its first use in a ring only, and torsion orders of many classes form no
+power of b and build no lift or packing after the first class of a level.
+The zero test and the x-action keep plain lifts and formed powers, which
+makes them the torsion order's independent oracle.
 """
 
 from __future__ import annotations
@@ -28,8 +35,8 @@ from .frobenius import (
     _map_rows,
     bracket_powers_agree,
     frobenius_closure,
+    frobenius_target,
 )
-from .groebner import normal_form
 from .poly import Polynomial, frobenius_power
 from .quotient import QuotientRing
 
@@ -39,17 +46,31 @@ class InvalidSequenceError(ValueError):
 
 
 def _regular_sop(R: QuotientRing, sequence) -> tuple:
-    """The sequence as a tuple, after checking that it is a homogeneous
-    system of parameters of R and a poor regular sequence; the empty
-    system of parameters of a dimension-0 ring counts as regular."""
-    sequence = tuple(sequence)
-    if not R.is_system_of_parameters(sequence):
-        raise InvalidSequenceError("sequence is not a system of parameters")
-    if sequence and not (check := R.is_poor_regular_sequence(sequence)):
-        raise InvalidSequenceError(
-            f"sequence is not regular (fails at index {check.failure_index})"
-        )
-    return sequence
+    """R's entry for the sequence b: (b as a tuple, b's level table),
+    after checking that b is a homogeneous system of parameters of R and
+    a poor regular sequence; the empty system of parameters of a
+    dimension-0 ring counts as regular.
+
+    The entry is ``R._cache[("cech", b)]``, written once b passes, so b
+    is checked on its first use in R only; a sequence that fails is never
+    cached and fails every time.  The level table maps a level n to the
+    tuple of ideals (b^(n p^j)) + J for j = 0, 1, ..., the j-th being
+    ``frobenius_target(R, (b^n) + J, j)``, the ring's cached lift, as far
+    as :func:`torsion_order` has needed them.  A level's tuple only grows,
+    by a new tuple that replaces the old one, so concurrent writers never
+    misalign its levels."""
+    key = ("cech", tuple(sequence))
+    entry = R._cache.get(key)
+    if entry is None:
+        sequence = key[1]
+        if not R.is_system_of_parameters(sequence):
+            raise InvalidSequenceError("sequence is not a system of parameters")
+        if sequence and not (check := R.is_poor_regular_sequence(sequence)):
+            raise InvalidSequenceError(
+                f"sequence is not regular (fails at index {check.failure_index})"
+            )
+        entry = R._cache[key] = (sequence, {})
+    return entry
 
 
 class CechClass(NamedTuple):
@@ -74,7 +95,7 @@ def cech_class(R: QuotientRing, sequence, numerator: Polynomial, level: int = 1)
         raise InvalidSequenceError(
             f"quotient ring has dimension {R.dimension}; need dimension > 0"
         )
-    return CechClass(R, _regular_sop(R, sequence), numerator, level)
+    return CechClass(R, _regular_sop(R, sequence)[0], numerator, level)
 
 
 def cech_is_zero(z: CechClass) -> bool:
@@ -115,27 +136,40 @@ def torsion_order(z: CechClass, j_max: int) -> int | None:
     None when every power up to j_max leaves the class nonzero.
 
     x^j [r / b^n] = [r^(p^j) / b^(n p^j)] is zero exactly when r^(p^j)
-    lies in (b^(n p^j)) + J.  The numerator is first divided once by the
-    reduced basis of its own level ideal B = (b^n) + J: that division is
-    the j = 0 zero test, and its remainder r0 stands for r at every level,
-    since r - r0 lies in B and Frobenius is additive, so r^q - r0^q lies
-    in B^[q], which is contained in (b^(n q)) + J for q = p^j.  For j >= 1
-    :meth:`Ideal.contains` with exponent j tests r0^(p^j) in the ring's
-    cached lift of (b^(n p^j)): neither the power nor the class x^j z is
-    formed.  Only the chain's first level is taken: the full chain,
-    which would also reduce each level's remainder before the next power,
-    is left until the benchmark stops keeping one record per task run,
-    whose memory grows with throughput.  Under a degree cap, the test at
-    level j checks q deg r0 (q deg r before), which is no larger under a
-    degree order.  ``cech_is_zero(x_act(z, j))`` is the oracle."""
+    lies in (b^(n p^j)) + J, the j-th ideal of level n in the ring's table
+    for b (see :func:`_regular_sop`), which each call extends only as far as
+    its loop reaches; so a class forms no power of b, builds no lift and
+    packs no divisors that an earlier class of its ring, sequence and
+    level has, and never re-checks the sequence.  The numerator is divided
+    once by the cached basis of its own level ideal B = (b^n) + J
+    (:meth:`Ideal.remainder`): that division is the j = 0 zero test, and
+    its remainder r0 stands for r at every level, since r - r0 lies in B
+    and Frobenius is additive, so r^q - r0^q lies in B^[q], which is
+    contained in (b^(n q)) + J for q = p^j.  For j >= 1
+    :meth:`Ideal.contains` with exponent j tests r0^(p^j) in the level's
+    ideal: neither the power nor the class x^j z is formed.  Every class
+    still divides, and every level up to its order is tested to its full
+    remainder: the chain that would reduce each level's remainder before
+    the next power, the cut of the levels at s(R) and an exit at the
+    first remainder term would shorten this walk, and wait until the
+    benchmark stops keeping one record per task run, whose memory grows
+    with throughput.  Under a degree cap, a level's generators count
+    against it when the level is built, and the test at level j checks
+    q deg r0.  ``cech_is_zero(x_act(z, j))`` is the oracle."""
     if j_max < 0:
         raise ValueError(f"j_max must be non-negative, got {j_max}")
-    R = z.ring
-    r = normal_form(z.numerator, R.lift([b ** z.level for b in z.sequence]).groebner_basis())
+    R, n = z.ring, z.level
+    table = _regular_sop(R, z.sequence)[1]
+    levels = table.get(n)
+    if levels is None:
+        levels = table[n] = (R.lift([b ** n for b in z.sequence]),)
+    r = levels[0].remainder(z.numerator)
     if r.is_zero:
         return 0
     for j in range(1, j_max + 1):
-        if R.lift([b ** (z.level * R.p ** j) for b in z.sequence]).contains(r, j):
+        if j == len(levels):
+            levels = table[n] = levels + (frobenius_target(R, levels[0], j),)
+        if levels[j].contains(r, j):
             return j
     return None
 
@@ -181,7 +215,7 @@ def eta_estimate(R: QuotientRing, sop, n_max: int = 1, e_max: int = 8,
     report order is by n either way."""
     if n_max < 0:
         raise ValueError(f"n_max must be non-negative, got {n_max}")
-    sop = _regular_sop(R, sop)
+    sop = _regular_sop(R, sop)[0]
     tasks = [
         (R, [frobenius_power(b, n) for b in sop], e_max, window)
         for n in range(n_max + 1)

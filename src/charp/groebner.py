@@ -40,7 +40,9 @@ and Frobenius is additive over F_p, so it divides f's table with every
 packed monomial scaled by p**e, and answers from whether the packed
 remainder is empty, with no remainder polynomial built.  Certificates,
 census rechecks, parameter checks and Cech torsion orders all ask their
-question this way.
+question this way; :meth:`Ideal.remainder`, the one division that keeps
+its remainder on the same packing, unpacks it (a torsion order's zero
+test at its own level).
 Buchberger runs on packed monomials from start to finish: each pair's
 S-polynomial is the two basis elements' packed tails, shifted by their
 packed lcm minus each packed lead, summed into the table the division
@@ -325,10 +327,11 @@ def normal_form(f: Polynomial, reducers) -> Polynomial:
     is cancelled first, by the first divisor in list order, or else set
     aside as a remainder term.  The remainder depends on that order
     unless the reducers are a Groebner basis, whose remainder is the
-    unique normal form.  Membership does not go through here:
-    :meth:`Ideal.contains` divides on its cached packed divisors and reads
-    only whether the packed remainder is empty; a Cech torsion order
-    divides its numerator here once, as it keeps the remainder."""
+    unique normal form.  No library path divides through here: an
+    :class:`Ideal` divides on its cached packed divisors, and
+    :meth:`Ideal.contains` reads only whether the packed remainder is
+    empty, while :meth:`Ideal.remainder` unpacks it; this is their
+    oracle."""
     reducers = list(reducers)
     _check_ring(f.ring, *reducers)
     if any(g.is_zero for g in reducers):
@@ -732,6 +735,21 @@ class Ideal:
         cached one if it is wider than the one cached then: a packing that
         another membership test holds never changes under it, and a narrow
         packing never replaces a wider one."""
+        return not self._divide(f, e)[0]
+
+    def remainder(self, f: Polynomial) -> Polynomial:
+        """The normal form of f modulo the ideal: the remainder whose
+        emptiness :meth:`contains` tests, on the same cached packing,
+        unpacked.  ``normal_form(f, self.groebner_basis())`` is its
+        oracle."""
+        out, divs = self._divide(f)
+        unpack = divs.unpack
+        return Polynomial(self.ring, {unpack(t): c for t, c in out.items()})
+
+    def _divide(self, f: Polynomial, e: int = 0) -> tuple:
+        """(remainder, packing) of f**(p**e) on the cached divisors, as
+        :func:`_reduce_terms` returns them: the one division of
+        :meth:`contains` and :meth:`remainder`."""
         _check_ring(self.ring, f)
         if e < 0:
             raise ValueError(f"Frobenius exponent must be non-negative, got {e}")
@@ -740,8 +758,6 @@ class Ideal:
         if capped:
             check_degree(q * f.total_degree())
         gb = self.groebner_basis()
-        if not gb:
-            return f.is_zero
         divs = self._divs
         if divs is None:  # idempotent, as the basis is
             divs = self._divs = _Divisors(self.ring, sorted(reversed(gb), key=lambda g: len(g.terms)))
@@ -750,7 +766,7 @@ class Ideal:
             self._divs = divs
         if out and capped:
             check_degree(divs.degree(out))
-        return not out
+        return out, divs
 
     def __contains__(self, f: Polynomial) -> bool:
         return self.contains(f)

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 
 import pytest
@@ -21,9 +22,10 @@ from charp import (
     torsion_order,
     x_act,
 )
-from charp import cohomology
+from charp import cohomology, groebner
 from charp.frobenius import frobenius_target
 from charp.groebner import normal_form
+from charp.ringfile import parse_ring_file
 from support import (
     fermat_cubic_torsion_order,
     fermat_ring,
@@ -126,28 +128,37 @@ def test_torsion_orders_match_the_fermat_cubic_closed_form():
     assert orders == {0, 1, None}
 
 
-@pytest.mark.parametrize("p,d,j_max", [(2, 3, 6), (3, 3, 3), (2, 4, 6)])
+@pytest.mark.parametrize("p,d,j_max", [(2, 3, 6), (3, 3, 3), (2, 4, 6), (5, 3, 2)])
 def test_torsion_orders_match_the_x_act_route(p, d, j_max):
     """``torsion_order`` tests r^(p^j) in (b^(n p^j)) + J by a membership
-    of the unformed power; the oracle forms x^j z with ``x_act`` and tests
-    it with ``cech_is_zero``.  Seeded classes [r / (xy)^n] over the Fermat
-    cubic at p = 2 and 3 and the Fermat quartic at p = 2, whose classes
-    have finite nonzero orders: together the orders 0, 1, 2 and None."""
+    of the unformed power, on the ring's level table for b; the oracle
+    forms x^j z with ``x_act`` and tests it with ``cech_is_zero`` on plain
+    lifts.  Seeded classes [r / b^n] over the Fermat cubic at p = 2, 3 and
+    5 (coefficients up to p - 1) and the Fermat quartic at p = 2, whose
+    classes have finite nonzero orders: together the orders 0, 1, 2 and
+    None, with j_max past s(R).  The classes run in shuffled order over
+    three sequences of one ring, (x, y), (y, x) and (y, z), so a table
+    read at the wrong sequence, level or j shows."""
     R = fermat_ring(p, d)
-    x, y, _ = R.ambient.gens()
+    x, y, z = R.ambient.gens()
     rng = random.Random(f"x_act {p} {d}")
+    classes = []
+    for sequence in ((x, y), (y, x), (y, z)):
+        for n in range(1, 4):
+            monos = [(a, b, c) for a in range(n + 1) for b in range(n + 1) for c in range(d)]
+            for _ in range(8):
+                terms = {m: rng.randint(1, p - 1) for m in rng.sample(monos, rng.randint(1, 3))}
+                classes.append(cech_class(R, sequence, R.ambient.poly(terms), n))
+    rng.shuffle(classes)
     orders = set()
-    for n in range(1, 4):
-        monos = [(a, b, c) for a in range(n + 1) for b in range(n + 1) for c in range(d)]
-        for _ in range(20):
-            terms = {m: rng.randint(1, p - 1) for m in rng.sample(monos, rng.randint(1, 3))}
-            z = cech_class(R, [x, y], R.ambient.poly(terms), n)
-            order = torsion_order(z, j_max)
-            assert order == next((j for j in range(j_max + 1) if cech_is_zero(x_act(z, j))), None)
-            orders.add(order)
+    for c in classes:
+        order = torsion_order(c, j_max)
+        assert order == _x_act_order(c, j_max), c
+        orders.add(order)
     assert {0, None} <= orders and orders - {0, None}
     if d == 4:
         assert 2 in orders
+    assert {key[1] for key in R._cache if key[0] == "cech"} == {(x, y), (y, x), (y, z)}
 
 
 def _x_act_order(z, j_max):
@@ -332,39 +343,102 @@ def test_cech_and_eta_accept_exactly_the_regular_sops():
 
 
 def test_cech_ideals_are_plain_lifts(monkeypatch):
-    """A torsion order divides the numerator once by the basis of its own
-    level's lift, then reads the cached targets of that lift for j >= 1;
-    no other cache family appears."""
+    """A torsion order divides the numerator once by the cached basis of
+    its own level's lift, then reads the cached targets of that lift for
+    j >= 1, from the ring's level table for the sequence: the first class
+    of a level builds its lifts and packings, a second class of that level
+    builds none, and no ``normal_form`` runs.  The table is the one cache
+    family the classes add."""
     R = fermat_ring(2)
-    x, y, _ = R.ambient.gens()
-    divided, read = [], []
-    original_nf, original_contains = cohomology.normal_form, Ideal.contains
+    x, y, z = R.ambient.gens()
+    divided, read, built = [], [], []
+    original_remainder, original_contains = Ideal.remainder, Ideal.contains
+    original_lift, original_divisors = QuotientRing.lift, groebner._Divisors.__init__
 
-    def dividing(f, reducers):
-        divided.append(reducers)
-        return original_nf(f, reducers)
+    def dividing(ideal, f):
+        divided.append(ideal)
+        return original_remainder(ideal, f)
 
     def recording(ideal, f, e=0):
         read.append((ideal, e))
         return original_contains(ideal, f, e)
 
-    with monkeypatch.context() as patch:
-        patch.setattr(cohomology, "normal_form", dividing)
-        patch.setattr(Ideal, "contains", recording)
-        for n in (1, 2):
+    def lifting(ring, gens):
+        built.append("lift")
+        return original_lift(ring, gens)
+
+    def packing(divs, *args, **kwargs):
+        built.append("packing")
+        original_divisors(divs, *args, **kwargs)
+
+    def no_normal_form(f, reducers):
+        raise AssertionError("normal_form called")
+
+    assert not hasattr(cohomology, "normal_form")
+    for n in (1, 2):
+        base = R.lift([x**n, y**n])
+        with monkeypatch.context() as patch:
+            patch.setattr(groebner, "normal_form", no_normal_form)
+            patch.setattr(Ideal, "remainder", dividing)
+            patch.setattr(Ideal, "contains", recording)
             assert torsion_order(cech_class(R, [x, y], R.ambient.one(), n), 3) is None
-            base = R.lift([x**n, y**n])
             # the j = 0 test is the division, and level n * p^j reads the
             # target of (b^n) at e = j
-            assert divided == [base.groebner_basis()]
-            assert divided[0] is base.groebner_basis()
+            assert len(divided) == 1 and divided[0] is base
+            assert base._divs is not None
             assert [e for _, e in read] == [1, 2, 3]
             for ideal, j in read:
                 assert ideal is frobenius_target(R, base, j)
+            first = read[:]
+            divided.clear()
+            read.clear()
+            patch.setattr(QuotientRing, "lift", lifting)
+            patch.setattr(groebner._Divisors, "__init__", packing)
+            assert torsion_order(cech_class(R, [x, y], z, n), 3) is None
+            assert built == []
+            assert len(divided) == 1 and divided[0] is base and read == first
             divided.clear()
             read.clear()
     eta_estimate(R, [x, y], n_max=1)
-    assert {key[0] for key in R._cache} == {"lift", "frob_root", "root_colon"}
+    assert {key[0] for key in R._cache} == {"lift", "frob_root", "root_colon", "cech"}
+
+
+def test_sequence_checks_are_cached_only_on_success():
+    """A sequence that fails the sop or regularity check raises on every
+    call and leaves no entry, also in a ring that holds a valid one; two
+    rings read from one ring file keep their own entries; and a ring
+    whose cache holds level tables pickles, as a warm ring sent to a
+    worker process does, and answers as before."""
+    R = fermat_ring(2)
+    x, y, z = R.ambient.gens()
+    assert torsion_order(cech_class(R, [x, y], z**2), 3) == 1
+    for _ in range(2):
+        with pytest.raises(InvalidSequenceError, match="system of parameters"):
+            cech_class(R, [x, x], z)
+        with pytest.raises(InvalidSequenceError, match="system of parameters"):
+            eta_estimate(R, [x, x], n_max=0)
+    Q, sop, index = _non_cm_scans()[1]
+    for _ in range(2):
+        with pytest.raises(InvalidSequenceError, match=f"not regular \\(fails at index {index}\\)"):
+            cech_class(Q, sop, Q.ambient.one())
+    assert not any(key[0] == "cech" for key in Q._cache)
+    assert [key[1] for key in R._cache if key[0] == "cech"] == [(x, y)]
+
+    text = "char 2;\nvars x y z;\nquotient x^3 + y^3 + z^3;\n"
+    R1, R2 = parse_ring_file(text).quotient_ring(), parse_ring_file(text).quotient_ring()
+    a, b, _ = R1.ambient.gens()
+    assert torsion_order(cech_class(R1, [a, b], R1.ambient.one(), 2), 2) is None
+    assert not any(key[0] == "cech" for key in R2._cache)
+    assert R2.lift([a**2, b**2]) is not R1.lift([a**2, b**2])
+
+    warm = pickle.loads(pickle.dumps(R))
+    (key, (sequence, table)), = [(k, v) for k, v in warm._cache.items() if k[0] == "cech"]
+    assert sequence == (x, y) and sorted(table) == [1]
+    assert [ideal.gens for ideal in table[1]] == [ideal.gens for ideal in R._cache[key][1][1]]
+    for n in (1, 2, 3):
+        for r in (z, z**2, x * z + y):
+            assert (torsion_order(cech_class(warm, [x, y], r, n), 3)
+                    == torsion_order(cech_class(R, [x, y], r, n), 3))
 
 
 def test_eta_rejects_negative_scan_bound(R2):

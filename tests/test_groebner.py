@@ -393,6 +393,33 @@ def test_membership_agrees_with_dense_oracle(p):
             assert oracle == member  # exact agreement at this bound, on this suite
 
 
+@pytest.mark.parametrize("p,order", [(3, GREVLEX), (5, LEX)], ids=["p3-grevlex", "p5-lex"])
+def test_remainder_is_the_normal_form(p, order):
+    """``Ideal.remainder`` keeps the remainder of the division that
+    ``contains`` tests for emptiness, on the same cached cost-ordered
+    packing: it equals ``normal_form`` by the reduced basis, the unique
+    normal form, for seeded ideals and polynomials with coefficients up to
+    p - 1, for the zero ideal, and after a division that starts over in
+    wider fields (x^4 modulo x - y^(2^29) under lex leaves y^(2^31))."""
+    ring = PolyRing(p, ["x", "y", "z"], order)
+    rng = random.Random(f"remainder {p}")
+    for _ in range(12):
+        I = random_ideal(rng, ring)
+        for _ in range(4):
+            f = random_poly(rng, ring, max_degree=5, max_terms=4) * random_poly(rng, ring)
+            r = I.remainder(f)
+            assert r == normal_form(f, I.groebner_basis())
+            assert r.is_zero == I.contains(f)
+        assert I._divs is not None
+    f = random_poly(rng, ring)
+    assert Ideal(ring, []).remainder(f) == f and not Ideal(ring, []).contains(f)
+    x, y, _ = ring.gens()
+    if order is LEX:
+        I = Ideal(ring, [x - y ** 2**29])
+        assert I.remainder(x**4) == y ** 2**31
+        assert I._divs.width == 64
+
+
 # -- colon, intersection, elimination -------------------------------------------
 
 def test_colon_examples():

@@ -13,16 +13,21 @@ checked against perfbench's stored results.  It prints the 25 functions
 with the most self time, the call counts of Buchberger's three stages
 and those of the division kernel, of ``normal_form`` and of
 ``Ideal.contains`` (each membership test, which divides without
-``normal_form``; on torsion-scan, the one division of each class's
-numerator by its level's basis shows under the ``normal_form`` calls,
-and the tests of the levels j >= 1 under ``contains``), so a change to
-the Groebner kernel or to the division can be explained by the same
-work done in less time: a traced benchmark run measures closure-p5 on
-one round, too few to resolve ``groebner.buchberger.self_s``.  For each
-packed computation that starts over in wider fields when its terms
-outgrow them (a division, a Buchberger run, a kernel colon) it prints
-the calls, the attempts and their difference, the restarts.  Exits 1
-when a task fails or its check does.
+``normal_form``; on torsion-scan, the tests of the levels j >= 1 show
+under ``contains``, and the one division of each class's numerator by
+its level's basis, through ``Ideal.remainder``, under the division
+kernel alone), so a change to the Groebner kernel or to the division can
+be explained by the same work done in less time: a traced benchmark run
+measures closure-p5 on one round, too few to resolve
+``groebner.buchberger.self_s``.  For each packed computation that starts
+over in wider fields when its terms outgrow them (a division, a
+Buchberger run, a kernel colon) it prints the calls, the attempts and
+their difference, the restarts.  Last it prints the calls of
+``QuotientRing.lift``, ``Polynomial.__pow__`` and ``_Divisors.__init__``
+(the lifted ideals, powers and packings a round builds or looks up),
+each found by its code's file, first line and name, so no other
+function of the same name counts.  Exits 1 when a task fails or its
+check does.
 """
 
 from __future__ import annotations
@@ -61,6 +66,10 @@ def main(argv=None) -> int:
     from run import count_failures, setup, timed_phase
     from workloads import WORKLOADS
 
+    from charp.groebner import _Divisors
+    from charp.poly import Polynomial
+    from charp.quotient import QuotientRing
+
     if args.workload not in WORKLOADS:
         parser.error(f"--workload must be one of {', '.join(sorted(WORKLOADS))}")
     workload = WORKLOADS[args.workload]()
@@ -83,6 +92,12 @@ def main(argv=None) -> int:
     for name, attempt in ATTEMPTS.items():
         print(f"groebner.{name} calls = {calls[name]}, attempts = {calls[attempt]}, "
               f"restarts = {calls[attempt] - calls[name]}")
+    for label, function in (("quotient.QuotientRing.lift", QuotientRing.lift),
+                            ("poly.Polynomial.__pow__", Polynomial.__pow__),
+                            ("groebner._Divisors.__init__", _Divisors.__init__)):
+        code = function.__code__  # a profile entry is keyed by its code's file, line and name
+        entry = stats.stats.get((code.co_filename, code.co_firstlineno, code.co_name))
+        print(f"{label} calls = {entry[1] if entry else 0}")
     print(f"failed = {failed} of {phase.task_runs} task runs")
     return 1 if failed else 0
 
