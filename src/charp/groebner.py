@@ -56,9 +56,11 @@ nothing again.
 
 A colon (I : A) with S/I finite dimensional is the kernel of r -> r*A
 on the standard monomials of S/I (the linear algebra of FGLM), taken on
-packed monomials too: the staircase sorts as integers, each row is its
-parent's row shifted by one variable's unit, and each row is eliminated
-from a heap of its pending columns.  The kernel vectors and I's basis
+packed monomials too: the staircase sorts as integers, and each row is
+its parent's row shifted by one variable's unit.  Over F_2 a row and its
+unit vector are one int, eliminated by one XOR per pivot; for p >= 3 each
+row is a dict eliminated from a heap of its pending columns, the route
+that is also the F_2 route's oracle.  The kernel vectors and I's basis
 form a Groebner basis of the colon: each kernel vector joins the
 divisors as a packed table, and they are interreduced with no Buchberger
 run by the routine every Buchberger run ends with; otherwise, and as the
@@ -575,11 +577,23 @@ def _colon_attempt(gb: tuple, staircase: list, gens, width: int) -> tuple[Polyno
     stairs = sorted(sum(map(mul, s, divs.units)) for s in staircase)
     index = {t: k for k, t in enumerate(stairs)}
     rows = _staircase_rows(index, gens, divs)
+    for table in _kernel_bits(rows, stairs, index) if p == 2 else _kernel_dict(rows, stairs, index, p):
+        divs.append_remainder(table)
+    return _reduced_basis(divs)
 
+
+def _kernel_dict(rows: list, stairs: list, index: dict, p: int) -> list:
+    """The kernel vectors of the staircase rows ``rows`` over F_p, as packed
+    tables in descending order, one per row that depends on the earlier
+    ones, in row order: each row is top-reduced by the pivots of the
+    earlier independent rows, its pending columns popped highest first
+    from a heap.  The route for p >= 3, and the oracle of
+    :func:`_kernel_bits` at p = 2."""
     # column i*n + k holds staircase monomial k of part i, column -1-k
     # the unit vector of row k
     n = len(stairs)
     pivots: dict = {}  # leading column -> the rest of its row, scaled to lead 1
+    kernel = []
     for k, row in enumerate(rows):
         vec = {i * n + index[b]: c for i, part in enumerate(row) for b, c in part.items()}
         heap = [-c for c in vec]
@@ -605,8 +619,36 @@ def _colon_attempt(gb: tuple, staircase: list, gens, width: int) -> tuple[Polyno
                 else:
                     vec[c] = (old - factor * v) % p
         else:  # ascending columns: the packed monomials descending
-            divs.append_remainder({stairs[-1 - c]: vec[c] for c in sorted(vec) if c < 0 and vec[c]})
-    return _reduced_basis(divs)
+            kernel.append({stairs[-1 - c]: vec[c] for c in sorted(vec) if c < 0 and vec[c]})
+    return kernel
+
+
+def _kernel_bits(rows: list, stairs: list, index: dict) -> list:
+    """:func:`_kernel_dict` at p = 2, where a row and its unit vector are
+    one int: bit (i+1)*n + k holds staircase monomial k of part i (parts
+    counted from 0), bit n-1-k the unit vector of row k.  While its top
+    bit is n or higher, a row is XORed with the pivot stored at that bit,
+    or else becomes that bit's pivot.  The pivot policy is the dict
+    route's (highest column first, rows in staircase order), and so are
+    the kernel vectors and their order."""
+    n = len(stairs)
+    pivots: dict = {}  # top bit -> the row that stopped there
+    kernel = []
+    for k, row in enumerate(rows):
+        vec, shift = 1 << (n - 1 - k), n
+        for part in row:
+            for b in part:
+                vec |= 1 << (shift + index[b])
+            shift += n
+        while (top := vec.bit_length() - 1) >= n:
+            pivot = pivots.get(top)
+            if pivot is None:
+                pivots[top] = vec
+                break
+            vec ^= pivot
+        else:  # ascending bits (bin's digits reversed): the packed monomials descending
+            kernel.append(dict.fromkeys([s for s, d in zip(reversed(stairs), bin(vec)[:1:-1]) if d == "1"], 1))
+    return kernel
 
 
 def _standard_monomials(lms, nvars: int) -> list:
@@ -831,13 +873,17 @@ class Ideal:
         fields twice as wide (see :func:`_colon_attempt`).
 
         Each row, augmented by its unit vector in the negative columns, is
-        top-reduced against the earlier rows that stayed independent, its
-        pending columns popped highest first from a heap; a row left with
-        only negative columns gives s + (a combination of earlier
-        independent monomials) in the colon.  Dependent rows never become
-        pivots, so that tail holds only independent monomials, which are
-        the standard monomials of the colon: the vector has lead s and is
-        already reduced.  Its packed table joins the divisors after self's
+        top-reduced against the earlier rows that stayed independent,
+        highest column first; a row left with only negative columns gives
+        s + (a combination of earlier independent monomials) in the colon.
+        Over F_2 a row and its unit vector are one int and each reduction
+        step is one XOR (:func:`_kernel_bits`); for p >= 3 a row is a dict
+        whose pending columns are popped from a heap (:func:`_kernel_dict`,
+        which the tests also run at p = 2 as the F_2 route's oracle).  Both
+        routes take the same pivots, so they give the same kernel vectors.
+        Dependent rows never become pivots, so that tail holds only
+        independent monomials, which are the standard monomials of the
+        colon: the vector has lead s and is already reduced.  Its packed table joins the divisors after self's
         basis (:meth:`_Divisors.append_remainder`).
 
         The leads of the kernel vectors and of self's basis generate the

@@ -458,6 +458,28 @@ def test_root_ideal_recursion_matches_direct_root(p):
         assert A.gens == direct.groebner_basis()
 
 
+def test_root_ideal_of_a_plane_cubic_follows_its_hasse_invariant():
+    """Fedder's criterion for a plane cubic f: A_1 = I_1(f^(p-1)) is the
+    unit ideal exactly when f^(p-1) lies outside m^[p], that is when the
+    Hasse invariant, the coefficient of (xyz)^(p-1) in f^(p-1), is nonzero
+    (every other monomial of degree 3(p-1) has an exponent >= p).  Checked
+    on seeded random cubics; the Fermat cubic's is nonzero exactly at
+    p = 1 mod 3."""
+    rng = random.Random(2300)
+    pure = 0
+    for p in (2, 3, 5, 7, 11, 13):
+        S = PolyRing(p, ["x", "y", "z"])
+        for _ in range(8):
+            f = random_form(rng, S, 3, max_terms=rng.randint(2, 10))
+            hasse = (f ** (p - 1)).terms.get((p - 1,) * 3, 0)
+            unit = frobenius_root_ideal(QuotientRing(S, [f]), 1).gens == (S.one(),)
+            assert unit == (hasse != 0), (p, f)
+            pure += unit
+        R = fermat_ring(p)
+        assert (frobenius_root_ideal(R, 1).gens == (R.ambient.one(),)) == (p % 3 == 1), p
+    assert 8 <= pure <= 40  # both outcomes among the 48 cubics
+
+
 def _count_colons(monkeypatch):
     """Route Ideal.colon_ideal through a counter; returns the call list."""
     original = Ideal.colon_ideal

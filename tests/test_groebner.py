@@ -544,14 +544,16 @@ def test_zero_dimensional_colon_rewrites_tails_of_the_old_basis(monkeypatch):
     assert colon == _colon_by_intersection(I, A)
 
 
-def test_zero_dimensional_colon_edge_cases(monkeypatch):
-    ring = PolyRing(3, ["x", "y", "z"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_zero_dimensional_colon_edge_cases(p, monkeypatch):
+    # at p = 2 the colon eliminates bit rows, at p = 3 dict rows
+    ring = PolyRing(p, ["x", "y", "z"])
     x, y, z = ring.gens()
     I = Ideal(ring, [x**2 + y * z, y**3, z**2 - x * y])
     assert I.krull_dimension() == 0
     gb = I.groebner_basis()
-    # A holding a unit of S/I (2 + y, with y nilpotent there) leaves I unchanged
-    assert _colon_by_kernel(monkeypatch, I, Ideal(ring, [x, 2 + y])) == gb
+    # A holding a unit of S/I ((p-1) + y, with y nilpotent there) leaves I unchanged
+    assert _colon_by_kernel(monkeypatch, I, Ideal(ring, [x, (p - 1) + y])) == gb
     # A inside I gives the unit ideal
     inside = Ideal(ring, [y**3, x * (z**2 - x * y)])
     assert _colon_by_kernel(monkeypatch, I, inside) == (ring.one(),)
@@ -560,6 +562,45 @@ def test_zero_dimensional_colon_edge_cases(monkeypatch):
     J = Ideal(ring, [x**2, y**2, z])
     expected = Ideal(ring, [x**2, x * y, y**2, z]).groebner_basis()
     assert _colon_by_kernel(monkeypatch, J, Ideal(ring, [x, y])) == expected
+
+
+def test_bit_rows_match_the_dict_route(monkeypatch):
+    """At p = 2 the kernel colon eliminates each row as one int
+    (``_kernel_bits``): on seeded draws, on the same rows, it returns the
+    dict route's kernel vectors, in the same order and each in the same
+    descending order, and the dict route runs at p = 2 only as its oracle.
+    A copy of the bit route that drops its last kernel vector gives a
+    colon that differs from the intersection route on some draw."""
+    bits, by_dict = groebner._kernel_bits, groebner._kernel_dict
+    found = []  # per call of the bit route, its number of kernel vectors
+
+    def checked(rows, stairs, index):
+        kernel = bits(rows, stairs, index)
+        assert [list(t.items()) for t in kernel] == [list(t.items()) for t in by_dict(rows, stairs, index, 2)]
+        found.append(len(kernel))
+        return kernel
+
+    def refuse(*args):
+        raise AssertionError("the dict route ran at p = 2")
+
+    rng = random.Random(3700)
+    draws = []  # (I, A, the intersection route's colon)
+    for order in (GREVLEX, LEX, block_order(1)):
+        for variables in (["x", "y"], ["x", "y", "z"]):
+            ring = PolyRing(2, variables, order)
+            for _ in range(6):
+                I, A = random_zero_dimensional_colon(rng, ring)
+                draws.append((I, A, _colon_by_intersection(I, A)))
+    with monkeypatch.context() as patch:
+        patch.setattr(groebner, "_kernel_bits", checked)
+        patch.setattr(groebner, "_kernel_dict", refuse)
+        for I, A, colon in draws:
+            assert _colon_by_kernel(monkeypatch, I, A) == colon
+    # a draw whose A holds a constant takes no kernel route
+    assert len(found) >= len(draws) - 3 and sum(found) > len(found)
+    with monkeypatch.context() as patch:
+        patch.setattr(groebner, "_kernel_bits", lambda *args: bits(*args)[:-1])
+        assert any(_colon_by_kernel(monkeypatch, I, A) != colon for I, A, colon in draws)
 
 
 def test_kernel_colon_restarts_in_wider_fields(monkeypatch):

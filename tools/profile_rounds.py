@@ -26,8 +26,12 @@ their difference, the restarts.  Last it prints the calls of
 ``QuotientRing.lift``, ``Polynomial.__pow__`` and ``_Divisors.__init__``
 (the lifted ideals, powers and packings a round builds or looks up),
 each found by its code's file, first line and name, so no other
-function of the same name counts.  Exits 1 when a task fails or its
-check does.
+function of the same name counts, and then, found the same way, the
+calls and cumulative seconds of the kernel colon's row building
+(``_staircase_rows``) and of each of its elimination routes
+(``_kernel_bits`` over F_2, ``_kernel_dict`` otherwise), so a census
+profile separates building the rows from eliminating them.  Exits 1
+when a task fails or its check does.
 """
 
 from __future__ import annotations
@@ -66,7 +70,7 @@ def main(argv=None) -> int:
     from run import count_failures, setup, timed_phase
     from workloads import WORKLOADS
 
-    from charp.groebner import _Divisors
+    from charp.groebner import _Divisors, _kernel_bits, _kernel_dict, _staircase_rows
     from charp.poly import Polynomial
     from charp.quotient import QuotientRing
 
@@ -92,12 +96,20 @@ def main(argv=None) -> int:
     for name, attempt in ATTEMPTS.items():
         print(f"groebner.{name} calls = {calls[name]}, attempts = {calls[attempt]}, "
               f"restarts = {calls[attempt] - calls[name]}")
+
+    def entry(function) -> tuple:
+        """(primitive calls, calls, self seconds, cumulative seconds) of the function."""
+        code = function.__code__  # a profile entry is keyed by its code's file, line and name
+        found = stats.stats.get((code.co_filename, code.co_firstlineno, code.co_name))
+        return found[:4] if found else (0, 0, 0.0, 0.0)
+
     for label, function in (("quotient.QuotientRing.lift", QuotientRing.lift),
                             ("poly.Polynomial.__pow__", Polynomial.__pow__),
                             ("groebner._Divisors.__init__", _Divisors.__init__)):
-        code = function.__code__  # a profile entry is keyed by its code's file, line and name
-        entry = stats.stats.get((code.co_filename, code.co_firstlineno, code.co_name))
-        print(f"{label} calls = {entry[1] if entry else 0}")
+        print(f"{label} calls = {entry(function)[1]}")
+    for function in (_staircase_rows, _kernel_bits, _kernel_dict):
+        _, ncalls, _, cumulative = entry(function)
+        print(f"groebner.{function.__name__} calls = {ncalls}, cumulative = {cumulative:.3f} s")
     print(f"failed = {failed} of {phase.task_runs} task runs")
     return 1 if failed else 0
 
